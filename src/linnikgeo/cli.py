@@ -68,12 +68,8 @@ def _csv(rows: list[tuple]) -> str:
 def cmd_wset(args) -> int:
     F = RealForm(args.A, args.B, args.C)
     I = _interval(args)
-    report = equid_report(F, args.delta, I, args.buckets, workers=args.workers)
-    # re-enumerate would double work; equid_report already holds the counts,
-    # but rows need the fractions themselves
-    from .linnik import enumerate_W
-
-    fracs = enumerate_W(F, args.delta, I, workers=args.workers)
+    report = equid_report(F, args.delta, I, args.buckets)
+    fracs = report.fracs
     if F.is_integral():
         A, B, C = int(args.A), int(args.B), int(args.C)
         values = [A * f.m * f.m + B * f.m * f.n + C * f.n * f.n for f in fracs]
@@ -122,12 +118,14 @@ def cmd_verify(args) -> int:
     tag = case_tag(F)
     if args.case != tag:
         raise ValueError(f"form {F} is case {tag!r}, not {args.case!r}")
+    if min(args.delta_ladder) <= 1:
+        raise ValueError("--delta-ladder values must exceed 1")
     I = _interval(args)
     mu = mu_integral(F, I)
     failures = 0
     for delta in args.delta_ladder:
-        report = equid_report(F, delta, I, args.buckets, workers=args.workers)
-        norm = abs(report.residual) / (math.sqrt(delta) * math.log(delta) ** 2)
+        report = equid_report(F, delta, I, args.buckets)
+        norm = abs(report.normalized_residual)
         status = "ok" if norm <= args.tol else "FAIL"
         print(
             f"case={tag} delta={_fmt(delta)} empirical={report.empirical} "
@@ -296,7 +294,7 @@ def cmd_render(args) -> int:
 def cmd_cycle(args) -> int:
     G = normalize(int(args.A), int(args.B), int(args.C))
     f = {"one": CONSTANT_ONE, "j": J_FUNCTION}[args.f]
-    estimates, quadv = cycle_value(f, G, args.delta_ladder, workers=args.workers)
+    estimates, quadv = cycle_value(f, G, args.delta_ladder)
     cg = closed_geodesic(G)
     if args.format == "json":
         doc = {
@@ -352,7 +350,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("-C", type=float, required=True)
         if delta:
             p.add_argument("--delta", type=float, required=True)
-        p.add_argument("--workers", type=int, default=None)
         p.add_argument("--out", default=None)
 
     w = sub.add_parser("wset", help="enumerate W_delta on an interval")
@@ -368,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(v, delta=False)
     v.add_argument("--case", required=True,
                    choices=("linear", "indefinite", "definite", "parabolic",
-                            "cap", "constant"))
+                            "cap"))
     v.add_argument("--lo", type=float, required=True)
     v.add_argument("--hi", type=float, required=True)
     v.add_argument("--wrap", action="store_true")

@@ -95,9 +95,7 @@ def _arc_length(theta0: float, theta1: float) -> float:
     return abs(u(theta1) - u(theta0))
 
 
-def cm_on_fundamental_arc(
-    cg: ClosedGeodesic, delta: float, workers: int | None = None
-) -> list[CMOnGeodesic]:
+def cm_on_fundamental_arc(cg: ClosedGeodesic, delta: float) -> list[CMOnGeodesic]:
     """CM points of |D| <= delta on the fundamental arc, seam counted once.
 
     The arc is half-open: the start angle is included, the end angle (its
@@ -107,7 +105,7 @@ def cm_on_fundamental_arc(
         return []
     th0, th1 = fundamental_arc(cg)
     lo, hi = min(th0, th1), max(th0, th1)
-    records = enum_cm_on_geodesic(cg.form, delta, arc=(lo, hi), workers=workers)
+    records = enum_cm_on_geodesic(cg.form, delta, arc=(lo, hi))
     # the default start is the topmost point, whose t-coordinate is the
     # rational -B/(2A) of the derived form: compare exactly there
     param = build_param(cg.form, CM_ON_G)
@@ -122,15 +120,13 @@ def cm_on_fundamental_arc(
     return out
 
 
-def cm_count_closed(
-    cg: ClosedGeodesic, delta: float, workers: int | None = None
-) -> tuple[int, float]:
+def cm_count_closed(cg: ClosedGeodesic, delta: float) -> tuple[int, float]:
     """(empirical CM count on the fundamental arc, main-term prediction)."""
     if delta < 1:
         return 0, 0.0
     D = cg.form.discriminant()
     predicted = 3 * math.gcd(D, 2) * cg.length * delta / (2 * math.pi**2 * math.sqrt(D))
-    return len(cm_on_fundamental_arc(cg, delta, workers)), predicted
+    return len(cm_on_fundamental_arc(cg, delta)), predicted
 
 
 # ---------------------------------------------------------------------------
@@ -213,7 +209,6 @@ def cycle_value(
     f: ModularFunction,
     w_form: IntForm,
     deltas: list[float],
-    workers: int | None = None,
 ) -> tuple[list[tuple[float, complex]], complex]:
     """CM-average estimates of the cycle integral along a delta ladder,
     plus the adaptive-quadrature comparator."""
@@ -224,7 +219,7 @@ def cycle_value(
     scale_base = 2 * math.pi**2 * math.sqrt(D) / (3 * math.gcd(D, 2))
     estimates = []
     for delta in deltas:
-        pts = cm_on_fundamental_arc(cg, delta, workers)
+        pts = cm_on_fundamental_arc(cg, delta)
         total = sum((f(r.point.z) for r in pts), 0 + 0j)
         estimates.append((delta, scale_base / delta * total))
     return estimates, cycle_quadrature(cg, f)

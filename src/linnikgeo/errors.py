@@ -11,10 +11,6 @@ class ZeroForm(LinnikError, ValueError):
     """Normalization of the all-zero triple was requested."""
 
 
-class Overflow(LinnikError, OverflowError):
-    """An integer quantity exceeded the configured magnitude guard."""
-
-
 class NotPositiveDiscriminant(LinnikError, ValueError):
     """A geodesic was requested from a form with discriminant <= 0."""
 

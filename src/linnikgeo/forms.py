@@ -15,11 +15,6 @@ from dataclasses import dataclass
 
 from .errors import NotPositiveDiscriminant, WrongDiscriminantSign, ZeroForm
 
-# Magnitude guard: inputs up to 1e18 in each coefficient give discriminants
-# around 4e36; Python ints are exact at any size, the guard just catches
-# runaway values early.
-COEFF_GUARD = 10**18
-
 
 @dataclass(frozen=True)
 class IntForm:

@@ -26,7 +26,14 @@ from .errors import (
 )
 from .forms import CMPoint, IntForm, RMCurve, is_normalized, RealForm
 from .hyperbolic import BallE, PointH, ang_p, ball, perp_foot
-from .linnik import Frac, ProjInterval, _min_on_closure, _run_scan
+from .linnik import (
+    Frac,
+    ProjInterval,
+    QuadCase,
+    _min_on_closure,
+    _run_scan,
+    _sort_along,
+)
 from .numtheory import ext_gcd
 
 CM_ON_G = "cm-on-geodesic"
@@ -242,7 +249,6 @@ def _enum_pairs(
     param: GeodesicParam,
     delta: float,
     arc: tuple[float, float] | None,
-    workers: int | None,
 ) -> tuple[list[tuple[int, int]], ProjInterval]:
     if delta < 1:
         return [], _full_interval(param)
@@ -258,21 +264,14 @@ def _enum_pairs(
         n_max = _full_n_max(param, delta)
     if n_max < 1:
         return [], I
-    pairs, _ = _run_scan(
-        (F.A, F.B, F.C), True, delta, (I.lo, I.hi, I.wraps), n_max, workers
-    )
-    if I.wraps:
-        pairs.sort(key=lambda p: (0, p[0] / p[1]) if p[0] / p[1] >= I.lo else (1, p[0] / p[1]))
-    else:
-        pairs.sort(key=lambda p: p[0] / p[1])
-    return pairs, I
+    pairs, _ = _run_scan(QuadCase.of(F), True, delta, I, n_max)
+    return _sort_along(I, pairs), I
 
 
 def enum_cm_on_geodesic(
     G: IntForm,
     delta: float,
     arc: tuple[float, float] | None = None,
-    workers: int | None = None,
 ) -> list[CMOnGeodesic]:
     """CM points on the geodesic of G with |discriminant| <= delta.
 
@@ -281,7 +280,7 @@ def enum_cm_on_geodesic(
     requires rational endpoints (square derived discriminant) or a half-line.
     """
     param = build_param(G, CM_ON_G)
-    pairs, _ = _enum_pairs(param, delta, arc, workers)
+    pairs, _ = _enum_pairs(param, delta, arc)
     out = []
     for m, n in pairs:
         f = mn_to_form(param, m, n)
@@ -294,12 +293,11 @@ def enum_rm_perp_geodesic(
     G: IntForm,
     delta: float,
     arc: tuple[float, float] | None = None,
-    workers: int | None = None,
 ) -> list[RMPerpGeodesic]:
     """RM curves of discriminant <= delta meeting the geodesic of G
     perpendicularly, with their intersection feet."""
     param = build_param(G, RM_PERP_G)
-    pairs, _ = _enum_pairs(param, delta, arc, workers)
+    pairs, _ = _enum_pairs(param, delta, arc)
     out = []
     for m, n in pairs:
         f = mn_to_form(param, m, n)
@@ -310,14 +308,10 @@ def enum_rm_perp_geodesic(
     return out
 
 
-def enum_rm_through_point(
-    p: IntForm,
-    delta: float,
-    workers: int | None = None,
-) -> list[RMThroughPoint]:
+def enum_rm_through_point(p: IntForm, delta: float) -> list[RMThroughPoint]:
     """RM curves of discriminant <= delta through the CM point of p."""
     param = build_param(p, RM_THROUGH_P)
-    pairs, _ = _enum_pairs(param, delta, None, workers)
+    pairs, _ = _enum_pairs(param, delta, None)
     out = []
     for m, n in pairs:
         f = mn_to_form(param, m, n)

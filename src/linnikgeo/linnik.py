@@ -11,8 +11,6 @@ region, the antiderivative of 1/F, and whether I may wrap through infinity.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
@@ -23,7 +21,6 @@ from .errors import (
     IntervalOutsidePositivityRegion,
     IntervalTouchesRoot,
     UnboundedDivergence,
-    ZeroForm,
 )
 from .forms import RealForm
 
@@ -81,6 +78,12 @@ class Frac(NamedTuple):
 
 @dataclass
 class EnumReport:
+    """Empirical against predicted count of W_delta on I.
+
+    normalized_residual is residual / (sqrt(delta) log^2 delta), nan at
+    delta = 1; fracs are the enumerated fractions, sorted along I.
+    """
+
     empirical: int
     predicted: float
     residual: float
@@ -88,134 +91,123 @@ class EnumReport:
     histogram: list[tuple[int, float]] = field(default_factory=list)
     max_ratio_dev: float = 0.0
     boundary_ties: int = 0
+    fracs: list[Frac] = field(default_factory=list)
 
 
 # ---------------------------------------------------------------------------
 # sign cases and antiderivatives
 
 
-def case_tag(F: RealForm) -> str:
-    A, B = F.A, F.B
-    D = F.discriminant()
-    if A == 0 and B == 0:
-        return "constant"
-    if A == 0:
-        return "linear"
-    if A > 0:
-        if D > 0:
-            return "indefinite"
-        if D < 0:
-            return "definite"
-        return "parabolic"
-    if D > 0:
-        return "cap"
-    raise IntervalOutsidePositivityRegion(f"{F} is never positive")
+@dataclass(frozen=True)
+class QuadCase:
+    """The sign case of F(t) = A t^2 + B t + C, worked out once.
 
-
-def _roots(F: RealForm) -> tuple[float, float]:
-    """Roots of F sorted increasingly (requires D >= 0, A != 0)."""
-    sd = math.sqrt(F.discriminant())
-    r1 = (-F.B - sd) / (2 * F.A)
-    r2 = (-F.B + sd) / (2 * F.A)
-    return min(r1, r2), max(r1, r2)
-
-
-def _antiderivative(F: RealForm) -> tuple[Callable[[float], float], float, float]:
-    """(H, H(+inf), H(-inf)) with H' = 1/F on the positivity region.
-
-    Infinite limits are math.nan when the integral diverges there.
+    roots are the real roots of F, sorted; pos are the open intervals where
+    F > 0; H is an antiderivative of 1/F there, and h_pinf, h_minf are its
+    limits at +-inf (nan where the integral diverges).
     """
-    A, B, C = F.A, F.B, F.C
-    D = F.discriminant()
-    tag = case_tag(F)
-    if tag == "constant":
-        if C <= 0:
-            raise IntervalOutsidePositivityRegion("constant form is nonpositive")
-        return (lambda t: t / C), math.nan, math.nan
-    if tag == "linear":
-        return (lambda t: math.log(abs(B * t + C)) / B), math.nan, math.nan
-    if tag == "indefinite":
-        rm, rp = _roots(F)
+
+    F: RealForm
+    tag: str
+    roots: tuple[float, ...]
+    pos: tuple[tuple[float, float], ...]
+    H: Callable[[float], float]
+    h_pinf: float
+    h_minf: float
+
+    @classmethod
+    def of(cls, F: RealForm) -> "QuadCase":
+        A, B, C = F.A, F.B, F.C
+        D = F.discriminant()
+        if A == 0:
+            r = -C / B
+            pos = ((r, INF),) if B > 0 else ((-INF, r),)
+            H = lambda t: math.log(abs(B * t + C)) / B
+            return cls(F, "linear", (r,), pos, H, math.nan, math.nan)
+        if D < 0 and A > 0:
+            sd = math.sqrt(-D)
+            H = lambda t: 2 / sd * math.atan((2 * A * t + B) / sd)
+            lim = math.pi / sd
+            return cls(F, "definite", (), ((-INF, INF),), H, lim, -lim)
+        if D < 0 or (D == 0 and A < 0):
+            raise IntervalOutsidePositivityRegion(f"{F} is never positive")
         sd = math.sqrt(D)
-        return (lambda t: math.log(abs((t - rp) / (t - rm))) / sd), 0.0, 0.0
-    if tag == "definite":
-        sd = math.sqrt(-D)
-        lim = math.pi / sd
-        return (lambda t: 2 / sd * math.atan((2 * A * t + B) / sd)), lim, -lim
-    if tag == "parabolic":
-        return (lambda t: -2 / (2 * A * t + B)), 0.0, 0.0
-    # cap: A < 0, positive only between the roots
-    rp, rm = (-F.B + math.sqrt(D)) / (2 * A), (-F.B - math.sqrt(D)) / (2 * A)
-    sd = math.sqrt(D)
-    return (lambda t: math.log((t - rp) / (rm - t)) / sd), math.nan, math.nan
+        r1, r2 = sorted(((-B - sd) / (2 * A), (-B + sd) / (2 * A)))
+        if A < 0:
+            H = lambda t: math.log((t - r1) / (r2 - t)) / sd
+            return cls(F, "cap", (r1, r2), ((r1, r2),), H, math.nan, math.nan)
+        pos = ((-INF, r1), (r2, INF))
+        if D == 0:
+            H = lambda t: -2 / (2 * A * t + B)
+            return cls(F, "parabolic", (r1, r2), pos, H, 0.0, 0.0)
+        H = lambda t: math.log(abs((t - r2) / (t - r1))) / sd
+        return cls(F, "indefinite", (r1, r2), pos, H, 0.0, 0.0)
+
+    def at(self, t: float) -> float:
+        """H(t), taking the limits at t = +-inf."""
+        h = self.h_pinf if t == INF else self.h_minf if t == -INF else self.H(t)
+        if math.isnan(h):
+            raise UnboundedDivergence(f"integral of 1/{self.F} diverges at {t}")
+        return h
 
 
-def _check_interval(F: RealForm, I: ProjInterval) -> None:
+def case_tag(F: RealForm) -> str:
+    """linear, definite, indefinite, parabolic or cap."""
+    return QuadCase.of(F).tag
+
+
+def _check_interval(case: QuadCase, I: ProjInterval) -> None:
     """Closure of I must stay inside {F > 0} and off the roots of F."""
-    A = F.A
-    D = F.discriminant()
-    tag = case_tag(F)
-    if I.wraps and A <= 0:
+    if I.wraps and case.F.A <= 0:
         raise IntervalOutsidePositivityRegion(
             "wrapping through infinity requires A > 0"
         )
-    if tag == "constant":
-        if F.C <= 0:
-            raise IntervalOutsidePositivityRegion("constant form is nonpositive")
-        return
-    if tag == "linear":
-        root = -F.C / F.B
-        for e in (I.lo, I.hi):
-            if e == root:
-                raise IntervalTouchesRoot(f"endpoint {e} is the root of {F}")
-        if F.value(I.lo) < 0 or F.value(I.hi) < 0:
-            raise IntervalOutsidePositivityRegion(f"{I} leaves {{F > 0}} for {F}")
-        return
-    if tag == "definite":
-        return
-    if tag in ("indefinite", "parabolic"):
-        rm, rp = _roots(F)
-        for e in (I.lo, I.hi):
-            if e == rm or e == rp:
-                raise IntervalTouchesRoot(f"endpoint {e} is a root of {F}")
-        for lo, hi in I.pieces():
-            if lo < rm < hi or lo < rp < hi or (rm < lo and hi < rp):
-                raise IntervalOutsidePositivityRegion(
-                    f"{I} meets the nonpositive gap [{rm}, {rp}] of {F}"
-                )
-        return
-    # cap
-    rp, rm = sorted(_roots(F))
     for e in (I.lo, I.hi):
-        if e == rp or e == rm:
-            raise IntervalTouchesRoot(f"endpoint {e} is a root of {F}")
-    if not (rp < I.lo and I.hi < rm):
-        raise IntervalOutsidePositivityRegion(
-            f"{I} must sit strictly inside ({rp}, {rm}) for {F}"
-        )
+        if e in case.roots:
+            raise IntervalTouchesRoot(f"endpoint {e} is a root of {case.F}")
+    for lo, hi in I.pieces():
+        if not any(a <= lo and hi <= b for a, b in case.pos):
+            raise IntervalOutsidePositivityRegion(
+                f"{I} leaves {{F > 0}} = {case.pos} for {case.F}"
+            )
+
+
+def _level_pieces(
+    case: QuadCase, K: float, ipieces: list[tuple[float, float]]
+) -> list[tuple[float, float]]:
+    """{t in I : F(t) <= K} as bounded intervals, I given by its pieces.
+
+    Once _check_interval has passed, I lies in the closure of {F > 0}, so
+    these cover {t in I : 0 < F(t) <= K}.
+    """
+    A, B, C = case.F.A, case.F.B, case.F.C
+    if A == 0:
+        top = (K - C) / B
+        below = ((-INF, top),) if B > 0 else ((top, INF),)
+    else:
+        disc = B * B - 4 * A * (C - K)
+        if disc < 0:
+            below = () if A > 0 else ((-INF, INF),)
+        else:
+            sd = math.sqrt(disc)
+            r1, r2 = (-B - sd) / (2 * A), (-B + sd) / (2 * A)
+            below = ((r1, r2),) if A > 0 else ((-INF, r2), (r1, INF))
+    out = []
+    for a, b in below:
+        for lo, hi in ipieces:
+            lo, hi = max(a, lo), min(b, hi)
+            if lo <= hi:
+                out.append((lo, hi))
+    return out
 
 
 def mu_integral(F: RealForm, I: ProjInterval) -> float:
     """Integral of dt / (A t^2 + B t + C) over I, in closed form."""
-    if F.A == 0 and F.B == 0 and F.C == 0:
-        raise ZeroForm("zero form has no measure")
-    _check_interval(F, I)
-    H, h_pinf, h_minf = _antiderivative(F)
-
-    def H_at(t: float) -> float:
-        if t == INF:
-            if math.isnan(h_pinf):
-                raise UnboundedDivergence(f"integral of 1/{F} diverges at +inf")
-            return h_pinf
-        if t == -INF:
-            if math.isnan(h_minf):
-                raise UnboundedDivergence(f"integral of 1/{F} diverges at -inf")
-            return h_minf
-        return H(t)
-
+    case = QuadCase.of(F)
+    _check_interval(case, I)
     if I.wraps:
-        return (h_pinf - H(I.lo)) + (H(I.hi) - h_minf)
-    return H_at(I.hi) - H_at(I.lo)
+        return (case.h_pinf - case.H(I.lo)) + (case.H(I.hi) - case.h_minf)
+    return case.at(I.hi) - case.at(I.lo)
 
 
 def predicted_count(F: RealForm, delta: float, I: ProjInterval) -> float:
@@ -245,83 +237,39 @@ def _min_on_closure(F: RealForm, I: ProjInterval) -> float:
     return min(vals)
 
 
-def _pos_leq_pieces(F: RealForm, K: float) -> list[tuple[float, float]]:
-    """Bounded real intervals covering {t : 0 < F(t) <= K}."""
-    A, B, C = F.A, F.B, F.C
-    D = F.discriminant()
-    if A == 0:
-        # linear: between the root and the level-K point
-        root = -C / B
-        top = (K - C) / B
-        return [(root, top)] if B > 0 else [(top, root)]
-    disc = B * B - 4 * A * (C - K)
-    if A > 0:
-        if disc < 0:
-            return []
-        sd = math.sqrt(disc)
-        r1, r2 = (-B - sd) / (2 * A), (-B + sd) / (2 * A)
-        if D < 0:
-            return [(r1, r2)]
-        rm, rp = _roots(F)
-        out = []
-        if r1 < rm:
-            out.append((r1, min(r2, rm)))
-        if r2 > rp:
-            out.append((max(r1, rp), r2))
-        return out
-    # A < 0: positive only between the roots of F
-    rp, rm = sorted(_roots(F))
-    if disc <= 0:
-        return [(rp, rm)]
-    sd = math.sqrt(disc)
-    s1, s2 = (-B + sd) / (2 * A), (-B - sd) / (2 * A)
-    return [(rp, s1), (s2, rm)]
-
-
-def _intersect(
-    a: list[tuple[float, float]], b: list[tuple[float, float]]
-) -> list[tuple[float, float]]:
-    out = []
-    for a1, a2 in a:
-        for b1, b2 in b:
-            lo, hi = max(a1, b1), min(a2, b2)
-            if lo <= hi:
-                out.append((lo, hi))
-    return out
-
-
-def _scan_n_range(
-    coeffs: tuple[float, float, float],
+def _run_scan(
+    case: QuadCase,
     integral: bool,
     delta: float,
-    interval: tuple[float, float, bool],
-    n_lo: int,
-    n_hi: int,
+    I: ProjInterval,
+    n_max: int,
 ) -> tuple[list[tuple[int, int]], int]:
-    """All (m, n) with n in [n_lo, n_hi] meeting the constraints, plus tie count.
-
-    Stand-alone (picklable) so worker processes can run it.
-    """
-    A, B, C = coeffs
-    F = RealForm(A, B, C)
-    I = ProjInterval(*interval)
+    """All reduced (m, n) with 1 <= n <= n_max, m/n in I and
+    0 < F(m, n) <= delta, plus the count of float values within TIE_REL of
+    delta (boundary ties; integral forms have none)."""
+    F = case.F
+    A, B, C = (int(F.A), int(F.B), int(F.C)) if integral else (F.A, F.B, F.C)
+    coeff = abs(A) + abs(B) + abs(C)
     ipieces = I.pieces()
-    if integral:
-        A, B, C = int(A), int(B), int(C)
     pairs: list[tuple[int, int]] = []
     ties = 0
-    for n in range(n_lo, n_hi + 1):
-        K = delta / (n * n)
-        pieces = _intersect(_pos_leq_pieces(F, K), ipieces)
-        seen: set[int] = set()
-        for plo, phi in pieces:
-            m_lo = math.floor(n * plo) - 1
-            m_hi = math.ceil(n * phi) + 1
-            if m_hi < m_lo:
-                continue
+    for n in range(1, n_max + 1):
+        # the pieces' m-ranges, padded against rounding, merged so that
+        # every candidate is tested once
+        spans = sorted(
+            (math.floor(n * lo) - 1, math.ceil(n * hi) + 1)
+            for lo, hi in _level_pieces(case, delta / (n * n), ipieces)
+        )
+        ranges: list[tuple[int, int]] = []
+        for m_lo, m_hi in spans:
+            if ranges and m_lo <= ranges[-1][1]:
+                ranges[-1] = (ranges[-1][0], max(m_hi, ranges[-1][1]))
+            else:
+                ranges.append((m_lo, m_hi))
+        for m_lo, m_hi in ranges:
             ms = np.arange(m_lo, m_hi + 1, dtype=np.int64)
             big = max(abs(m_lo), abs(m_hi), n)
-            if integral and (abs(A) + abs(B) + abs(C)) * big * big < 2**62:
+            if integral and coeff * big * big < 2**62:
                 vals = A * ms * ms + B * ms * n + C * (n * n)
                 ok = (vals > 0) & (vals <= delta)
             elif integral:
@@ -338,74 +286,38 @@ def _scan_n_range(
                 ties += int((np.abs(vals - delta) < TIE_REL * delta).sum())
             ok &= np.gcd(ms, n) == 1
             for m in ms[ok].tolist():
-                m = int(m)
-                if m in seen or not I.contains(m / n):
-                    continue
-                seen.add(m)
-                pairs.append((m, n))
+                if I.contains(m / n):
+                    pairs.append((m, n))
     return pairs, ties
 
 
-def _run_scan(
-    coeffs: tuple[float, float, float],
-    integral: bool,
-    delta: float,
-    interval: tuple[float, float, bool],
-    n_max: int,
-    workers: int | None,
-) -> tuple[list[tuple[int, int]], int]:
-    """Run _scan_n_range over 1..n_max, splitting across workers if asked."""
-    nproc = min(_worker_count(workers), n_max)
-    if nproc <= 1:
-        return _scan_n_range(coeffs, integral, delta, interval, 1, n_max)
-    # contiguous n-chunks; merge is order-independent since callers re-sort
-    bounds = [1 + (n_max * k) // nproc for k in range(nproc + 1)]
-    chunks = [(bounds[k], bounds[k + 1] - 1) for k in range(nproc)]
-    pairs: list[tuple[int, int]] = []
-    ties = 0
-    with ProcessPoolExecutor(max_workers=nproc) as pool:
-        futs = [
-            pool.submit(_scan_n_range, coeffs, integral, delta, interval, a, b)
-            for a, b in chunks
-            if a <= b
-        ]
-        for fut in futs:
-            p, t = fut.result()
-            pairs.extend(p)
-            ties += t
-    return pairs, ties
+def _sort_along(
+    I: ProjInterval, pairs: list[tuple[int, int]]
+) -> list[tuple[int, int]]:
+    """(m, n) pairs sorted by m/n along I: a wrapping interval runs
+    lo -> +inf first, then -inf -> hi."""
+    if I.wraps:
+        lo = I.lo
+        return sorted(pairs, key=lambda p: (p[0] / p[1] < lo, p[0] / p[1]))
+    return sorted(pairs, key=lambda p: p[0] / p[1])
 
 
-def _worker_count(workers: int | None) -> int:
-    if workers is not None:
-        return max(1, workers)
-    return max(1, int(os.environ.get("LINNIK_WORKERS", "1")))
-
-
-def enumerate_W(
-    F: RealForm,
-    delta: float,
-    I: ProjInterval,
-    workers: int | None = None,
-) -> list[Frac]:
+def enumerate_W(F: RealForm, delta: float, I: ProjInterval) -> list[Frac]:
     """All reduced m/n in I with 0 < F(m, n) <= delta, sorted along I.
 
     Membership is exact integer arithmetic when F has integer coefficients.
     Wrapping intervals sort lo -> +inf first, then -inf -> hi.
     """
-    report = _enumerate_with_ties(F, delta, I, workers)
-    return report[0]
+    return _enumerate_with_ties(F, delta, I)[0]
 
 
 def _enumerate_with_ties(
-    F: RealForm,
-    delta: float,
-    I: ProjInterval,
-    workers: int | None = None,
+    F: RealForm, delta: float, I: ProjInterval
 ) -> tuple[list[Frac], int]:
     if delta <= 0:
         return [], 0
-    _check_interval(F, I)
+    case = QuadCase.of(F)
+    _check_interval(case, I)
     minF = _min_on_closure(F, I)
     if minF <= 0:
         raise IntervalTouchesRoot(
@@ -414,17 +326,8 @@ def _enumerate_with_ties(
     n_max = math.isqrt(math.floor(delta / minF))
     if n_max < 1:
         return [], 0
-    if F.A == 0 and F.B == 0 and (math.isinf(I.lo) or math.isinf(I.hi)):
-        raise UnboundedDivergence("constant form on an unbounded interval")
-    pairs, ties = _run_scan(
-        (F.A, F.B, F.C), F.is_integral(), delta, (I.lo, I.hi, I.wraps), n_max, workers
-    )
-    fracs = [Frac.make(m, n) for m, n in pairs]
-    if I.wraps:
-        fracs.sort(key=lambda f: (0, f.t) if f.t >= I.lo else (1, f.t))
-    else:
-        fracs.sort(key=lambda f: f.t)
-    return fracs, ties
+    pairs, ties = _run_scan(case, F.is_integral(), delta, I, n_max)
+    return [Frac(m, n, m / n) for m, n in _sort_along(I, pairs)], ties
 
 
 def brute_force_W(F: RealForm, delta: float, I: ProjInterval) -> list[Frac]:
@@ -433,20 +336,21 @@ def brute_force_W(F: RealForm, delta: float, I: ProjInterval) -> list[Frac]:
         raise GuardExceeded(f"brute force refuses delta > {BRUTE_GUARD}")
     if delta <= 0:
         return []
-    _check_interval(F, I)
+    _check_interval(QuadCase.of(F), I)
     minF = _min_on_closure(F, I)
     if minF <= 0:
         raise IntervalTouchesRoot(f"min of {F} on closure of {I} is {minF}")
     n_max = math.isqrt(math.floor(delta / minF))
     # widest conceivable |t|: the interval itself when finite, otherwise the
-    # extent of the level set F <= delta
-    if not I.wraps and math.isfinite(I.lo) and math.isfinite(I.hi):
-        T = max(abs(I.lo), abs(I.hi), 1.0)
-    else:
-        marks = [abs(e) for e in (I.lo, I.hi) if not math.isinf(e)]
-        for plo, phi in _pos_leq_pieces(F, delta):
-            marks += [abs(plo), abs(phi)]
-        T = max(marks, default=1.0)
+    # extent of the level set F <= delta (I is then unbounded, so A >= 0)
+    marks = [abs(e) for e in (I.lo, I.hi) if not math.isinf(e)] + [1.0]
+    if I.wraps or math.isinf(I.lo) or math.isinf(I.hi):
+        if F.A == 0:
+            marks.append(abs((delta - F.C) / F.B))
+        else:
+            sd = math.sqrt(max(F.B * F.B - 4 * F.A * (F.C - delta), 0.0))
+            marks += [abs((-F.B - sd) / (2 * F.A)), abs((-F.B + sd) / (2 * F.A))]
+    T = max(marks)
     integral = F.is_integral()
     A, B, C = (int(F.A), int(F.B), int(F.C)) if integral else (F.A, F.B, F.C)
     out = []
@@ -469,21 +373,13 @@ def brute_force_W(F: RealForm, delta: float, I: ProjInterval) -> list[Frac]:
 # equidistribution statistics
 
 
-def _wrapped_height(F: RealForm, I: ProjInterval):
+def _wrapped_height(case: QuadCase, I: ProjInterval):
     """Monotone coordinate h on I with dh = d_mu, plus its range (h0, h1)."""
-    H, h_pinf, h_minf = _antiderivative(F)
+    H = case.H
     if not I.wraps:
-        lo = H(I.lo) if not math.isinf(I.lo) else (h_minf if I.lo < 0 else h_pinf)
-        hi = H(I.hi) if not math.isinf(I.hi) else (h_pinf if I.hi > 0 else h_minf)
-        if math.isnan(lo) or math.isnan(hi):
-            raise UnboundedDivergence(f"measure of {I} under 1/{F} is infinite")
-        return H, lo, hi
-    jump = h_pinf - h_minf
-
-    def h(t: float) -> float:
-        return H(t) if t >= I.lo else H(t) + jump
-
-    return h, H(I.lo), H(I.hi) + jump
+        return H, case.at(I.lo), case.at(I.hi)
+    lo, jump = I.lo, case.h_pinf - case.h_minf
+    return (lambda t: H(t) if t >= lo else H(t) + jump), H(lo), H(I.hi) + jump
 
 
 def equid_report(
@@ -491,25 +387,24 @@ def equid_report(
     delta: float,
     I: ProjInterval,
     buckets: int,
-    workers: int | None = None,
 ) -> EnumReport:
     """Compare the enumeration against the predicted count and bucket masses.
 
     I is split into `buckets` pieces of equal mu-mass (by the closed-form
     antiderivative, which is the monotone coordinate along I, including
-    through the infinity seam of a wrapping interval).
+    through the infinity seam of a wrapping interval).  The report keeps
+    the enumerated fractions.
     """
     if buckets < 2:
         raise ValueError("need at least 2 buckets")
     if delta <= 0:
         return EnumReport(0, 0.0, 0.0, 0.0, [(0, 0.0)] * buckets, 0.0, 0)
-    _check_interval(F, I)
-    fracs, ties = _enumerate_with_ties(F, delta, I, workers)
+    fracs, ties = _enumerate_with_ties(F, delta, I)
     mu_tot = mu_integral(F, I)
     predicted = 3.0 * delta / math.pi**2 * mu_tot
     empirical = len(fracs)
     residual = empirical - predicted
-    h, h0, h1 = _wrapped_height(F, I)
+    h, h0, h1 = _wrapped_height(QuadCase.of(F), I)
     width = (h1 - h0) / buckets
     counts = [0] * buckets
     for f in fracs:
@@ -520,12 +415,14 @@ def equid_report(
         dev = max(counts) / min(counts) - 1.0
     else:
         dev = math.inf if empirical else 0.0
+    scale = math.sqrt(delta) * math.log(delta) ** 2
     return EnumReport(
         empirical=empirical,
         predicted=predicted,
         residual=residual,
-        normalized_residual=residual / delta**0.6,
+        normalized_residual=residual / scale if scale else math.nan,
         histogram=[(c, mass) for c in counts],
         max_ratio_dev=dev,
         boundary_ties=ties,
+        fracs=fracs,
     )

@@ -250,13 +250,11 @@ class PellSolution:
 
     @property
     def log_eps(self) -> float:
-        t, u, D = self.t0, self.u0, self.D
-        if t.bit_length() < 512:
-            return math.log((t + u * math.sqrt(D)) / 2)
-        import mpmath
-
-        with mpmath.workdps(t.bit_length() // 3 + 30):
-            return float(mpmath.log((t + u * mpmath.sqrt(D)) / 2))
+        if self.t0.bit_length() < 512:
+            return math.log(self.eps)
+        # eps = t0 - 1/eps, so log(t0) equals log(eps) to double precision
+        # (and t0 no longer fits a float)
+        return math.log(self.t0)
 
 
 def _is_square(n: int) -> bool:
@@ -286,31 +284,31 @@ def _pell_one(D: int) -> tuple[int, int]:
 def pell_fundamental(D: int) -> PellSolution:
     """Smallest positive integer solution of t^2 - D u^2 = 4.
 
-    Brute force over small u, continued-fraction fallback beyond (the
-    fundamental solution can be astronomically large even for small D).
+    Expands w = (s + sqrt(D)) / 2, s = D mod 2, as a continued fraction.  The
+    first convergent p/q with t = 2p - s q, u = q and t^2 - D u^2 = +-4
+    gives the fundamental unit (t + u sqrt(D)) / 2 of discriminant D; a unit
+    of norm -1 is squared (Cohen, GTM 138, section 5.7).
     """
     if D <= 0 or _is_square(D):
         raise SquareDiscriminant(f"D = {D} must be a positive non-square")
     if D % 4 not in (0, 1):
         raise BadResidue(f"D = {D} must be 0 or 1 mod 4")
-    for u in range(1, 10**5):
-        t2 = D * u * u + 4
-        if _is_square(t2):
-            return PellSolution(D, math.isqrt(t2), u)
-    x1, y1 = _pell_one(D)
-    t0, u0 = 2 * x1, 2 * y1
-    if D % 8 == 5:
-        # the order of discriminant D may contain a half-integer unit whose
-        # cube is x1 + y1 sqrt(D); recover it numerically and verify exactly
-        import mpmath
-
-        with mpmath.workdps(len(str(x1)) + 40):
-            r = (x1 + y1 * mpmath.sqrt(D)) ** (mpmath.mpf(1) / 3)
-            tc = int(mpmath.nint(r + 1 / r))
-            uc = int(mpmath.nint((r - 1 / r) / mpmath.sqrt(D)))
-        if tc > 0 and uc > 0 and tc * tc - D * uc * uc == 4:
-            t0, u0 = tc, uc
-    return PellSolution(D, t0, u0)
+    s, r = D % 2, math.isqrt(D)
+    P, Q = s, 2  # complete quotient (P + sqrt(D)) / Q
+    p_prev, p = 0, 1
+    q_prev, q = 1, 0
+    while True:
+        a = (P + r) // Q
+        p_prev, p = p, a * p + p_prev
+        q_prev, q = q, a * q + q_prev
+        t = 2 * p - s * q
+        norm = t * t - D * q * q
+        if norm == 4:
+            return PellSolution(D, t, q)
+        if norm == -4:
+            return PellSolution(D, (t * t + D * q * q) // 2, t * q)
+        P = a * Q - P
+        Q = (D - P * P) // Q
 
 
 _T = ((1, 1), (0, 1))

@@ -86,6 +86,12 @@ def test_verify_tolerance_failure(capsys):
     assert code == 4
 
 
+def test_verify_rejects_delta_at_most_one():
+    code = main(["verify", "-A", "1", "-B", "0", "-C", "1", "--case", "definite",
+                 "--lo", "-1", "--hi", "1", "--delta-ladder", "1,100"])
+    assert code == 2
+
+
 def test_verify_wrong_case():
     code = main(["verify", "-A", "1", "-B", "0", "-C", "1", "--case", "cap",
                  "--lo", "-1", "--hi", "1"])

@@ -2,6 +2,7 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 from linnikgeo.errors import (
@@ -172,14 +173,6 @@ def test_wrap_sorting():
     assert all(t >= 1.5 for t in ts[:cut]) and all(t <= -1.5 for t in ts[cut:])
 
 
-def test_worker_independence():
-    F = RealForm(1, 0, 1)
-    I = ProjInterval(-INF, INF)
-    serial = enumerate_W(F, 2000, I, workers=1)
-    parallel = enumerate_W(F, 2000, I, workers=3)
-    assert serial == parallel
-
-
 def test_equid_report_basic():
     F = RealForm(1, 0, 1)
     r = equid_report(F, 10**4, ProjInterval(-1, 1), 2)
@@ -187,6 +180,8 @@ def test_equid_report_basic():
     c0, c1 = r.histogram[0][0], r.histogram[1][0]
     assert abs(c0 - c1) <= 4 * math.sqrt(10**4)
     assert sum(c for c, _ in r.histogram) == r.empirical
+    assert r.normalized_residual == r.residual / (100 * math.log(10**4) ** 2)
+    assert r.fracs == enumerate_W(F, 10**4, ProjInterval(-1, 1))
     z = equid_report(F, 0, ProjInterval(-1, 1), 4)
     assert z.empirical == 0 and z.predicted == 0
 
@@ -218,3 +213,87 @@ def test_boundary_tie_flagging():
         F, 1.5, ProjInterval(0.1, 4)
     )
     assert ties >= 1  # (1, 1) evaluates exactly to the cutoff
+
+
+# offsets from a root or a finite endpoint, in eighths
+_off = st.integers(2, 24).map(lambda k: k / 8)
+
+
+@st.composite
+def _form_and_interval(draw, case, shape):
+    """A form of the given sign case, integral or scaled by a dyadic factor
+    (so that the float path is exact), and a window inside {F > 0} of the
+    given shape: finite, unbounded, or wrapping through infinity."""
+    if case == "linear":
+        A, B = 0, draw(st.sampled_from([-1, 1])) * draw(st.integers(1, 6))
+        C = draw(st.integers(-6, 6))
+    elif case == "definite":
+        A, B = draw(st.integers(1, 4)), draw(st.integers(-6, 6))
+        C = B * B // (4 * A) + draw(st.integers(1, 5))
+    elif case == "indefinite":
+        A, B = draw(st.integers(1, 4)), draw(st.integers(-6, 6))
+        C = draw(st.integers(-6, -1))
+    elif case == "parabolic":
+        a, b = draw(st.integers(1, 2)), draw(st.integers(-3, 3))
+        A, B, C = a * a, 2 * a * b, b * b
+    else:
+        A, B = -draw(st.integers(1, 3)), draw(st.integers(-3, 3))
+        C = draw(st.integers(1, 6))
+    scale = draw(st.sampled_from([1, 0.25, 0.75]))
+    F = RealForm(A * scale, B * scale, C * scale)
+    if case == "definite":
+        lo = draw(st.integers(-16, 16)) / 4
+        if shape == "wrap":
+            return F, ProjInterval(lo, lo - draw(_off), True)
+        if shape == "unbounded":
+            return F, draw(st.sampled_from(
+                [ProjInterval(lo, INF), ProjInterval(-INF, lo), ProjInterval(-INF, INF)]
+            ))
+        return F, ProjInterval(lo, lo + draw(_off))
+    if case == "linear":
+        r1 = r2 = -C / B
+    else:
+        sd = math.sqrt(B * B - 4 * A * C)
+        r1, r2 = sorted([(-B - sd) / (2 * A), (-B + sd) / (2 * A)])
+    if case == "cap":
+        u = draw(st.integers(1, 14))
+        v = draw(st.integers(u + 1, 15))
+        return F, ProjInterval(r1 + (r2 - r1) * u / 16, r1 + (r2 - r1) * v / 16)
+    if shape == "wrap":
+        return F, ProjInterval(r2 + draw(_off), r1 - draw(_off), True)
+    right = B > 0 if case == "linear" else draw(st.booleans())
+    if right:
+        lo = r2 + draw(_off)
+        return F, ProjInterval(lo, INF if shape == "unbounded" else lo + draw(_off))
+    hi = r1 - draw(_off)
+    return F, ProjInterval(-INF if shape == "unbounded" else hi - draw(_off), hi)
+
+
+@pytest.mark.parametrize("case, shape", [
+    ("linear", "finite"), ("linear", "unbounded"), ("cap", "finite"),
+    *((c, s) for c in ("definite", "indefinite", "parabolic")
+      for s in ("finite", "unbounded", "wrap")),
+])
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_enumerate_matches_brute_force(case, shape, data):
+    F, I = data.draw(_form_and_interval(case, shape))
+    # on an unbounded linear window the oracle scans |t| up to delta / |B|
+    top = 100 if (case, shape) == ("linear", "unbounded") else 400
+    delta = data.draw(st.integers(1, top))
+    assert case_tag(F) == case
+    assert enumerate_W(F, delta, I) == brute_force_W(F, delta, I)
+
+
+def test_overlapping_pieces_counted_once():
+    # the padded m-ranges of two pieces overlap at small n: the wrapped
+    # windows of a steep form, and the two flanks of a cap near its top
+    for F, I, delta in [
+        (RealForm(100, 0, -1), ProjInterval(0.11, -0.11, True), 2000),
+        (RealForm(400, 1, -1), ProjInterval(0.06, -0.06, True), 500),
+        (RealForm(-50, 0, 1), ProjInterval(-0.14, 0.14), 60),
+        (RealForm(-1, 0, 1), ProjInterval(-0.9, 0.9), 3.9),
+    ]:
+        got = enumerate_W(F, delta, I)
+        assert len(set(got)) == len(got)
+        assert got == brute_force_W(F, delta, I)

@@ -126,6 +126,16 @@ def test_pell_421():
     assert math.isclose(p.log_eps, math.log((t0 + u0 * math.sqrt(421)) / 2))
 
 
+def test_pell_even_discriminants():
+    # t^2 - D u^2 = 4 with D = 4d forces t even: (t/2)^2 - d u^2 = 1
+    for D in range(8, 1001, 4):
+        if math.isqrt(D) ** 2 == D:
+            continue
+        x, y = _pell_one(D // 4)
+        p = pell_fundamental(D)
+        assert (p.t0, p.u0) == (2 * x, y), D
+
+
 def test_pell_one_oracle():
     for D in (5, 8, 13, 61):
         x, y = _pell_one(D)
