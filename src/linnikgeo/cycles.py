@@ -17,7 +17,7 @@ from typing import Callable
 
 from scipy.integrate import quad
 
-from .errors import ImprimitiveForm, PointNotOnGeodesic
+from .errors import DomainError, ImprimitiveForm, PointNotOnGeodesic
 from .forms import IntForm, Semicircle, geodesic_of_form, is_normalized
 from .geodesic_enum import CM_ON_G, CMOnGeodesic, build_param, enum_cm_on_geodesic
 from .hyperbolic import PointH
@@ -214,6 +214,9 @@ def cycle_value(
     plus the adaptive-quadrature comparator."""
     if not is_normalized(*w_form.triple()):
         raise ValueError(f"{w_form} is not normalized")
+    for delta in deltas:
+        if not (math.isfinite(delta) and delta > 0):
+            raise DomainError(f"ladder delta must be positive and finite, got {delta}")
     cg = closed_geodesic(w_form)
     D = w_form.discriminant()
     scale_base = 2 * math.pi**2 * math.sqrt(D) / (3 * math.gcd(D, 2))

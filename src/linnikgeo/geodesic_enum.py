@@ -245,13 +245,19 @@ def _full_n_max(param: GeodesicParam, delta: float) -> int:
     return math.floor((m4ad + math.sqrt(m4ad)) / (2 * s)) + 1
 
 
+_NO_PAIRS = (np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), np.zeros(0))
+
+
 def _enum_pairs(
     param: GeodesicParam,
     delta: float,
     arc: tuple[float, float] | None,
-) -> tuple[list[tuple[int, int]], ProjInterval]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Columns (ms, ns, t = ms / ns) of the incident pairs, sorted along t."""
+    if not math.isfinite(delta):
+        raise DomainError(f"delta must be finite, got {delta}")
     if delta < 1:
-        return [], _full_interval(param)
+        return _NO_PAIRS
     F = _scan_form(param)
     if arc is not None:
         I = _arc_interval(param, arc)
@@ -263,9 +269,9 @@ def _enum_pairs(
         I = _full_interval(param)
         n_max = _full_n_max(param, delta)
     if n_max < 1:
-        return [], I
-    pairs, _ = _run_scan(QuadCase.of(F), True, delta, I, n_max)
-    return _sort_along(I, pairs), I
+        return _NO_PAIRS
+    ms, ns, _ = _run_scan(QuadCase.of(F), True, delta, I, n_max)
+    return _sort_along(I, ms, ns)
 
 
 def enum_cm_on_geodesic(
@@ -280,11 +286,10 @@ def enum_cm_on_geodesic(
     requires rational endpoints (square derived discriminant) or a half-line.
     """
     param = build_param(G, CM_ON_G)
-    pairs, _ = _enum_pairs(param, delta, arc)
+    ms, ns, ts = _enum_pairs(param, delta, arc)
     out = []
-    for m, n in pairs:
+    for m, n, t in zip(ms.tolist(), ns.tolist(), ts.tolist()):
         f = mn_to_form(param, m, n)
-        t = m / n
         out.append(CMOnGeodesic(CMPoint(f), Frac(m, n, t), coord_of_t(param, t)))
     return out
 
@@ -297,11 +302,10 @@ def enum_rm_perp_geodesic(
     """RM curves of discriminant <= delta meeting the geodesic of G
     perpendicularly, with their intersection feet."""
     param = build_param(G, RM_PERP_G)
-    pairs, _ = _enum_pairs(param, delta, arc)
+    ms, ns, ts = _enum_pairs(param, delta, arc)
     out = []
-    for m, n in pairs:
+    for m, n, t in zip(ms.tolist(), ns.tolist(), ts.tolist()):
         f = mn_to_form(param, m, n)
-        t = m / n
         out.append(
             RMPerpGeodesic(RMCurve(f), Frac(m, n, t), perp_foot(f, G), coord_of_t(param, t))
         )
@@ -311,11 +315,10 @@ def enum_rm_perp_geodesic(
 def enum_rm_through_point(p: IntForm, delta: float) -> list[RMThroughPoint]:
     """RM curves of discriminant <= delta through the CM point of p."""
     param = build_param(p, RM_THROUGH_P)
-    pairs, _ = _enum_pairs(param, delta, None)
+    ms, ns, ts = _enum_pairs(param, delta, None)
     out = []
-    for m, n in pairs:
+    for m, n, t in zip(ms.tolist(), ns.tolist(), ts.tolist()):
         f = mn_to_form(param, m, n)
-        t = m / n
         out.append(RMThroughPoint(RMCurve(f), Frac(m, n, t), coord_of_t(param, t)))
     return out
 
@@ -356,8 +359,15 @@ def enum_cm_in_ball(
         else:
             cand = []
             for b in bs.tolist():
-                c_lo = (b * b + 1 + 4 * a - 1) // (4 * a)  # smallest c with D <= -1
-                c_hi = (b * b + d_max) // (4 * a)
+                # y = sqrt(4ac - b^2) / 2a must lie on the disk's vertical
+                # chord at x = -b/2a, so c = (b^2 + (2ay)^2) / 4a is bounded
+                # by the chord's ends (padded by 1; be.contains decides)
+                h = math.sqrt(max(re * re - (b / (2 * a) + x0) ** 2, 0.0))
+                c_chord_lo = math.floor((b * b + (2 * a * (y0 - h)) ** 2) / (4 * a)) - 1
+                c_chord_hi = math.ceil((b * b + (2 * a * (y0 + h)) ** 2) / (4 * a)) + 1
+                # smallest c with D <= -1, largest with |D| <= d_max
+                c_lo = max((b * b + 1 + 4 * a - 1) // (4 * a), c_chord_lo)
+                c_hi = min((b * b + d_max) // (4 * a), c_chord_hi)
                 cand.extend((b, c) for c in range(c_lo, c_hi + 1))
         for b, c in cand:
             if math.gcd(math.gcd(a, abs(b)), abs(c)) != 1:

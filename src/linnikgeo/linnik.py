@@ -17,6 +17,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import (
+    DomainError,
     GuardExceeded,
     IntervalOutsidePositivityRegion,
     IntervalTouchesRoot,
@@ -31,6 +32,12 @@ BRUTE_GUARD = 10**6
 # candidate values this close to the cutoff delta are reported as boundary
 # ties when the coefficients are not exact integers
 TIE_REL = 1e-9
+
+# values of n per vectorised block of the scan, and candidates per chunk
+# (int64 and float64 temporaries of _CHUNK entries stay under 1 MB)
+_BLOCK = 4096
+_CHUNK = 2**16
+_NO_INTS = np.zeros(0, dtype=np.int64)
 
 
 @dataclass(frozen=True)
@@ -172,33 +179,42 @@ def _check_interval(case: QuadCase, I: ProjInterval) -> None:
             )
 
 
-def _level_pieces(
-    case: QuadCase, K: float, ipieces: list[tuple[float, float]]
-) -> list[tuple[float, float]]:
-    """{t in I : F(t) <= K} as bounded intervals, I given by its pieces.
+def _level_spans(
+    case: QuadCase, n: np.ndarray, delta: float, ipieces: list[tuple[float, float]]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Integer m-ranges [L, H] covering {m : m/n in I, F(m/n) <= delta/n^2},
+    one column per piece of the level set, for a block of n at once.
 
     Once _check_interval has passed, I lies in the closure of {F > 0}, so
-    these cover {t in I : 0 < F(t) <= K}.
+    these cover {t in I : 0 < F(t) <= K}, and every piece is bounded.  The
+    float operations are those of the scalar formulas; each range is padded
+    by 1 against rounding, and an empty piece becomes the range [1, 0].
     """
     A, B, C = case.F.A, case.F.B, case.F.C
+    nf = n.astype(float)
+    K = delta / (nf * nf)
     if A == 0:
         top = (K - C) / B
-        below = ((-INF, top),) if B > 0 else ((top, INF),)
+        below = [(-INF, top)] if B > 0 else [(top, INF)]
     else:
         disc = B * B - 4 * A * (C - K)
-        if disc < 0:
-            below = () if A > 0 else ((-INF, INF),)
+        real = disc >= 0
+        sd = np.sqrt(np.where(real, disc, 0.0))
+        r1, r2 = (-B - sd) / (2 * A), (-B + sd) / (2 * A)
+        if A > 0:
+            below = [(np.where(real, r1, INF), np.where(real, r2, -INF))]
         else:
-            sd = math.sqrt(disc)
-            r1, r2 = (-B - sd) / (2 * A), (-B + sd) / (2 * A)
-            below = ((r1, r2),) if A > 0 else ((-INF, r2), (r1, INF))
-    out = []
+            below = [(-INF, np.where(real, r2, INF)), (np.where(real, r1, INF), INF)]
+    L, H = [], []
     for a, b in below:
         for lo, hi in ipieces:
-            lo, hi = max(a, lo), min(b, hi)
-            if lo <= hi:
-                out.append((lo, hi))
-    return out
+            lo, hi = np.maximum(a, lo), np.minimum(b, hi)
+            hit = lo <= hi
+            L.append(np.where(hit, nf * lo, 2.0))
+            H.append(np.where(hit, nf * hi, -1.0))
+    L = np.floor(np.stack(L, 1)).astype(np.int64) - 1
+    H = np.ceil(np.stack(H, 1)).astype(np.int64) + 1
+    return L, H
 
 
 def mu_integral(F: RealForm, I: ProjInterval) -> float:
@@ -243,63 +259,75 @@ def _run_scan(
     delta: float,
     I: ProjInterval,
     n_max: int,
-) -> tuple[list[tuple[int, int]], int]:
+) -> tuple[np.ndarray, np.ndarray, int]:
     """All reduced (m, n) with 1 <= n <= n_max, m/n in I and
-    0 < F(m, n) <= delta, plus the count of float values within TIE_REL of
-    delta (boundary ties; integral forms have none)."""
+    0 < F(m, n) <= delta, as int64 columns (ms, ns) ordered by n, then m;
+    plus the count of float values within TIE_REL of delta (boundary ties;
+    integral forms have none).
+
+    Works on blocks of _BLOCK values of n: the m-ranges of a block come
+    from one vectorised pass, and their candidates are tested in chunks of
+    _CHUNK so that temporaries stay small.
+    """
     F = case.F
     A, B, C = (int(F.A), int(F.B), int(F.C)) if integral else (F.A, F.B, F.C)
     coeff = abs(A) + abs(B) + abs(C)
     ipieces = I.pieces()
-    pairs: list[tuple[int, int]] = []
+    out_m, out_n = [_NO_INTS], [_NO_INTS]
     ties = 0
-    for n in range(1, n_max + 1):
-        # the pieces' m-ranges, padded against rounding, merged so that
-        # every candidate is tested once
-        spans = sorted(
-            (math.floor(n * lo) - 1, math.ceil(n * hi) + 1)
-            for lo, hi in _level_pieces(case, delta / (n * n), ipieces)
-        )
-        ranges: list[tuple[int, int]] = []
-        for m_lo, m_hi in spans:
-            if ranges and m_lo <= ranges[-1][1]:
-                ranges[-1] = (ranges[-1][0], max(m_hi, ranges[-1][1]))
-            else:
-                ranges.append((m_lo, m_hi))
-        for m_lo, m_hi in ranges:
-            ms = np.arange(m_lo, m_hi + 1, dtype=np.int64)
-            big = max(abs(m_lo), abs(m_hi), n)
+    for n0 in range(1, n_max + 1, _BLOCK):
+        n = np.arange(n0, min(n0 + _BLOCK, n_max + 1), dtype=np.int64)
+        L, H = _level_spans(case, n, delta, ipieces)
+        # merge the ranges of each n.  Sorting starts and ends separately
+        # keeps how often each m is covered, so it keeps the union; then
+        # every range begins after the end before it and is tested once
+        L, H = np.sort(L, axis=1), np.sort(H, axis=1)
+        L[:, 1:] = np.maximum(L[:, 1:], H[:, :-1] + 1)
+        count = np.maximum(H - L + 1, 0).ravel()
+        ends = np.cumsum(count)
+        # candidate number p of the block lies in range s = the first with
+        # ends[s] > p, and is m = L[s] + p - (ends[s] - count[s])
+        shift, span_n = L.ravel() - (ends - count), np.repeat(n, L.shape[1])
+        total = int(ends[-1])
+        for c0 in range(0, total, _CHUNK):
+            pos = np.arange(c0, min(c0 + _CHUNK, total), dtype=np.int64)
+            s = np.searchsorted(ends, pos, side="right")
+            ms, ns = shift[s] + pos, span_n[s]
+            big = max(int(np.abs(ms).max()), int(ns[-1]))
             if integral and coeff * big * big < 2**62:
-                vals = A * ms * ms + B * ms * n + C * (n * n)
+                vals = A * ms * ms + B * ms * ns + C * (ns * ns)
                 ok = (vals > 0) & (vals <= delta)
             elif integral:
-                vals = np.array(
-                    [A * m * m + B * m * n + C * n * n for m in ms.tolist()],
-                    dtype=object,
+                ok = np.array(
+                    [0 < A * m * m + B * m * k + C * k * k <= delta
+                     for m, k in zip(ms.tolist(), ns.tolist())],
+                    dtype=bool,
                 )
-                ok = ((vals > 0) & (vals <= delta)).astype(bool)
             else:
-                vals = A * (ms * ms).astype(float) + B * ms.astype(float) * n + C * (
-                    n * n
-                )
+                mm, nn = (ms * ms).astype(float), (ns * ns).astype(float)
+                vals = A * mm + B * ms.astype(float) * ns.astype(float) + C * nn
                 ok = (vals > 0) & (vals <= delta)
                 ties += int((np.abs(vals - delta) < TIE_REL * delta).sum())
-            ok &= np.gcd(ms, n) == 1
-            for m in ms[ok].tolist():
-                if I.contains(m / n):
-                    pairs.append((m, n))
-    return pairs, ties
+            ok &= np.gcd(ms, ns) == 1
+            # the comparisons of I.contains(m / n), exact for |m|, n < 2^53
+            t = ms / ns
+            if I.wraps:
+                ok &= (t >= I.lo) | (t <= I.hi)
+            else:
+                ok &= (I.lo <= t) & (t <= I.hi)
+            out_m.append(ms[ok])
+            out_n.append(ns[ok])
+    return np.concatenate(out_m), np.concatenate(out_n), ties
 
 
 def _sort_along(
-    I: ProjInterval, pairs: list[tuple[int, int]]
-) -> list[tuple[int, int]]:
-    """(m, n) pairs sorted by m/n along I: a wrapping interval runs
-    lo -> +inf first, then -inf -> hi."""
-    if I.wraps:
-        lo = I.lo
-        return sorted(pairs, key=lambda p: (p[0] / p[1] < lo, p[0] / p[1]))
-    return sorted(pairs, key=lambda p: p[0] / p[1])
+    I: ProjInterval, ms: np.ndarray, ns: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Columns (ms, ns, t = ms / ns) stably sorted by t along I: a wrapping
+    interval runs lo -> +inf first, then -inf -> hi."""
+    t = ms / ns
+    order = np.lexsort((t, t < I.lo)) if I.wraps else np.argsort(t, kind="stable")
+    return ms[order], ns[order], t[order]
 
 
 def enumerate_W(F: RealForm, delta: float, I: ProjInterval) -> list[Frac]:
@@ -314,6 +342,8 @@ def enumerate_W(F: RealForm, delta: float, I: ProjInterval) -> list[Frac]:
 def _enumerate_with_ties(
     F: RealForm, delta: float, I: ProjInterval
 ) -> tuple[list[Frac], int]:
+    if not math.isfinite(delta):
+        raise DomainError(f"delta must be finite, got {delta}")
     if delta <= 0:
         return [], 0
     case = QuadCase.of(F)
@@ -326,8 +356,9 @@ def _enumerate_with_ties(
     n_max = math.isqrt(math.floor(delta / minF))
     if n_max < 1:
         return [], 0
-    pairs, ties = _run_scan(case, F.is_integral(), delta, I, n_max)
-    return [Frac(m, n, m / n) for m, n in _sort_along(I, pairs)], ties
+    ms, ns, ties = _run_scan(case, F.is_integral(), delta, I, n_max)
+    ms, ns, t = _sort_along(I, ms, ns)
+    return list(map(Frac, ms.tolist(), ns.tolist(), t.tolist())), ties
 
 
 def brute_force_W(F: RealForm, delta: float, I: ProjInterval) -> list[Frac]:

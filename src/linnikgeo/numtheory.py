@@ -47,9 +47,23 @@ def _phi_upto(T: int) -> np.ndarray:
     if cached is not None and len(cached) > T:
         return cached[: T + 1]
     phi = np.arange(T + 1, dtype=np.int64)
-    for p in range(2, T + 1):
-        if phi[p] == p:  # p prime
-            phi[p::p] -= phi[p::p] // p
+    # rest[n] is n with its prime factors up to sqrt(T) divided out: 1, or
+    # the one prime factor of n above sqrt(T)
+    rest = phi.copy()
+    r = math.isqrt(T)
+    prime = np.ones(r + 1, dtype=bool)
+    prime[:2] = False
+    for p in range(2, math.isqrt(r) + 1):
+        if prime[p]:
+            prime[p * p :: p] = False
+    for p in np.flatnonzero(prime).tolist():
+        phi[p::p] -= phi[p::p] // p
+        q = p
+        while q <= T:
+            rest[q::q] //= p
+            q *= p
+    big = rest > 1
+    phi[big] -= phi[big] // rest[big]
     if T >= len(_phi_cache.get("phi", ())):
         _phi_cache["phi"] = phi
     return phi

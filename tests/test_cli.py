@@ -92,6 +92,16 @@ def test_verify_rejects_delta_at_most_one():
     assert code == 2
 
 
+def test_non_finite_delta_is_bad_input():
+    for delta in ("inf", "nan"):
+        assert main(["wset", "-A", "1", "-B", "0", "-C", "1", "--delta", delta,
+                     "--lo", "0", "--hi", "1"]) == 2
+    assert main(["verify", "-A", "1", "-B", "0", "-C", "1", "--case", "definite",
+                 "--lo", "-1", "--hi", "1", "--delta-ladder", "100,inf"]) == 2
+    assert main(["render", "-A", "1", "-B", "1", "-C", "-1", "--delta", "inf",
+                 "--arc", "0.5,2"]) == 2
+
+
 def test_verify_wrong_case():
     code = main(["verify", "-A", "1", "-B", "0", "-C", "1", "--case", "cap",
                  "--lo", "-1", "--hi", "1"])
@@ -147,6 +157,12 @@ def test_render_missing_args():
 def test_cycle_square_discriminant():
     code = main(["cycle", "-A", "1", "-B", "0", "-C", "-1", "--delta-ladder", "1e3"])
     assert code == 2
+
+
+def test_cycle_rejects_bad_ladder_delta():
+    for ladder in ("0", "100,-5", "100,inf", "nan"):
+        assert main(["cycle", "-A", "1", "-B", "1", "-C", "-1",
+                     "--delta-ladder", ladder]) == 2
 
 
 def test_cycle_json(tmp_path):

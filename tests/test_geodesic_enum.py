@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from linnikgeo.errors import UnboundedDivergence, WrongDiscriminantSign
+from linnikgeo.errors import DomainError, UnboundedDivergence, WrongDiscriminantSign
 from linnikgeo.forms import IntForm, cm_on_geodesic, normalize, rm_perp_geodesic
 from linnikgeo.geodesic_enum import (
     CM_ON_G,
@@ -20,7 +20,7 @@ from linnikgeo.geodesic_enum import (
     pushforward_check,
     t_of_coord,
 )
-from linnikgeo.hyperbolic import PointH
+from linnikgeo.hyperbolic import PointH, ang_p, ball
 
 
 def test_build_param_examples():
@@ -220,6 +220,45 @@ def test_enum_cm_in_ball_membership():
     for r in enum_cm_in_ball(z0, 0.9, delta=400):
         z = r.point.z
         assert dist(z0, PointH(z.real, z.imag)) <= 0.9 + 1e-9
+
+
+def _ball_full_c_loop(z0, s0, delta):
+    """enum_cm_in_ball(z0, s0, delta=delta) testing every c of D <= -1 and
+    |D| <= delta, sorted the same way."""
+    be = ball(z0, s0)
+    x0, y0, re = be.center.x, be.center.y, be.radius_euclid
+    d_max = math.floor(delta)
+    a_max = math.isqrt(math.floor(d_max / (4 * (y0 - re) ** 2))) + 1
+    out = []
+    for a in range(1, a_max + 1):
+        for b in range(math.ceil(-2 * a * (x0 + re)), math.floor(-2 * a * (x0 - re)) + 1):
+            for c in range((b * b + 4 * a) // (4 * a), (b * b + d_max) // (4 * a) + 1):
+                d = b * b - 4 * a * c
+                if d >= 0 or math.gcd(math.gcd(a, abs(b)), abs(c)) != 1:
+                    continue
+                z = PointH(-b / (2 * a), math.sqrt(-d) / (2 * a))
+                if be.contains(z):
+                    out.append(((a, b, c), 0.0 if z == z0 else ang_p(z0, z)))
+    return sorted(out)
+
+
+def test_enum_cm_in_ball_chord_matches_full_loop():
+    for z0, s0, delta in [
+        (PointH(0, 1), 1.0, 600),
+        (PointH(-0.5, math.sqrt(3) / 2), 1.0, 600),
+        (PointH(0, math.sqrt(2)), 0.7, 600),
+        (PointH(0.1, 0.5), 1.2, 300),  # reaches down to y = 0.15
+    ]:
+        got = [(r.point.form.triple(), r.angle) for r in enum_cm_in_ball(z0, s0, delta=delta)]
+        assert got and got == _ball_full_c_loop(z0, s0, delta)
+
+
+def test_non_finite_delta_rejected():
+    for delta in (math.inf, math.nan):
+        with pytest.raises(DomainError):
+            enum_cm_on_geodesic(IntForm(1, 1, -1), delta, arc=(0.5, 2.0))
+        with pytest.raises(DomainError):
+            enum_rm_through_point(IntForm(1, 0, 1), delta)
 
 
 def test_enum_cm_on_im1():

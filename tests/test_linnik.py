@@ -1,11 +1,14 @@
 import math
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
+from linnikgeo import linnik
 from linnikgeo.errors import (
+    DomainError,
     GuardExceeded,
     IntervalOutsidePositivityRegion,
     IntervalTouchesRoot,
@@ -206,6 +209,14 @@ def test_residual_normalization_bound():
             assert abs(emp - pred) / (math.sqrt(delta) * math.log(delta) ** 2) <= 10
 
 
+def test_non_finite_delta_rejected():
+    for delta in (INF, math.nan):
+        with pytest.raises(DomainError):
+            enumerate_W(RealForm(1, 0, 1), delta, ProjInterval(0, 1))
+        with pytest.raises(DomainError):
+            equid_report(RealForm(1, 0, 1), delta, ProjInterval(0, 1), 4)
+
+
 def test_boundary_tie_flagging():
     # real coefficients, a fraction exactly at the cutoff
     F = RealForm(0.0, 1.0, 0.5)
@@ -269,20 +280,52 @@ def _form_and_interval(draw, case, shape):
     return F, ProjInterval(-INF if shape == "unbounded" else hi - draw(_off), hi)
 
 
-@pytest.mark.parametrize("case, shape", [
+_CASES = [
     ("linear", "finite"), ("linear", "unbounded"), ("cap", "finite"),
     *((c, s) for c in ("definite", "indefinite", "parabolic")
       for s in ("finite", "unbounded", "wrap")),
-])
-@settings(max_examples=30, deadline=None, derandomize=True)
-@given(data=st.data())
-def test_enumerate_matches_brute_force(case, shape, data):
+]
+
+
+def _matches_brute_force(case, shape, data):
     F, I = data.draw(_form_and_interval(case, shape))
     # on an unbounded linear window the oracle scans |t| up to delta / |B|
     top = 100 if (case, shape) == ("linear", "unbounded") else 400
     delta = data.draw(st.integers(1, top))
     assert case_tag(F) == case
     assert enumerate_W(F, delta, I) == brute_force_W(F, delta, I)
+
+
+@pytest.mark.parametrize("case, shape", _CASES)
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_enumerate_matches_brute_force(case, shape, data):
+    _matches_brute_force(case, shape, data)
+
+
+@pytest.mark.parametrize("case, shape", _CASES)
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_enumerate_matches_brute_force_across_blocks(case, shape, data):
+    # blocks of 3 values of n and chunks of 7 candidates: every call crosses
+    # many block and chunk boundaries, inside the m-ranges of one n too
+    with mock.patch.multiple(linnik, _BLOCK=3, _CHUNK=7):
+        _matches_brute_force(case, shape, data)
+
+
+def test_enumerate_huge_coefficients_matches_brute_force():
+    # F(m, n) = f(m - M n, n) for small f: coefficients near 2^31, and
+    # |m| near M, so coeff * max(|m|, n)^2 >= 2^62 sends every candidate
+    # through the exact Python-int path; each delta is a value of F, at
+    # (3M + 2, 3) and (2M + 5, 2)
+    M = 46341
+    for (a, b, c), lo, hi, delta in [((1, 0, 4), -2, 2, 40), ((1, 0, -2), 2, 4, 17)]:
+        F = RealForm(a, b - 2 * a * M, a * M * M - b * M + c)
+        assert (abs(F.A) + abs(F.B) + abs(F.C)) * M * M >= 2**62
+        I = ProjInterval(M + lo, M + hi)
+        got = enumerate_W(F, delta, I)
+        assert got and got == brute_force_W(F, delta, I)
+        assert max(F.A * f.m**2 + F.B * f.m * f.n + F.C * f.n**2 for f in got) == delta
 
 
 def test_overlapping_pieces_counted_once():

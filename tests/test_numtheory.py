@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from linnikgeo import numtheory
 from linnikgeo.errors import BadResidue, LimitTooLarge, SquareDiscriminant
 from linnikgeo.numtheory import (
     PellSolution,
@@ -30,6 +31,25 @@ def test_phi_sieve():
         assert t[n] == sum(1 for m in range(1, n + 1) if math.gcd(m, n) == 1)
     with pytest.raises(LimitTooLarge):
         phi_sieve(10**9)
+
+
+def _totient(n: int) -> int:
+    out, d = n, 2
+    while d * d <= n:
+        if n % d == 0:
+            out -= out // d
+            while n % d == 0:
+                n //= d
+        d += 1
+    return out - out // n if n > 1 else out
+
+
+def test_phi_sieve_matches_trial_division(monkeypatch):
+    monkeypatch.setattr(numtheory, "_phi_cache", {})
+    for T in (1, 2, 97, 1000, 10007):
+        assert phi_sieve(T).values.tolist() == [0] + [_totient(n) for n in range(1, T + 1)]
+    # a smaller table is a prefix of the cached one
+    assert phi_sieve(1000).values.tolist() == [0] + [_totient(n) for n in range(1, 1001)]
 
 
 def test_count_coprime_upto():
