@@ -15,11 +15,21 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
+import numpy as np
 from scipy.integrate import quad
 
 from .errors import DomainError, ImprimitiveForm, PointNotOnGeodesic
 from .forms import IntForm, Semicircle, geodesic_of_form, is_normalized
-from .geodesic_enum import CM_ON_G, CMOnGeodesic, build_param, enum_cm_on_geodesic
+from .geodesic_enum import (
+    CM_ON_G,
+    CMOnGeodesic,
+    GeodesicParam,
+    _absmax,
+    _enum_pairs,
+    _ints,
+    _records,
+    build_param,
+)
 from .hyperbolic import PointH
 from .numtheory import PellSolution, pell_fundamental, sl2z_reduce
 
@@ -95,29 +105,59 @@ def _arc_length(theta0: float, theta1: float) -> float:
     return abs(u(theta1) - u(theta0))
 
 
+# relative padding of the scan window around the fundamental arc's angles
+_ARC_PAD = 1e-9
+
+
+def _arc_ends(cg: ClosedGeodesic, param: GeodesicParam) -> tuple[Fraction, Fraction]:
+    """t = m/n of the arc's start (the topmost point) and of its gamma-image.
+
+    Both are rational: along the geodesic the incident CM point of t has
+    real part x = -(P b0 + t R/S) / (2S), and the gamma-image of the top
+    point q + i r has a rational real part since r^2 is rational.
+    """
+    a, b, c = cg.form.triple()
+    (al, be), (ga, de) = cg.gamma
+    q, r2 = Fraction(-b, 2 * a), Fraction(b * b - 4 * a * c, 4 * a * a)
+    x_end = ((al * q + be) * (ga * q + de) + al * ga * r2) / ((ga * q + de) ** 2 + ga * ga * r2)
+    P, _, R = param.pqr
+    S, b0 = param.S, param.bezout[0]
+    return tuple(-(2 * S * x + P * b0) * S / R for x in (q, x_end))
+
+
+def _arc_pairs(
+    cg: ClosedGeodesic, delta: float
+) -> tuple[GeodesicParam, np.ndarray, np.ndarray, np.ndarray]:
+    """Columns (ms, ns, ts) of the CM points of |D| <= delta on the
+    fundamental arc, sorted along the geodesic.
+
+    The scan window pads the arc's angles a little, staying inside (0, pi);
+    then a pair is kept when m/n equals the start t0 or lies strictly
+    between t0 and the end t1, both compared exactly.
+    """
+    param = build_param(cg.form, CM_ON_G)
+    th0, th1 = fundamental_arc(cg)
+    lo, hi = min(th0, th1), max(th0, th1)
+    window = (lo * (1 - _ARC_PAD), hi + (math.pi - hi) * _ARC_PAD)
+    ms, ns, ts = _enum_pairs(param, delta, window)
+    t0, t1 = _arc_ends(cg, param)
+    k = max(abs(t.numerator) + t.denominator for t in (t0, t1))
+    m, n = _ints(k * _absmax(ms, ns), ms, ns)
+    # the sign of m/n - t, by cross-multiplication (n > 0)
+    s0, s1 = (m * t.denominator - n * t.numerator for t in (t0, t1))
+    keep = (s0 == 0) | ((s0 < 0) & (s1 > 0)) | ((s0 > 0) & (s1 < 0))
+    return param, ms[keep], ns[keep], ts[keep]
+
+
 def cm_on_fundamental_arc(cg: ClosedGeodesic, delta: float) -> list[CMOnGeodesic]:
     """CM points of |D| <= delta on the fundamental arc, seam counted once.
 
-    The arc is half-open: the start angle is included, the end angle (its
-    image under gamma) is not.
+    The arc is half-open: the start (the topmost point) is included, its
+    image under gamma is not.
     """
     if delta < 1:
         return []
-    th0, th1 = fundamental_arc(cg)
-    lo, hi = min(th0, th1), max(th0, th1)
-    records = enum_cm_on_geodesic(cg.form, delta, arc=(lo, hi))
-    # the default start is the topmost point, whose t-coordinate is the
-    # rational -B/(2A) of the derived form: compare exactly there
-    param = build_param(cg.form, CM_ON_G)
-    A, B, _ = param.derived
-    t_start = Fraction(-B, 2 * A)
-    out = []
-    for r in records:
-        if Fraction(r.frac.m, r.frac.n) == t_start:
-            out.append(r)  # seam point: counted at the start only
-        elif lo < r.coord < hi:
-            out.append(r)
-    return out
+    return _records(*_arc_pairs(cg, delta))
 
 
 def cm_count_closed(cg: ClosedGeodesic, delta: float) -> tuple[int, float]:
@@ -126,7 +166,7 @@ def cm_count_closed(cg: ClosedGeodesic, delta: float) -> tuple[int, float]:
         return 0, 0.0
     D = cg.form.discriminant()
     predicted = 3 * math.gcd(D, 2) * cg.length * delta / (2 * math.pi**2 * math.sqrt(D))
-    return len(cm_on_fundamental_arc(cg, delta)), predicted
+    return len(_arc_pairs(cg, delta)[1]), predicted
 
 
 # ---------------------------------------------------------------------------

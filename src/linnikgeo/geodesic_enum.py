@@ -6,14 +6,15 @@ RM curves hitting it perpendicularly, RM curves through the point) are the
 integer solutions of 2aC0 + 2cA0 = bB0, which are parametrized by coprime
 pairs (m, n) through a Bezout choice.  The derived real form (A, B, C) below
 turns each family into an aggregate-Linnik set in t = m/n, so the linnik
-engine does the heavy lifting.
+engine does the heavy lifting.  Records are built from columns (forms,
+coordinates, feet and ball points as numpy arrays), in blocks of rows.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -21,11 +22,12 @@ from .errors import (
     DomainError,
     GridTouchesSingularity,
     IntervalTouchesRoot,
+    NotPerpendicularPair,
     UnboundedDivergence,
     WrongDiscriminantSign,
 )
 from .forms import CMPoint, IntForm, RMCurve, is_normalized, RealForm
-from .hyperbolic import BallE, PointH, ang_p, ball, perp_foot
+from .hyperbolic import BallE, PointH, ball
 from .linnik import (
     Frac,
     ProjInterval,
@@ -274,6 +276,138 @@ def _enum_pairs(
     return _sort_along(I, ms, ns)
 
 
+# ---------------------------------------------------------------------------
+# records from columns
+
+# rows per block of records: the .tolist() copies of one block stay small
+_ROWS = 4096
+
+
+def _int_dtype(bound: int) -> type:
+    """int64 when bound, a bound on every integer a computation makes, is
+    below 2^53; else object, for exact Python ints.
+
+    Below 2^53 no int64 product overflows and int64 -> float64 is exact,
+    so a true division rounds as Python's int / int does.
+    """
+    return np.int64 if bound < 2**53 else object
+
+
+def _ints(bound: int, *cols: np.ndarray) -> list[np.ndarray]:
+    return [c.astype(_int_dtype(bound)) for c in cols]
+
+
+def _floor_ints(x: np.ndarray, dt: type) -> np.ndarray:
+    """Integer column of the integral floats x, exact for either dtype."""
+    return np.frompyfunc(int, 1, 1)(x).astype(dt)
+
+
+def _absmax(*cols: np.ndarray) -> int:
+    return max(int(np.abs(c).max(initial=0)) for c in cols)
+
+
+def _each(fn: Callable[..., float], *cols: np.ndarray) -> np.ndarray:
+    """fn applied per element to Python floats.  math.acos, math.hypot and
+    float ** 2 call libm; numpy's vectorised versions may round differently."""
+    return np.fromiter(map(fn, *(c.tolist() for c in cols)), float, len(cols[0]))
+
+
+def _sq(v: float) -> float:
+    return v**2
+
+
+def _form_cols(param: GeodesicParam, ms: np.ndarray, ns: np.ndarray) -> list[np.ndarray]:
+    """Columns (a, b, c) of mn_to_form(param, m, n), exact."""
+    big = _absmax(ms, ns)
+    if param.half_line:
+        P, Q = param.pqr
+        m, n = _ints((abs(P) + abs(Q) + 1) * big, ms, ns)
+        return [n * Q, n * P, -m]
+    P, Q, R = param.pqr
+    S = param.S
+    b0, c0 = param.bezout
+    kb, kc, lb, lc = P * b0, P * c0, R // S, Q // S
+    m, n = _ints((S + abs(kb) + abs(kc) + abs(lb) + abs(lc)) * big, ms, ns)
+    return [n * S, n * kb + m * lb, n * kc - m * lc]
+
+
+def _coord_col(param: GeodesicParam, t: np.ndarray) -> np.ndarray:
+    """coord_of_t(param, t) for a column of t, in the same float operations.
+
+    Where those leave the domain of sqrt or acos (or divide by 0),
+    coord_of_t at the first such t raises its own error.
+    """
+    A, B, C = param.derived
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if param.half_line and param.mode == CM_ON_G:
+            x = -4 / B * t - 4 * C / (B * B)
+        elif param.half_line:
+            x = 4 / B * t + 4 * C / (B * B)
+        elif param.mode == CM_ON_G:
+            x = (float(-B) - float(2 * A) * t) / math.sqrt(param.derivedD)
+        elif param.mode == RM_PERP_G:
+            x = -math.sqrt(param.derivedD) / (float(2 * A) * t + float(B))
+        else:
+            F = (float(A) * t + float(B)) * t + float(C)
+            x = (float(B) + float(2 * A) * t) / (2 * math.sqrt(A) * np.sqrt(F))
+    bad = np.flatnonzero(~(x >= 0) if param.half_line else ~(np.abs(x) <= 1))
+    if len(bad):
+        coord_of_t(param, float(t[bad[0]]))
+    return np.sqrt(x) if param.half_line else _each(math.acos, x)
+
+
+def _foot_cols(
+    G: IntForm, a: np.ndarray, b: np.ndarray, c: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Columns (x, y) of perp_foot(IntForm(a, b, c), G), with its checks and
+    its float operations."""
+    A0, B0, C0 = G.triple()
+    big = max(_absmax(a, b, c), abs(A0), abs(B0), abs(C0))
+    a, b, c = _ints(8 * big * big, a, b, c)
+    off = np.flatnonzero(2 * a * C0 + 2 * c * A0 != b * B0)
+    if len(off):
+        rm = IntForm(*(int(v[off[0]]) for v in (a, b, c)))
+        raise NotPerpendicularPair(f"{rm} is not perpendicular to {G}")
+    if A0 == 0:
+        x = np.full(len(a), -C0 / B0)
+    else:
+        x = np.asarray((A0 * c - C0 * a) / (B0 * a - A0 * b), dtype=float)
+    q = np.asarray(-b / (2 * a), dtype=float)
+    r2 = np.asarray((b * b - 4 * a * c) / (4 * a * a), dtype=float)
+    y2 = r2 - _each(_sq, x - q)
+    if (y2 <= 0).any():
+        raise NotPerpendicularPair("curves do not intersect in the half-plane")
+    return x, np.sqrt(y2)
+
+
+def _build(make: Callable, cols: list[np.ndarray]) -> list:
+    """make(*row) for every row of the columns, a block of rows at a time."""
+    out = []
+    for r0 in range(0, len(cols[0]), _ROWS):
+        out += map(make, *(col[r0 : r0 + _ROWS].tolist() for col in cols))
+    return out
+
+
+def _records(param: GeodesicParam, ms: np.ndarray, ns: np.ndarray, ts: np.ndarray) -> list:
+    """The records of the pairs (ms, ns, ts = ms / ns) in param's mode."""
+    a, b, c = _form_cols(param, ms, ns)
+    cols = [a, b, c, ms, ns, ts]
+    if param.mode == CM_ON_G:
+        make = lambda a, b, c, m, n, t, u: CMOnGeodesic(
+            CMPoint(IntForm(a, b, c)), Frac(m, n, t), u
+        )
+    elif param.mode == RM_PERP_G:
+        cols += _foot_cols(param.base, a, b, c)
+        make = lambda a, b, c, m, n, t, x, y, u: RMPerpGeodesic(
+            RMCurve(IntForm(a, b, c)), Frac(m, n, t), PointH(x, y), u
+        )
+    else:
+        make = lambda a, b, c, m, n, t, u: RMThroughPoint(
+            RMCurve(IntForm(a, b, c)), Frac(m, n, t), u
+        )
+    return _build(make, cols + [_coord_col(param, ts)])
+
+
 def enum_cm_on_geodesic(
     G: IntForm,
     delta: float,
@@ -286,12 +420,7 @@ def enum_cm_on_geodesic(
     requires rational endpoints (square derived discriminant) or a half-line.
     """
     param = build_param(G, CM_ON_G)
-    ms, ns, ts = _enum_pairs(param, delta, arc)
-    out = []
-    for m, n, t in zip(ms.tolist(), ns.tolist(), ts.tolist()):
-        f = mn_to_form(param, m, n)
-        out.append(CMOnGeodesic(CMPoint(f), Frac(m, n, t), coord_of_t(param, t)))
-    return out
+    return _records(param, *_enum_pairs(param, delta, arc))
 
 
 def enum_rm_perp_geodesic(
@@ -302,25 +431,13 @@ def enum_rm_perp_geodesic(
     """RM curves of discriminant <= delta meeting the geodesic of G
     perpendicularly, with their intersection feet."""
     param = build_param(G, RM_PERP_G)
-    ms, ns, ts = _enum_pairs(param, delta, arc)
-    out = []
-    for m, n, t in zip(ms.tolist(), ns.tolist(), ts.tolist()):
-        f = mn_to_form(param, m, n)
-        out.append(
-            RMPerpGeodesic(RMCurve(f), Frac(m, n, t), perp_foot(f, G), coord_of_t(param, t))
-        )
-    return out
+    return _records(param, *_enum_pairs(param, delta, arc))
 
 
 def enum_rm_through_point(p: IntForm, delta: float) -> list[RMThroughPoint]:
     """RM curves of discriminant <= delta through the CM point of p."""
     param = build_param(p, RM_THROUGH_P)
-    ms, ns, ts = _enum_pairs(param, delta, None)
-    out = []
-    for m, n, t in zip(ms.tolist(), ns.tolist(), ts.tolist()):
-        f = mn_to_form(param, m, n)
-        out.append(RMThroughPoint(RMCurve(f), Frac(m, n, t), coord_of_t(param, t)))
-    return out
+    return _records(param, *_enum_pairs(param, delta, None))
 
 
 def enum_cm_in_ball(
@@ -333,6 +450,9 @@ def enum_cm_in_ball(
 
     Either a single discriminant D < 0 or a bound delta on |D|.  Exhaustive:
     a <= sqrt(|D|) / (2 y_min) with y_min the lowest point of the ball.
+    The candidates (a, b, c) of each a are generated as columns; gcd, sign,
+    membership (the float operations of BallE.contains) and the angle (those
+    of ang_p) are then decided on the columns of all of them.
     """
     if not s0 > 0:
         raise ValueError("need s0 > 0")
@@ -346,42 +466,69 @@ def enum_cm_in_ball(
     y_min = y0 - re
     d_max = -D if D is not None else math.floor(delta)
     a_max = math.isqrt(math.floor(d_max / (4 * y_min * y_min))) + 1
-    out = []
+    # |b| <= b_abs and 4ac <= b^2 + d_max bound every integer below
+    b_abs = max(abs(math.ceil(-2 * a_max * (x0 + re))), abs(math.floor(-2 * a_max * (x0 - re))))
+    dt = _int_dtype(4 * (b_abs * b_abs + d_max))
+    cols: list[list[np.ndarray]] = [[np.zeros(0, dtype=dt)] for _ in range(3)]
     for a in range(1, a_max + 1):
         b_lo = math.ceil(-2 * a * (x0 + re))
         b_hi = math.floor(-2 * a * (x0 - re))
         if b_hi < b_lo:
             continue
-        bs = np.arange(b_lo, b_hi + 1, dtype=np.int64)
+        bs = np.arange(b_lo, b_hi + 1, dtype=dt)
         if D is not None:
-            sel = bs[(bs * bs - D) % (4 * a) == 0]
-            cand = [(int(b), (int(b) * int(b) - D) // (4 * a)) for b in sel]
+            bs = bs[(bs * bs - D) % (4 * a) == 0]
+            cs = (bs * bs - D) // (4 * a)
         else:
-            cand = []
-            for b in bs.tolist():
-                # y = sqrt(4ac - b^2) / 2a must lie on the disk's vertical
-                # chord at x = -b/2a, so c = (b^2 + (2ay)^2) / 4a is bounded
-                # by the chord's ends (padded by 1; be.contains decides)
-                h = math.sqrt(max(re * re - (b / (2 * a) + x0) ** 2, 0.0))
-                c_chord_lo = math.floor((b * b + (2 * a * (y0 - h)) ** 2) / (4 * a)) - 1
-                c_chord_hi = math.ceil((b * b + (2 * a * (y0 + h)) ** 2) / (4 * a)) + 1
-                # smallest c with D <= -1, largest with |D| <= d_max
-                c_lo = max((b * b + 1 + 4 * a - 1) // (4 * a), c_chord_lo)
-                c_hi = min((b * b + d_max) // (4 * a), c_chord_hi)
-                cand.extend((b, c) for c in range(c_lo, c_hi + 1))
-        for b, c in cand:
-            if math.gcd(math.gcd(a, abs(b)), abs(c)) != 1:
-                continue
-            d = b * b - 4 * a * c
-            if d >= 0:
-                continue
-            z = PointH(-b / (2 * a), math.sqrt(-d) / (2 * a))
-            if be.contains(z):
-                # the center itself has no angle; report 0 by convention
-                ang = 0.0 if z == z0 else ang_p(z0, z)
-                out.append(CMInBall(CMPoint(IntForm(a, b, c)), ang))
-    out.sort(key=lambda r: (r.point.form.a, r.point.form.b, r.point.form.c))
-    return out
+            # y = sqrt(4ac - b^2) / 2a must lie on the disk's vertical
+            # chord at x = -b/2a, so c = (b^2 + (2ay)^2) / 4a is bounded
+            # by the chord's ends (padded by 1; membership decides)
+            bf = bs.astype(float)
+            h = np.sqrt(np.maximum(re * re - (bf / (2 * a) + x0) ** 2, 0.0))
+            b2 = bs * bs
+            b2f = b2.astype(float)
+            chord_lo = _floor_ints(np.floor((b2f + (2 * a * (y0 - h)) ** 2) / (4 * a)), dt) - 1
+            chord_hi = _floor_ints(np.ceil((b2f + (2 * a * (y0 + h)) ** 2) / (4 * a)), dt) + 1
+            # smallest c with D <= -1, largest with |D| <= d_max
+            c_lo = np.maximum((b2 + 4 * a) // (4 * a), chord_lo)
+            c_hi = np.minimum((b2 + d_max) // (4 * a), chord_hi)
+            # expand each range [c_lo, c_hi] into its candidates
+            count = np.maximum(c_hi - c_lo + 1, 0).astype(np.int64)
+            first = np.cumsum(count) - count
+            bs = np.repeat(bs, count)
+            cs = np.repeat(c_lo - first, count) + np.arange(len(bs), dtype=dt)
+        cols[0].append(np.full(len(bs), a, dtype=dt))
+        cols[1].append(bs)
+        cols[2].append(cs)
+    a, b, c = (np.concatenate(col) for col in cols)
+    d = b * b - 4 * a * c
+    keep = (np.gcd(np.gcd(a, b), c) == 1) & (d < 0)
+    a, b, c, d = a[keep], b[keep], c[keep], d[keep]
+    zx = np.asarray(-b / (2 * a), dtype=float)
+    zy = np.sqrt(np.asarray(-d, dtype=float)) / np.asarray(2 * a, dtype=float)
+    keep = _each(math.hypot, zx - x0, zy - y0) <= re
+    a, b, c, zx, zy = a[keep], b[keep], c[keep], zx[keep], zy[keep]
+    order = np.lexsort((c, b, a))
+    a, b, c = a[order], b[order], c[order]
+    ang = _ball_angles(z0, zx[order], zy[order])
+    make = lambda a, b, c, u: CMInBall(CMPoint(IntForm(a, b, c)), u)
+    return _build(make, [a, b, c, ang])
+
+
+def _ball_angles(p: PointH, zx: np.ndarray, zy: np.ndarray) -> np.ndarray:
+    """ang_p(p, z) for columns of points z, in its float operations; the
+    center itself gets 0 by convention."""
+    px, py = p.x, p.y
+    # z straight below p (or p itself) gets 0, straight above it pi
+    ang = np.where(zy <= py, 0.0, math.pi)
+    off = np.flatnonzero(zx != px)
+    x, y = zx[off], zy[off]
+    # geodesic_through(p, z), then acos of the clipped cosine
+    q = (x + px) / 2 + (_each(_sq, y) - py**2) / (2 * (x - px))
+    r = _each(math.hypot, px - q, np.full(len(q), py))
+    base = _each(math.acos, np.maximum(-1.0, np.minimum(1.0, (q - px) / r)))
+    ang[off] = np.where(x > px, base, base + math.pi)
+    return ang
 
 
 def enum_cm_on_im1(delta: float, x_lo: float, x_hi: float) -> list[CMPoint]:

@@ -404,13 +404,19 @@ def brute_force_W(F: RealForm, delta: float, I: ProjInterval) -> list[Frac]:
 # equidistribution statistics
 
 
-def _wrapped_height(case: QuadCase, I: ProjInterval):
-    """Monotone coordinate h on I with dh = d_mu, plus its range (h0, h1)."""
-    H = case.H
+def _heights(case: QuadCase, I: ProjInterval, t: list[float]) -> tuple[np.ndarray, float, float]:
+    """The monotone coordinate h along I (dh = d_mu, continued through the
+    infinity seam of a wrapping I) at each t, and its range (h0, h1).
+
+    H is applied per element: numpy's log and arctan may round differently
+    from math's.
+    """
+    h = np.fromiter(map(case.H, t), float, len(t))
     if not I.wraps:
-        return H, case.at(I.lo), case.at(I.hi)
-    lo, jump = I.lo, case.h_pinf - case.h_minf
-    return (lambda t: H(t) if t >= lo else H(t) + jump), H(lo), H(I.hi) + jump
+        return h, case.at(I.lo), case.at(I.hi)
+    jump = case.h_pinf - case.h_minf
+    h[np.asarray(t) < I.lo] += jump
+    return h, case.H(I.lo), case.H(I.hi) + jump
 
 
 def equid_report(
@@ -435,12 +441,10 @@ def equid_report(
     predicted = 3.0 * delta / math.pi**2 * mu_tot
     empirical = len(fracs)
     residual = empirical - predicted
-    h, h0, h1 = _wrapped_height(QuadCase.of(F), I)
-    width = (h1 - h0) / buckets
-    counts = [0] * buckets
-    for f in fracs:
-        j = int((h(f.t) - h0) / width)
-        counts[min(max(j, 0), buckets - 1)] += 1
+    h, h0, h1 = _heights(QuadCase.of(F), I, [f.t for f in fracs])
+    # astype truncates toward zero, as int() does
+    j = ((h - h0) / ((h1 - h0) / buckets)).astype(np.int64)
+    counts = np.bincount(np.clip(j, 0, buckets - 1), minlength=buckets).tolist()
     mass = mu_tot / buckets
     if min(counts) > 0:
         dev = max(counts) / min(counts) - 1.0

@@ -120,6 +120,32 @@ def test_cm_on_fundamental_arc_small():
     assert cm_on_fundamental_arc(cg, 0.5) == []
 
 
+def test_closed_count_sl2z_invariant():
+    """Forms equivalent under z -> z + 1 have the same closed geodesic, so
+    the same count; the seam point is counted once, at the start only."""
+    for f, g, delta, count in [
+        ((1, 1, -3), (1, 3, -1), 100, 20),
+        ((1, 3, 1), (1, 1, -1), 10**5, 13084),
+    ]:
+        cgs = [closed_geodesic(IntForm(*h)) for h in (f, g)]
+        assert [cm_count_closed(cg, delta)[0] for cg in cgs] == [count, count]
+    assert [len(cm_on_fundamental_arc(cg, 100)) for cg in cgs] == [
+        cm_count_closed(cg, 100)[0] for cg in cgs
+    ]
+    rng = random.Random(1)
+    done = 0
+    while done < 15:
+        f = _random_primitive_indefinite(rng)
+        if f.discriminant() > 40:  # the arc's cost grows with eps_D
+            continue
+        done += 1
+        a, b, c = f.triple()
+        k = rng.choice((-2, -1, 1, 2))
+        g = IntForm(a, 2 * a * k + b, a * k * k + b * k + c)  # z -> z + k
+        counts = {cm_count_closed(closed_geodesic(h), 1000)[0] for h in (f, g)}
+        assert len(counts) == 1, (f, g, counts)
+
+
 def test_cm_count_trend():
     cg = closed_geodesic(IntForm(1, 0, -2))
     rel = []

@@ -1,11 +1,22 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
-from linnikgeo.errors import DomainError, UnboundedDivergence, WrongDiscriminantSign
+from linnikgeo.errors import (
+    DomainError,
+    NotPerpendicularPair,
+    UnboundedDivergence,
+    WrongDiscriminantSign,
+)
 from linnikgeo.forms import IntForm, cm_on_geodesic, normalize, rm_perp_geodesic
 from linnikgeo.geodesic_enum import (
+    _ball_angles,
+    _coord_col,
+    _enum_pairs,
+    _foot_cols,
+    _form_cols,
     CM_ON_G,
     RM_PERP_G,
     RM_THROUGH_P,
@@ -20,7 +31,7 @@ from linnikgeo.geodesic_enum import (
     pushforward_check,
     t_of_coord,
 )
-from linnikgeo.hyperbolic import PointH, ang_p, ball
+from linnikgeo.hyperbolic import PointH, ang_p, ball, perp_foot
 
 
 def test_build_param_examples():
@@ -222,17 +233,22 @@ def test_enum_cm_in_ball_membership():
         assert dist(z0, PointH(z.real, z.imag)) <= 0.9 + 1e-9
 
 
-def _ball_full_c_loop(z0, s0, delta):
+def _ball_full_c_loop(z0, s0, delta=None, D=None):
     """enum_cm_in_ball(z0, s0, delta=delta) testing every c of D <= -1 and
-    |D| <= delta, sorted the same way."""
+    |D| <= delta, or enum_cm_in_ball(z0, s0, D=D) testing every (a, b),
+    sorted the same way."""
     be = ball(z0, s0)
     x0, y0, re = be.center.x, be.center.y, be.radius_euclid
-    d_max = math.floor(delta)
+    d_max = math.floor(delta) if D is None else -D
     a_max = math.isqrt(math.floor(d_max / (4 * (y0 - re) ** 2))) + 1
     out = []
     for a in range(1, a_max + 1):
         for b in range(math.ceil(-2 * a * (x0 + re)), math.floor(-2 * a * (x0 - re)) + 1):
-            for c in range((b * b + 4 * a) // (4 * a), (b * b + d_max) // (4 * a) + 1):
+            if D is None:
+                cs = range((b * b + 4 * a) // (4 * a), (b * b + d_max) // (4 * a) + 1)
+            else:
+                cs = [(b * b - D) // (4 * a)] if (b * b - D) % (4 * a) == 0 else []
+            for c in cs:
                 d = b * b - 4 * a * c
                 if d >= 0 or math.gcd(math.gcd(a, abs(b)), abs(c)) != 1:
                     continue
@@ -243,14 +259,93 @@ def _ball_full_c_loop(z0, s0, delta):
 
 
 def test_enum_cm_in_ball_chord_matches_full_loop():
-    for z0, s0, delta in [
-        (PointH(0, 1), 1.0, 600),
-        (PointH(-0.5, math.sqrt(3) / 2), 1.0, 600),
-        (PointH(0, math.sqrt(2)), 0.7, 600),
-        (PointH(0.1, 0.5), 1.2, 300),  # reaches down to y = 0.15
+    rho = PointH(-0.5, math.sqrt(3) / 2)
+    for z0, s0, kw in [
+        (PointH(0, 1), 1.0, dict(delta=600)),
+        (rho, 1.0, dict(delta=600)),
+        (PointH(0, math.sqrt(2)), 0.7, dict(delta=600)),
+        (PointH(0.1, 0.5), 1.2, dict(delta=300)),  # reaches down to y = 0.15
+        # single-D mode
+        (PointH(0, 1), 1.0, dict(D=-40003)),
+        (rho, 1.0, dict(D=-40003)),
+        (PointH(0, math.sqrt(2)), 1.0, dict(D=-40003)),
     ]:
-        got = [(r.point.form.triple(), r.angle) for r in enum_cm_in_ball(z0, s0, delta=delta)]
-        assert got and got == _ball_full_c_loop(z0, s0, delta)
+        got = [(r.point.form.triple(), r.angle) for r in enum_cm_in_ball(z0, s0, **kw)]
+        assert got and got == _ball_full_c_loop(z0, s0, **kw)
+
+
+def _bits(xs):
+    return np.asarray(xs, dtype=float).tobytes()
+
+
+def _check_columns(param, ms, ns, ts):
+    """The column builders against mn_to_form, coord_of_t and perp_foot."""
+    forms = [mn_to_form(param, m, n) for m, n in zip(ms.tolist(), ns.tolist())]
+    cols = _form_cols(param, ms, ns)
+    assert [IntForm(*abc) for abc in zip(*(c.tolist() for c in cols))] == forms
+    assert _bits(_coord_col(param, ts)) == _bits([coord_of_t(param, t) for t in ts.tolist()])
+    if param.mode == RM_PERP_G:
+        feet = [perp_foot(f, param.base) for f in forms]
+        x, y = _foot_cols(param.base, *cols)
+        assert _bits(x) == _bits([p.x for p in feet])
+        assert _bits(y) == _bits([p.y for p in feet])
+
+
+def test_column_builders_match_scalar_reference():
+    # a point base is never a half-line (D0 < 0 forces A0 != 0)
+    for G, mode, delta, arc in [
+        (IntForm(1, 0, -1), CM_ON_G, 2000, None),
+        (IntForm(1, 1, -1), CM_ON_G, 2000, (0.3, 2.8)),
+        (IntForm(0, 1, -2), CM_ON_G, 2000, None),
+        (IntForm(1, 0, -1), RM_PERP_G, 2000, (0.3, 1.2)),
+        (IntForm(2, 1, -3), RM_PERP_G, 2000, (1.9, 2.9)),
+        (IntForm(0, 1, 0), RM_PERP_G, 2000, None),
+        (IntForm(0, 3, 1), RM_PERP_G, 2000, (0.2, 3.0)),
+        (IntForm(1, 0, 1), RM_THROUGH_P, 2000, None),
+        (IntForm(2, 1, 3), RM_THROUGH_P, 2000, None),
+    ]:
+        param = build_param(G, mode)
+        ms, ns, ts = _enum_pairs(param, delta, arc)
+        assert len(ms) > 20
+        _check_columns(param, ms, ns, ts)
+    # coefficients near 2^41 overflow int64 in the form columns, which then
+    # hold Python ints; pairs with F(m, n) > 0 are drawn at random
+    rng = random.Random(5)
+    k = 2**20 + 3
+    G = IntForm(1, 2 * k + 1, k * k + k - 1)  # (1, 1, -1) moved by z -> z - k
+    param = build_param(G, RM_PERP_G)
+    A, B, C = param.derived
+    pairs = []
+    while len(pairs) < 200:
+        m, n = rng.randint(-(2**10), 2**10), rng.randint(1, 2**10)
+        if math.gcd(m, n) != 1 or A * m * m + B * m * n + C * n * n <= 0:
+            continue
+        try:  # at this size the foot's float y^2 can cancel to <= 0
+            perp_foot(mn_to_form(param, m, n), G)
+        except NotPerpendicularPair:
+            continue
+        pairs.append((m, n))
+    ms, ns = (np.array(col, dtype=np.int64) for col in zip(*pairs))
+    assert _form_cols(param, ms, ns)[2].dtype == object
+    _check_columns(param, ms, ns, ms / ns)
+    # the ball's angle column against ang_p, with points straight below,
+    # above and at the center among them
+    p = PointH(0.25, 1.5)
+    zs = [PointH(rng.uniform(-3, 3), rng.uniform(0.1, 4)) for _ in range(20000)]
+    zs += [PointH(0.25, 0.5), PointH(0.25, 2.0), p]
+    got = _ball_angles(p, *(np.array(col) for col in zip(*((z.x, z.y) for z in zs))))
+    assert _bits(got) == _bits([0.0 if z == p else ang_p(p, z) for z in zs])
+    # outside the coordinate's domain the column raises coord_of_t's error
+    for G, mode, t in [
+        (IntForm(1, 0, -1), CM_ON_G, 1e9),  # acos of a value below -1
+        (IntForm(1, 0, -1), RM_PERP_G, 0.0),  # division by 0
+        (IntForm(0, 1, -2), CM_ON_G, 1e9),  # sqrt of a negative value
+    ]:
+        param = build_param(G, mode)
+        with pytest.raises(Exception) as scalar:
+            coord_of_t(param, t)
+        with pytest.raises(scalar.type):
+            _coord_col(param, np.array([t]))
 
 
 def test_non_finite_delta_rejected():

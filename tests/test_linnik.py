@@ -188,6 +188,37 @@ def test_equid_report_basic():
     z = equid_report(F, 0, ProjInterval(-1, 1), 4)
     assert z.empirical == 0 and z.predicted == 0
 
+def _loop_histogram(F, delta, I, buckets):
+    """Bucket counts of equid_report by a per-point loop over h(t)."""
+    case = linnik.QuadCase.of(F)
+    if I.wraps:
+        jump = case.h_pinf - case.h_minf
+        h = lambda t: case.H(t) if t >= I.lo else case.H(t) + jump
+        h0, h1 = case.H(I.lo), case.H(I.hi) + jump
+    else:
+        h, h0, h1 = case.H, case.at(I.lo), case.at(I.hi)
+    width = (h1 - h0) / buckets
+    counts = [0] * buckets
+    for f in enumerate_W(F, delta, I):
+        j = int((h(f.t) - h0) / width)
+        counts[min(max(j, 0), buckets - 1)] += 1
+    return counts
+
+
+def test_equid_report_buckets_match_loop():
+    for F, I in [
+        (RealForm(0, 1.5, 0.25), ProjInterval(1.0, 3.0)),  # linear
+        (RealForm(1, 0, -2), ProjInterval(2.0, INF)),  # indefinite
+        (RealForm(1, 0, 1), ProjInterval(1.0, -1.0, True)),  # definite, wrapping
+        (RealForm(0.25, -1, 1), ProjInterval(2.5, 6.0)),  # parabolic
+        (RealForm(-1, 1, 1), ProjInterval(-0.5, 1.5)),  # cap
+    ]:
+        for buckets in (2, 7):
+            got = [c for c, _ in equid_report(F, 3000, I, buckets).histogram]
+            assert got == _loop_histogram(F, 3000, I, buckets)
+            assert sum(got) > 100
+
+
 def test_equid_trend():
     F = RealForm(1, 0, 1)
     I = ProjInterval(-INF, INF)
