@@ -21,12 +21,17 @@ from .geodesic_enum import (
     enum_rm_perp_geodesic,
     enum_rm_through_point,
 )
-from .linnik import ProjInterval, case_tag, equid_report, mu_integral
+from .linnik import ProjInterval, case_tag, equid_report, form_values, mu_integral
 from .cycles import CONSTANT_ONE, J_FUNCTION, closed_geodesic, cycle_value
 
 OK, INTERNAL, BAD_INPUT, GUARD, TOLERANCE = 0, 1, 2, 3, 4
 
 CSV_HEADER = "m,n,t,value,extra"
+
+# one W-set record: a CSV line (t as _fmt writes it, extra empty) and the
+# list json.dumps(..., indent=1) writes at depth 2
+_CSV_ROW = "{},{},{:.9g},{},".format
+_JSON_ROW = "  [\n   {},\n   {},\n   {!r},\n   {!r}\n  ]".format
 
 
 class ToleranceFailure(Exception):
@@ -54,13 +59,6 @@ def _write(path: str | None, text: str) -> None:
             fh.write(text)
 
 
-def _csv(rows: list[tuple]) -> str:
-    lines = [CSV_HEADER]
-    for m, n, t, value, extra in rows:
-        lines.append(f"{m},{n},{_fmt(t)},{value},{extra}")
-    return "\n".join(lines) + "\n"
-
-
 # ---------------------------------------------------------------------------
 # wset
 
@@ -69,12 +67,8 @@ def cmd_wset(args) -> int:
     F = RealForm(args.A, args.B, args.C)
     I = _interval(args)
     report = equid_report(F, args.delta, I, args.buckets)
-    fracs = report.fracs
-    if F.is_integral():
-        A, B, C = int(args.A), int(args.B), int(args.C)
-        values = [A * f.m * f.m + B * f.m * f.n + C * f.n * f.n for f in fracs]
-    else:
-        values = [F.A * f.m * f.m + F.B * f.m * f.n + F.C * f.n * f.n for f in fracs]
+    cols = (report.ms.tolist(), report.ns.tolist(), report.t.tolist(),
+            form_values(F, report.ms, report.ns).tolist())
     config = {
         "command": "wset",
         "A": args.A, "B": args.B, "C": args.C,
@@ -83,8 +77,7 @@ def cmd_wset(args) -> int:
         "buckets": args.buckets,
     }
     if args.format == "csv":
-        rows = [(f.m, f.n, f.t, v, "") for f, v in zip(fracs, values)]
-        _write(args.out, _csv(rows))
+        _write(args.out, "\n".join([CSV_HEADER, *map(_CSV_ROW, *cols)]) + "\n")
         print(
             f"count={report.empirical} predicted={_fmt(report.predicted)} "
             f"residual={_fmt(report.residual)} ties={report.boundary_ties}",
@@ -94,7 +87,7 @@ def cmd_wset(args) -> int:
         doc = {
             "schema": 1,
             "config": config,
-            "records": [[f.m, f.n, f.t, v] for f, v in zip(fracs, values)],
+            "records": [],
             "report": {
                 "empirical": report.empirical,
                 "predicted": report.predicted,
@@ -105,7 +98,13 @@ def cmd_wset(args) -> int:
                 "boundary_ties": report.boundary_ties,
             },
         }
-        _write(args.out, json.dumps(doc, indent=1) + "\n")
+        if cols[0] and all(map(math.isfinite, cols[3])):
+            block = ",\n".join(map(_JSON_ROW, *cols))
+            text = json.dumps(doc, indent=1).replace('"records": []', f'"records": [\n{block}\n ]', 1)
+        else:  # no records, or values json spells as NaN or Infinity
+            doc["records"] = list(map(list, zip(*cols)))
+            text = json.dumps(doc, indent=1)
+        _write(args.out, text + "\n")
     return OK
 
 
@@ -120,20 +119,21 @@ def cmd_verify(args) -> int:
         raise ValueError(f"form {F} is case {tag!r}, not {args.case!r}")
     if min(args.delta_ladder) <= 1:
         raise ValueError("--delta-ladder values must exceed 1")
+    if math.isnan(args.tol):
+        raise ValueError("--tol must be a number, got nan")
     I = _interval(args)
     mu = mu_integral(F, I)
     failures = 0
     for delta in args.delta_ladder:
         report = equid_report(F, delta, I, args.buckets)
         norm = abs(report.normalized_residual)
-        status = "ok" if norm <= args.tol else "FAIL"
+        ok = norm <= args.tol
         print(
             f"case={tag} delta={_fmt(delta)} empirical={report.empirical} "
             f"predicted={_fmt(report.predicted)} residual/(sqrt(delta)log^2)="
-            f"{_fmt(norm)} {status}"
+            f"{_fmt(norm)} {'ok' if ok else 'FAIL'}"
         )
-        if norm > args.tol:
-            failures += 1
+        failures += not ok
     print(f"mu(I)={_fmt(mu)} tol={_fmt(args.tol)} failures={failures}")
     if failures:
         raise ToleranceFailure(f"{failures} ladder step(s) above tolerance")

@@ -16,7 +16,6 @@ from fractions import Fraction
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import DomainError, ImprimitiveForm, PointNotOnGeodesic
 from .forms import IntForm, Semicircle, geodesic_of_form, is_normalized
@@ -230,7 +229,10 @@ def cycle_quadrature(cg: ClosedGeodesic, f: ModularFunction) -> complex:
 
     Substituting u = log tan(theta/2) turns ds_hyp into du, so the integrand
     has no endpoint singularity even for arcs reaching toward the real axis.
+    scipy is imported here, so that importing the library does not load it.
     """
+    from scipy.integrate import quad
+
     sc = cg.semicircle
     th0, th1 = fundamental_arc(cg)
     u0, u1 = math.log(math.tan(th0 / 2)), math.log(math.tan(th1 / 2))

@@ -11,7 +11,8 @@ region, the antiderivative of 1/F, and whether I may wrap through infinity.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import partial
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -29,6 +30,9 @@ INF = math.inf
 
 BRUTE_GUARD = 10**6
 
+# most histogram buckets equid_report will allocate
+BUCKET_GUARD = 10**6
+
 # candidate values this close to the cutoff delta are reported as boundary
 # ties when the coefficients are not exact integers
 TIE_REL = 1e-9
@@ -38,6 +42,7 @@ TIE_REL = 1e-9
 _BLOCK = 4096
 _CHUNK = 2**16
 _NO_INTS = np.zeros(0, dtype=np.int64)
+_NO_FLOATS = np.zeros(0)
 
 
 @dataclass(frozen=True)
@@ -83,22 +88,35 @@ class Frac(NamedTuple):
         return cls(m, n, m / n)
 
 
-@dataclass
+def _fracs(ms: np.ndarray, ns: np.ndarray, t: np.ndarray) -> list[Frac]:
+    """Frac records of the columns, made by tuple's C-level constructor
+    rather than the namedtuple's Python-level __new__."""
+    return list(map(partial(tuple.__new__, Frac), zip(ms.tolist(), ns.tolist(), t.tolist())))
+
+
+@dataclass(eq=False)
 class EnumReport:
     """Empirical against predicted count of W_delta on I.
 
     normalized_residual is residual / (sqrt(delta) log^2 delta), nan at
-    delta = 1; fracs are the enumerated fractions, sorted along I.
+    delta = 1.  The enumerated fractions, sorted along I, are kept as the
+    columns ms, ns (int64) and t = ms / ns; fracs builds their records.
     """
 
     empirical: int
     predicted: float
     residual: float
     normalized_residual: float
-    histogram: list[tuple[int, float]] = field(default_factory=list)
-    max_ratio_dev: float = 0.0
-    boundary_ties: int = 0
-    fracs: list[Frac] = field(default_factory=list)
+    histogram: list[tuple[int, float]]
+    max_ratio_dev: float
+    boundary_ties: int
+    ms: np.ndarray
+    ns: np.ndarray
+    t: np.ndarray
+
+    @property
+    def fracs(self) -> list[Frac]:
+        return _fracs(self.ms, self.ns, self.t)
 
 
 # ---------------------------------------------------------------------------
@@ -221,6 +239,11 @@ def mu_integral(F: RealForm, I: ProjInterval) -> float:
     """Integral of dt / (A t^2 + B t + C) over I, in closed form."""
     case = QuadCase.of(F)
     _check_interval(case, I)
+    return _mu(case, I)
+
+
+def _mu(case: QuadCase, I: ProjInterval) -> float:
+    """mu_integral for an interval that _check_interval has passed."""
     if I.wraps:
         return (case.h_pinf - case.H(I.lo)) + (case.H(I.hi) - case.h_minf)
     return case.at(I.hi) - case.at(I.lo)
@@ -253,6 +276,30 @@ def _min_on_closure(F: RealForm, I: ProjInterval) -> float:
     return min(vals)
 
 
+def form_values(F: RealForm, ms: np.ndarray, ns: np.ndarray) -> np.ndarray:
+    """F(m, n) = A m^2 + B m n + C n^2 for int64 columns ms, ns, equal to
+    the scalar expression element by element.
+
+    Integral F is exact: int64 while coeff * max(|m|, n)^2 < 2^62, Python
+    ints in an object array beyond.  Real (float) coefficients take the
+    scalar expression's float operations in the same order, so every value
+    is bit-identical to it.
+    """
+    if not F.is_integral():
+        m, n = ms.astype(float), ns.astype(float)
+        return F.A * m * m + F.B * m * n + F.C * n * n
+    big = max(int(np.abs(ms).max()), int(ns.max())) if len(ms) else 0
+    return _int_values(int(F.A), int(F.B), int(F.C), ms, ns, big)
+
+
+def _int_values(A: int, B: int, C: int, ms: np.ndarray, ns: np.ndarray, big: int) -> np.ndarray:
+    """form_values for integer A, B, C, given big >= max(|m|, n)."""
+    if (abs(A) + abs(B) + abs(C)) * big * big < 2**62:
+        return A * ms * ms + B * ms * ns + C * (ns * ns)
+    vals = [A * m * m + B * m * k + C * k * k for m, k in zip(ms.tolist(), ns.tolist())]
+    return np.array(vals, dtype=object)
+
+
 def _run_scan(
     case: QuadCase,
     integral: bool,
@@ -271,7 +318,6 @@ def _run_scan(
     """
     F = case.F
     A, B, C = (int(F.A), int(F.B), int(F.C)) if integral else (F.A, F.B, F.C)
-    coeff = abs(A) + abs(B) + abs(C)
     ipieces = I.pieces()
     out_m, out_n = [_NO_INTS], [_NO_INTS]
     ties = 0
@@ -293,16 +339,10 @@ def _run_scan(
             pos = np.arange(c0, min(c0 + _CHUNK, total), dtype=np.int64)
             s = np.searchsorted(ends, pos, side="right")
             ms, ns = shift[s] + pos, span_n[s]
-            big = max(int(np.abs(ms).max()), int(ns[-1]))
-            if integral and coeff * big * big < 2**62:
-                vals = A * ms * ms + B * ms * ns + C * (ns * ns)
+            if integral:
+                big = max(int(np.abs(ms).max()), int(ns[-1]))
+                vals = _int_values(A, B, C, ms, ns, big)
                 ok = (vals > 0) & (vals <= delta)
-            elif integral:
-                ok = np.array(
-                    [0 < A * m * m + B * m * k + C * k * k <= delta
-                     for m, k in zip(ms.tolist(), ns.tolist())],
-                    dtype=bool,
-                )
             else:
                 mm, nn = (ms * ms).astype(float), (ns * ns).astype(float)
                 vals = A * mm + B * ms.astype(float) * ns.astype(float) + C * nn
@@ -336,17 +376,20 @@ def enumerate_W(F: RealForm, delta: float, I: ProjInterval) -> list[Frac]:
     Membership is exact integer arithmetic when F has integer coefficients.
     Wrapping intervals sort lo -> +inf first, then -inf -> hi.
     """
-    return _enumerate_with_ties(F, delta, I)[0]
+    ms, ns, t, _ = _enumerate_with_ties(F, delta, I)
+    return _fracs(ms, ns, t)
 
 
 def _enumerate_with_ties(
-    F: RealForm, delta: float, I: ProjInterval
-) -> tuple[list[Frac], int]:
+    F: RealForm, delta: float, I: ProjInterval, case: QuadCase | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """W_delta on I as columns (ms, ns, t) sorted along I, and the number
+    of boundary ties.  case is QuadCase.of(F), if the caller has it."""
     if not math.isfinite(delta):
         raise DomainError(f"delta must be finite, got {delta}")
     if delta <= 0:
-        return [], 0
-    case = QuadCase.of(F)
+        return _NO_INTS, _NO_INTS, _NO_FLOATS, 0
+    case = case or QuadCase.of(F)
     _check_interval(case, I)
     minF = _min_on_closure(F, I)
     if minF <= 0:
@@ -355,10 +398,9 @@ def _enumerate_with_ties(
         )
     n_max = math.isqrt(math.floor(delta / minF))
     if n_max < 1:
-        return [], 0
+        return _NO_INTS, _NO_INTS, _NO_FLOATS, 0
     ms, ns, ties = _run_scan(case, F.is_integral(), delta, I, n_max)
-    ms, ns, t = _sort_along(I, ms, ns)
-    return list(map(Frac, ms.tolist(), ns.tolist(), t.tolist())), ties
+    return (*_sort_along(I, ms, ns), ties)
 
 
 def brute_force_W(F: RealForm, delta: float, I: ProjInterval) -> list[Frac]:
@@ -404,18 +446,18 @@ def brute_force_W(F: RealForm, delta: float, I: ProjInterval) -> list[Frac]:
 # equidistribution statistics
 
 
-def _heights(case: QuadCase, I: ProjInterval, t: list[float]) -> tuple[np.ndarray, float, float]:
+def _heights(case: QuadCase, I: ProjInterval, t: np.ndarray) -> tuple[np.ndarray, float, float]:
     """The monotone coordinate h along I (dh = d_mu, continued through the
     infinity seam of a wrapping I) at each t, and its range (h0, h1).
 
     H is applied per element: numpy's log and arctan may round differently
     from math's.
     """
-    h = np.fromiter(map(case.H, t), float, len(t))
+    h = np.fromiter(map(case.H, t.tolist()), float, len(t))
     if not I.wraps:
         return h, case.at(I.lo), case.at(I.hi)
     jump = case.h_pinf - case.h_minf
-    h[np.asarray(t) < I.lo] += jump
+    h[t < I.lo] += jump
     return h, case.H(I.lo), case.H(I.hi) + jump
 
 
@@ -430,18 +472,22 @@ def equid_report(
     I is split into `buckets` pieces of equal mu-mass (by the closed-form
     antiderivative, which is the monotone coordinate along I, including
     through the infinity seam of a wrapping interval).  The report keeps
-    the enumerated fractions.
+    the enumerated fractions as columns.
     """
     if buckets < 2:
         raise ValueError("need at least 2 buckets")
+    if buckets > BUCKET_GUARD:
+        raise GuardExceeded(f"{buckets} buckets requested; at most {BUCKET_GUARD}")
     if delta <= 0:
-        return EnumReport(0, 0.0, 0.0, 0.0, [(0, 0.0)] * buckets, 0.0, 0)
-    fracs, ties = _enumerate_with_ties(F, delta, I)
-    mu_tot = mu_integral(F, I)
+        return EnumReport(0, 0.0, 0.0, 0.0, [(0, 0.0)] * buckets, 0.0, 0,
+                          _NO_INTS, _NO_INTS, _NO_FLOATS)
+    case = QuadCase.of(F)
+    ms, ns, t, ties = _enumerate_with_ties(F, delta, I, case)
+    mu_tot = _mu(case, I)
     predicted = 3.0 * delta / math.pi**2 * mu_tot
-    empirical = len(fracs)
+    empirical = len(t)
     residual = empirical - predicted
-    h, h0, h1 = _heights(QuadCase.of(F), I, [f.t for f in fracs])
+    h, h0, h1 = _heights(case, I, t)
     # astype truncates toward zero, as int() does
     j = ((h - h0) / ((h1 - h0) / buckets)).astype(np.int64)
     counts = np.bincount(np.clip(j, 0, buckets - 1), minlength=buckets).tolist()
@@ -459,5 +505,7 @@ def equid_report(
         histogram=[(c, mass) for c in counts],
         max_ratio_dev=dev,
         boundary_ties=ties,
-        fracs=fracs,
+        ms=ms,
+        ns=ns,
+        t=t,
     )

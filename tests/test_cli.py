@@ -1,6 +1,16 @@
 import json
+import math
+import os
+import subprocess
+import sys
 
+import numpy as np
+import pytest
+
+from linnikgeo import linnik
 from linnikgeo.cli import main
+from linnikgeo.forms import RealForm
+from linnikgeo.linnik import ProjInterval, enumerate_W, equid_report
 
 
 def run(tmp_path, *argv):
@@ -179,3 +189,125 @@ def test_cycle_json(tmp_path):
     # constant function: estimates approach the quadrature value (the length)
     q = doc["quadrature"][0]
     assert abs(doc["estimates"][-1][1] - q) < 0.1 * q
+
+
+def test_verify_nan_tol_is_bad_input(capsys):
+    code = main(["verify", "-A", "1", "-B", "0", "-C", "1", "--case", "definite",
+                 "--lo", "-1", "--hi", "1", "--delta-ladder", "1e3", "--tol", "nan"])
+    assert code == 2
+    assert "--tol" in capsys.readouterr().err
+
+
+def test_verify_status_and_failure_count_agree(capsys):
+    code = main(["verify", "-A", "1", "-B", "0", "-C", "1", "--case", "definite",
+                 "--lo", "-1", "--hi", "1", "--delta-ladder", "1e3,1e4", "--tol", "-1"])
+    assert code == 4
+    out = capsys.readouterr().out
+    assert out.count(" FAIL") == 2 and "failures=2" in out
+
+
+def test_wset_huge_bucket_count_is_a_guard(capsys):
+    code = main(["wset", "-A", "1", "-B", "0", "-C", "1", "--delta", "1e4",
+                 "--lo", "0", "--hi", "1", "--buckets", "100000000000"])
+    assert code == 3
+    assert "100000000000" in capsys.readouterr().err
+
+
+# (A, B, C, lo, hi, wrap, delta): the five sign cases, one of them wrapping
+# through infinity, a non-dyadic real form, an empty set, and coefficients
+# near 2^31 whose values leave int64 (the Python-int path)
+WSET_CASES = [
+    (0.0, 1.5, 0.25, 1.0, 1.0625, False, 2e4),
+    (1.0, 0.0, -2.0, 24.0, math.inf, False, 2e4),
+    (1.0, 0.0, 1.0, 48.0, -48.0, True, 2e4),
+    (0.25, -1.0, 1.0, 6.0, 6.1875, False, 2e4),
+    (-1.0, 1.0, 1.0, 0.5, 0.546875, False, 2e4),
+    (0.3, 1.7, -0.1, 0.5, 3.0, False, 3e3),
+    (1.0, 0.0, 1.0, -1.0, 1.0, False, 0.5),
+    (2147483647.0, 1.0, 2147483647.0, 40000.0, 40002.0, False, 1.4e19),
+]
+
+
+def _wset_argv(A, B, C, lo, hi, wrap, delta, fmt, out):
+    argv = ["wset", "-A", repr(A), "-B", repr(B), "-C", repr(C), "--lo", repr(lo),
+            "--hi", repr(hi), "--delta", repr(delta), "--format", fmt, "--out", str(out)]
+    return argv + (["--wrap"] if wrap else [])
+
+
+def _reference_wset_json(A, B, C, lo, hi, wrap, delta):
+    """The wset document built record by record and encoded by json.dumps."""
+    F, I = RealForm(A, B, C), ProjInterval(lo, hi, wrap)
+    fracs = enumerate_W(F, delta, I)
+    if F.is_integral():
+        a, b, c = int(A), int(B), int(C)
+    else:
+        a, b, c = A, B, C
+    values = [a * f.m * f.m + b * f.m * f.n + c * f.n * f.n for f in fracs]
+    r = equid_report(F, delta, I, 8)
+    doc = {
+        "schema": 1,
+        "config": {
+            "command": "wset", "A": A, "B": B, "C": C, "delta": delta,
+            "lo": lo, "hi": hi, "wrap": wrap, "buckets": 8,
+        },
+        "records": [[f.m, f.n, f.t, v] for f, v in zip(fracs, values)],
+        "report": {
+            "empirical": r.empirical,
+            "predicted": r.predicted,
+            "residual": r.residual,
+            "normalized_residual": r.normalized_residual,
+            "histogram": r.histogram,
+            "max_ratio_dev": r.max_ratio_dev,
+            "boundary_ties": r.boundary_ties,
+        },
+    }
+    return json.dumps(doc, indent=1) + "\n"
+
+
+@pytest.mark.parametrize("case", WSET_CASES)
+def test_wset_json_bytes_match_json_dumps(tmp_path, case):
+    out = tmp_path / "w.json"
+    assert main(_wset_argv(*case, "json", out)) == 0
+    assert out.read_text(encoding="utf-8") == _reference_wset_json(*case)
+
+
+def test_wset_json_non_finite_values(tmp_path, monkeypatch):
+    from linnikgeo import cli
+
+    monkeypatch.setattr(cli, "form_values", lambda F, ms, ns: np.full(len(ms), np.inf))
+    out = tmp_path / "w.json"
+    assert main(_wset_argv(*WSET_CASES[2], "json", out)) == 0
+    text = out.read_text(encoding="utf-8")
+    assert text == json.dumps(json.loads(text), indent=1) + "\n"
+    assert '   Infinity\n' in text
+
+
+@pytest.mark.parametrize("case", WSET_CASES)
+def test_wset_csv_and_json_records_agree(tmp_path, case):
+    a, b = tmp_path / "w.csv", tmp_path / "w.json"
+    assert main(_wset_argv(*case, "csv", a)) == 0
+    assert main(_wset_argv(*case, "json", b)) == 0
+    rows = [line.split(",") for line in a.read_text().splitlines()[1:]]
+    records = json.loads(b.read_text())["records"]
+    assert len(rows) == len(records)
+    for (m, n, t, value, extra), rec in zip(rows, records):
+        assert [m, n, t, value, extra] == [str(rec[0]), str(rec[1]), f"{rec[2]:.9g}",
+                                           str(rec[3]), ""]
+
+
+def test_wset_and_verify_build_no_fracs(tmp_path, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a Frac was built")
+
+    monkeypatch.setattr(linnik, "Frac", refuse)
+    for fmt in ("csv", "json"):
+        assert main(_wset_argv(*WSET_CASES[2], fmt, tmp_path / "w")) == 0
+    assert main(["verify", "-A", "1", "-B", "0", "-C", "1", "--case", "definite",
+                 "--lo", "-1", "--hi", "1", "--delta-ladder", "1e3,1e4"]) == 0
+
+
+def test_importing_the_cli_leaves_scipy_unloaded():
+    code = "import sys, linnikgeo, linnikgeo.cli; print('scipy' in sys.modules)"
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)), check=True)
+    assert res.stdout.strip() == "False"

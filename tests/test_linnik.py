@@ -3,6 +3,7 @@ import random
 from unittest import mock
 
 import pytest
+import numpy as np
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
@@ -22,6 +23,7 @@ from linnikgeo.linnik import (
     case_tag,
     enumerate_W,
     equid_report,
+    form_values,
     mu_integral,
     predicted_count,
 )
@@ -251,10 +253,45 @@ def test_non_finite_delta_rejected():
 def test_boundary_tie_flagging():
     # real coefficients, a fraction exactly at the cutoff
     F = RealForm(0.0, 1.0, 0.5)
-    fr, ties = __import__("linnikgeo.linnik", fromlist=["x"])._enumerate_with_ties(
+    *_, ties = __import__("linnikgeo.linnik", fromlist=["x"])._enumerate_with_ties(
         F, 1.5, ProjInterval(0.1, 4)
     )
     assert ties >= 1  # (1, 1) evaluates exactly to the cutoff
+
+
+def test_equid_report_guards_bucket_count_before_enumerating():
+    with mock.patch.object(linnik, "_enumerate_with_ties", side_effect=AssertionError):
+        with pytest.raises(GuardExceeded, match=str(linnik.BUCKET_GUARD + 1)):
+            equid_report(RealForm(1, 0, 1), 1e4, ProjInterval(0, 1), linnik.BUCKET_GUARD + 1)
+
+
+def test_equid_report_columns():
+    F, I = RealForm(1, 0, -2), ProjInterval(1.5, -1.5, True)
+    r = equid_report(F, 500, I, 4)
+    fr = enumerate_W(F, 500, I)
+    assert r.ms.tolist() == [f.m for f in fr] and r.ns.tolist() == [f.n for f in fr]
+    assert r.t.tolist() == [f.t for f in fr]
+    assert r.fracs == fr and all(type(f) is Frac for f in r.fracs)
+
+
+@pytest.mark.parametrize(
+    "A, B, C, big, dtype",
+    [
+        (3, -5, 7, 10**4, np.int64),  # int64 path
+        (2147483647, 1, -2147483629, 10**5, object),  # past the 2^62 guard: Python ints
+        (0.3, -1.7, 2.9, 10**4, np.float64),  # float path
+        (1e-3, 7.1, -1 / 3, 10**9, np.float64),
+    ],
+)
+def test_form_values_match_scalar_expression(A, B, C, big, dtype):
+    rng = np.random.default_rng(5)
+    ms = rng.integers(-big, big, 500)
+    ns = rng.integers(1, big, 500)
+    got = form_values(RealForm(A, B, C), ms, ns)
+    assert got.dtype == dtype
+    want = [A * m * m + B * m * n + C * n * n for m, n in zip(ms.tolist(), ns.tolist())]
+    assert got.tolist() == want
+    assert [type(v) for v in got.tolist()] == [type(v) for v in want]
 
 
 # offsets from a root or a finite endpoint, in eighths
