@@ -43,6 +43,8 @@ from .geodesic_enum import (
     pushforward_check,
 )
 from .cycles import (
+    CONSTANT_ONE,
+    J_FUNCTION,
     ClosedGeodesic,
     ModularFunction,
     closed_geodesic,

@@ -15,13 +15,14 @@ import math
 import sys
 
 from .errors import GuardExceeded, LimitTooLarge, LinnikError
-from .forms import IntForm, RealForm, normalize
+from .forms import HalfLine, IntForm, RealForm, Semicircle, geodesic_of_form, normalize
 from .geodesic_enum import (
     enum_cm_on_geodesic,
     enum_rm_perp_geodesic,
     enum_rm_through_point,
 )
-from .linnik import ProjInterval, case_tag, equid_report, form_values, mu_integral
+from .linnik import ProjInterval, case_tag, count_residual, equid_report, form_values
+from .linnik import ladder_counts, mu_integral
 from .cycles import CONSTANT_ONE, J_FUNCTION, closed_geodesic, cycle_value
 
 OK, INTERNAL, BAD_INPUT, GUARD, TOLERANCE = 0, 1, 2, 3, 4
@@ -124,14 +125,13 @@ def cmd_verify(args) -> int:
     I = _interval(args)
     mu = mu_integral(F, I)
     failures = 0
-    for delta in args.delta_ladder:
-        report = equid_report(F, delta, I, args.buckets)
-        norm = abs(report.normalized_residual)
-        ok = norm <= args.tol
+    for delta, empirical in zip(args.delta_ladder, ladder_counts(F, args.delta_ladder, I)):
+        predicted, _, norm = count_residual(empirical, delta, mu)
+        ok = abs(norm) <= args.tol
         print(
-            f"case={tag} delta={_fmt(delta)} empirical={report.empirical} "
-            f"predicted={_fmt(report.predicted)} residual/(sqrt(delta)log^2)="
-            f"{_fmt(norm)} {'ok' if ok else 'FAIL'}"
+            f"case={tag} delta={_fmt(delta)} empirical={empirical} "
+            f"predicted={_fmt(predicted)} residual/(sqrt(delta)log^2)="
+            f"{_fmt(abs(norm))} {'ok' if ok else 'FAIL'}"
         )
         failures += not ok
     print(f"mu(I)={_fmt(mu)} tol={_fmt(args.tol)} failures={failures}")
@@ -180,17 +180,10 @@ def _render_records(base_form: IntForm, mode: str, records, delta: float, fd: bo
             curves.append((g.q, g.r))
     xs = [p[0] for p in pts] or [0.0]
     ys = [p[1] for p in pts] or [1.0]
-    D0 = base_form.discriminant()
-    if D0 > 0:
-        if base_form.a == 0:
-            x0 = -base_form.c / base_form.b
-            xs += [x0 - 1, x0 + 1]
-        else:
-            q0 = -base_form.b / (2 * base_form.a)
-            r0 = math.sqrt(D0) / (2 * base_form.a)
-            xs += [q0 - r0, q0 + r0]
-            ys.append(r0)
-    for q, r in curves:
+    base = geodesic_of_form(base_form) if base_form.discriminant() > 0 else None
+    if isinstance(base, HalfLine):
+        xs += [base.x - 1, base.x + 1]
+    for q, r in curves + ([(base.q, base.r)] if isinstance(base, Semicircle) else []):
         xs += [q - r, q + r]
         ys.append(r)
     pad = 0.1 * max(max(xs) - min(xs), max(ys), 1.0)
@@ -207,26 +200,21 @@ def _render_records(base_form: IntForm, mode: str, records, delta: float, fd: bo
         ".axis{stroke:#000;stroke-width:1}</style>",
         f'<line class="axis" x1="0" y1="{_fmt(sy(0))}" x2="{W}" y2="{_fmt(sy(0))}"/>',
     ]
-    if D0 > 0:
-        if base_form.a == 0:
-            x0 = -base_form.c / base_form.b
-            out.append(
-                f'<line class="geo" x1="{_fmt(sx(x0))}" y1="{_fmt(sy(0))}" '
-                f'x2="{_fmt(sx(x0))}" y2="0"/>'
-            )
-        else:
-            out.append(_svg_path_semicircle(q0, r0, sx, sy))
+    if isinstance(base, HalfLine):
+        out.append(
+            f'<line class="geo" x1="{_fmt(sx(base.x))}" y1="{_fmt(sy(0))}" '
+            f'x2="{_fmt(sx(base.x))}" y2="0"/>'
+        )
+    elif base:
+        out.append(_svg_path_semicircle(base.q, base.r, sx, sy))
     for q, r in sorted(set(curves)):
         out.append(_svg_path_semicircle(q, r, sx, sy))
     if fd:
-        out.append(
-            f'<line class="geo" x1="{_fmt(sx(-0.5))}" y1="0" '
-            f'x2="{_fmt(sx(-0.5))}" y2="{_fmt(sy(math.sqrt(3) / 2))}"/>'
-        )
-        out.append(
-            f'<line class="geo" x1="{_fmt(sx(0.5))}" y1="0" '
-            f'x2="{_fmt(sx(0.5))}" y2="{_fmt(sy(math.sqrt(3) / 2))}"/>'
-        )
+        for x in (-0.5, 0.5):
+            out.append(
+                f'<line class="geo" x1="{_fmt(sx(x))}" y1="0" '
+                f'x2="{_fmt(sx(x))}" y2="{_fmt(sy(math.sqrt(3) / 2))}"/>'
+            )
         out.append(_svg_path_semicircle(0.0, 1.0, sx, sy))
     dmax = max(delta, 1.0)
     for x, y, ad in pts:
@@ -370,7 +358,6 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--hi", type=float, required=True)
     v.add_argument("--wrap", action="store_true")
     v.add_argument("--delta-ladder", type=_ladder, default=[1e4, 1e5, 1e6])
-    v.add_argument("--buckets", type=int, default=8)
     v.add_argument("--tol", type=float, default=10.0)
     v.set_defaults(run=cmd_verify)
 

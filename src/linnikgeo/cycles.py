@@ -17,18 +17,19 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError, ImprimitiveForm, PointNotOnGeodesic
+from .errors import DomainError, ImprimitiveForm, NumericalInstability, PointNotOnGeodesic
 from .forms import IntForm, Semicircle, geodesic_of_form, is_normalized
 from .geodesic_enum import (
     CM_ON_G,
     CMOnGeodesic,
     GeodesicParam,
-    _absmax,
     _enum_pairs,
+    _form_cols,
     _ints,
     _records,
     build_param,
 )
+from .linnik import _absmax, _int_values
 from .hyperbolic import PointH
 from .numtheory import PellSolution, pell_fundamental, sl2z_reduce
 
@@ -81,21 +82,14 @@ def topmost(cg: ClosedGeodesic) -> PointH:
     return PointH(sc.q, sc.r)
 
 
-def fundamental_arc(
-    cg: ClosedGeodesic, z_start: PointH | None = None
-) -> tuple[float, float]:
-    """Angle interval (arg at z_start, arg at gamma z_start), along the flow.
+def fundamental_arc(cg: ClosedGeodesic) -> tuple[float, float]:
+    """Angle interval (arg at the top, arg at its gamma-image), along the flow.
 
     The hyperbolic length of the returned arc equals cg.length; traversing
     it once covers the closed geodesic exactly once.
     """
-    if z_start is None:
-        z_start = topmost(cg)
-    sc = cg.semicircle
-    z0 = z_start.as_complex()
-    t0 = _arg_on(sc, z0)
-    t1 = _arg_on(sc, apply_mobius(cg.gamma, z0))
-    return t0, t1
+    sc, z0 = cg.semicircle, topmost(cg).as_complex()
+    return _arg_on(sc, z0), _arg_on(sc, apply_mobius(cg.gamma, z0))
 
 
 def _arc_length(theta0: float, theta1: float) -> float:
@@ -181,79 +175,73 @@ class ModularFunction:
         return self.evaluator(z)
 
 
-_SIGMA_CACHE: dict[int, tuple[list[int], list[int]]] = {}
-
-
-def _sigma_tables(N: int) -> tuple[list[int], list[int]]:
-    """sigma_3 and sigma_5 divisor sums for 1..N."""
-    if N in _SIGMA_CACHE:
-        return _SIGMA_CACHE[N]
-    s3 = [0] * (N + 1)
-    s5 = [0] * (N + 1)
-    for d in range(1, N + 1):
-        d3, d5 = d**3, d**5
-        for k in range(d, N + 1, d):
-            s3[k] += d3
-            s5[k] += d5
-    _SIGMA_CACHE[N] = (s3, s5)
-    return s3, s5
+# sigma_3(n) and Ramanujan's tau(n), n = 1..12: E4 = 1 + 240 sum sigma_3(n) q^n
+# and Delta = sum tau(n) q^n.  In the fundamental domain |q| <= e^(-pi sqrt 3)
+# < 0.0044, so the 13th terms are below 1e-20 of the sums.
+_SIGMA3 = (1, 9, 28, 73, 126, 252, 344, 585, 757, 1134, 1332, 2044)
+_TAU = (1, -24, 252, -1472, 4830, -6048, -16744, 84480, -113643, -115920, 534612, -370944)
 
 
 def j_invariant(z: complex | PointH) -> complex:
-    """Klein j, via fundamental-domain reduction and the E4/E6 q-expansions."""
-    w = z.as_complex() if isinstance(z, PointH) else complex(z)
-    w, _ = sl2z_reduce(w)
-    w = w.as_complex()
-    q = cmath.exp(2j * math.pi * w)
-    aq = abs(q)
-    # truncate once |q|^N is below the noise floor
-    N = max(4, math.ceil(math.log(1e-16) / math.log(aq))) if aq > 0 else 4
-    s3, s5 = _sigma_tables(N)
-    e4 = 1 + 0j
-    e6 = 1 + 0j
-    qn = 1 + 0j
-    for n in range(1, N + 1):
-        qn *= q
-        e4 += 240 * s3[n] * qn
-        e6 -= 504 * s5[n] * qn
-    e43 = e4**3
-    return 1728 * e43 / (e43 - e6**2)
+    """Klein j = E4^3 / Delta, after fundamental-domain reduction.  Delta ~ q
+    does not cancel, so j keeps its relative precision toward the cusp."""
+    q = cmath.exp(2j * math.pi * sl2z_reduce(z)[0].as_complex())
+    e4 = dq = 0j  # the two sums by Horner's rule, highest power first
+    for s3, tau in zip(_SIGMA3[::-1], _TAU[::-1]):
+        e4, dq = (e4 + s3) * q, (dq + tau) * q
+    return (1 + 240 * e4) ** 3 / dq
 
 
 CONSTANT_ONE = ModularFunction("one", lambda z: 1 + 0j)
 J_FUNCTION = ModularFunction("j", j_invariant)
 
+# Gauss-Legendre orders of cycle_quadrature: doubled from the first until two
+# agree within _QUAD_TOL * (u-length) * max |f|, refused past the last
+_GL_FIRST, _GL_LAST, _QUAD_TOL = 32, 1024, 1e-9
+
 
 def cycle_quadrature(cg: ClosedGeodesic, f: ModularFunction) -> complex:
-    """Direct cycle integral of f over the closed geodesic.
+    """Direct cycle integral of f over the closed geodesic, by Gauss-Legendre
+    rules of doubling order until two agree.
 
-    Substituting u = log tan(theta/2) turns ds_hyp into du, so the integrand
-    has no endpoint singularity even for arcs reaching toward the real axis.
-    scipy is imported here, so that importing the library does not load it.
+    In u = log tan(theta/2), the hyperbolic arc length, the point is
+    q - r tanh(u) + i r / cosh(u), and gamma moves the top (u = 0) by exactly
+    cg.length.  Refuses (NumericalInstability) an arc that dips below the
+    float grid of its semicircle, where points are noise, and rules that
+    never agree.
     """
-    from scipy.integrate import quad
-
-    sc = cg.semicircle
+    sc, L = cg.semicircle, cg.length
+    y_min, grid = sc.r / math.cosh(L), math.ulp(abs(sc.q) + sc.r)
+    if grid > _QUAD_TOL * y_min:
+        raise NumericalInstability(
+            f"the arc of {cg.form} reaches y = {y_min:.3g}, below the float grid {grid:.3g}"
+        )
     th0, th1 = fundamental_arc(cg)
-    u0, u1 = math.log(math.tan(th0 / 2)), math.log(math.tan(th1 / 2))
-    lo, hi = min(u0, u1), max(u0, u1)
-
-    def at(u: float) -> complex:
-        theta = 2 * math.atan(math.exp(u))
-        return f(complex(sc.q + sc.r * math.cos(theta), sc.r * math.sin(theta)))
-
-    re, _ = quad(lambda u: at(u).real, lo, hi, limit=200)
-    im, _ = quad(lambda u: at(u).imag, lo, hi, limit=200)
-    return complex(re, im)
+    mid = -L / 2 if th1 < th0 else L / 2
+    prev, fmax, n = None, 0.0, _GL_FIRST
+    while True:
+        x, w = np.polynomial.legendre.leggauss(n)
+        u = mid + L / 2 * x
+        z = map(complex, (sc.q - sc.r * np.tanh(u)).tolist(), (sc.r / np.cosh(u)).tolist())
+        vals = np.array(list(map(f, z)), dtype=complex)
+        val, fmax = complex(L / 2 * (w @ vals)), max(fmax, float(np.abs(vals).max()))
+        if prev is not None and abs(val - prev) <= _QUAD_TOL * L * fmax:
+            return val
+        if n >= _GL_LAST:
+            raise NumericalInstability(
+                f"cycle quadrature of {f.name} on {cg.form} does not settle: "
+                f"{n // 2} nodes give {prev}, {n} give {val}"
+            )
+        prev, n = val, 2 * n
 
 
 def cycle_value(
-    f: ModularFunction,
-    w_form: IntForm,
-    deltas: list[float],
+    f: ModularFunction, w_form: IntForm, deltas: list[float]
 ) -> tuple[list[tuple[float, complex]], complex]:
-    """CM-average estimates of the cycle integral along a delta ladder,
-    plus the adaptive-quadrature comparator."""
+    """CM-average estimates of the cycle integral along a delta ladder, plus
+    the quadrature comparator.  The arc is enumerated once, at the largest
+    delta, and f is evaluated once per CM point; a rung sums, in arc order,
+    the points of |D| <= delta."""
     if not is_normalized(*w_form.triple()):
         raise ValueError(f"{w_form} is not normalized")
     for delta in deltas:
@@ -262,9 +250,16 @@ def cycle_value(
     cg = closed_geodesic(w_form)
     D = w_form.discriminant()
     scale_base = 2 * math.pi**2 * math.sqrt(D) / (3 * math.gcd(D, 2))
+    param, ms, ns, _ = _arc_pairs(cg, max(deltas, default=0))
+    a, b, _ = _form_cols(param, ms, ns)
+    # |D| exactly (the derived form's value is the discriminant), and z in
+    # the float operations of CMPoint.z
+    absd = -_int_values(*param.derived, ms, ns, _absmax(ms, ns))
+    y = np.sqrt(absd.astype(float)) / (2 * a).astype(float)
+    vals = list(map(f, map(complex, np.asarray(-b / (2 * a), dtype=float).tolist(), y.tolist())))
+    pts = list(zip(vals, absd.tolist()))
     estimates = []
-    for delta in deltas:
-        pts = cm_on_fundamental_arc(cg, delta)
-        total = sum((f(r.point.z) for r in pts), 0 + 0j)
+    for delta in deltas:  # int <= float compares exactly
+        total = sum((v for v, d in pts if d <= delta), 0 + 0j)
         estimates.append((delta, scale_base / delta * total))
     return estimates, cycle_quadrature(cg, f)

@@ -32,6 +32,7 @@ from .linnik import (
     Frac,
     ProjInterval,
     QuadCase,
+    _absmax,
     _min_on_closure,
     _run_scan,
     _sort_along,
@@ -62,10 +63,6 @@ class GeodesicParam:
     def derivedD(self) -> int:
         A, B, C = self.derived
         return B * B - 4 * A * C
-
-    @property
-    def derived_form(self) -> RealForm:
-        return RealForm(*self.derived)
 
 
 def build_param(G: IntForm, mode: str) -> GeodesicParam:
@@ -300,10 +297,6 @@ def _ints(bound: int, *cols: np.ndarray) -> list[np.ndarray]:
 def _floor_ints(x: np.ndarray, dt: type) -> np.ndarray:
     """Integer column of the integral floats x, exact for either dtype."""
     return np.frompyfunc(int, 1, 1)(x).astype(dt)
-
-
-def _absmax(*cols: np.ndarray) -> int:
-    return max(int(np.abs(c).max(initial=0)) for c in cols)
 
 
 def _each(fn: Callable[..., float], *cols: np.ndarray) -> np.ndarray:

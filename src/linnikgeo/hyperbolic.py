@@ -29,10 +29,6 @@ class PointH:
         if not self.y > 0:
             raise ValueError(f"point must have y > 0, got y={self.y}")
 
-    @classmethod
-    def from_complex(cls, z: complex) -> "PointH":
-        return cls(z.real, z.imag)
-
     def as_complex(self) -> complex:
         return complex(self.x, self.y)
 

@@ -11,6 +11,7 @@ region, the antiderivative of 1/F, and whether I may wrap through infinity.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable, NamedTuple
@@ -144,6 +145,8 @@ class QuadCase:
     def of(cls, F: RealForm) -> "QuadCase":
         A, B, C = F.A, F.B, F.C
         D = F.discriminant()
+        if not abs(D) <= sys.float_info.max:
+            raise DomainError(f"the discriminant of {F} overflows: B^2 - 4AC = {D}")
         if A == 0:
             r = -C / B
             pos = ((r, INF),) if B > 0 else ((-INF, r),)
@@ -288,8 +291,12 @@ def form_values(F: RealForm, ms: np.ndarray, ns: np.ndarray) -> np.ndarray:
     if not F.is_integral():
         m, n = ms.astype(float), ns.astype(float)
         return F.A * m * m + F.B * m * n + F.C * n * n
-    big = max(int(np.abs(ms).max()), int(ns.max())) if len(ms) else 0
-    return _int_values(int(F.A), int(F.B), int(F.C), ms, ns, big)
+    return _scan_values(F, True, ms, ns)
+
+
+def _absmax(*cols: np.ndarray) -> int:
+    """The largest |entry| of the integer columns, 0 when they are empty."""
+    return max(int(np.abs(c).max(initial=0)) for c in cols)
 
 
 def _int_values(A: int, B: int, C: int, ms: np.ndarray, ns: np.ndarray, big: int) -> np.ndarray:
@@ -298,6 +305,31 @@ def _int_values(A: int, B: int, C: int, ms: np.ndarray, ns: np.ndarray, big: int
         return A * ms * ms + B * ms * ns + C * (ns * ns)
     vals = [A * m * m + B * m * k + C * k * k for m, k in zip(ms.tolist(), ns.tolist())]
     return np.array(vals, dtype=object)
+
+
+def _scan_values(F: RealForm, integral: bool, ms: np.ndarray, ns: np.ndarray) -> np.ndarray:
+    """The values F(m, n) the scan tests: exact for integral F, else in
+    float operations of the scan's own order."""
+    if integral:
+        return _int_values(int(F.A), int(F.B), int(F.C), ms, ns, _absmax(ms, ns))
+    mm, nn = (ms * ms).astype(float), (ns * ns).astype(float)
+    return F.A * mm + F.B * ms.astype(float) * ns.astype(float) + F.C * nn
+
+
+def _at_most(vals: np.ndarray, delta: float) -> np.ndarray:
+    """vals <= delta.  int64 values are compared with floor(delta) as an
+    int: against a float delta, numpy would round them above 2^53."""
+    return vals <= (min(math.floor(delta), 2**62) if vals.dtype == np.int64 else delta)
+
+
+def ladder_counts(F: RealForm, deltas: list[float], I: ProjInterval) -> list[int]:
+    """len(W_delta) on I for each delta, from one enumeration at the largest:
+    a rung counts the pairs whose value the scan's test puts at most delta."""
+    if not all(map(math.isfinite, deltas)):
+        raise DomainError(f"deltas must be finite, got {deltas}")
+    ms, ns, _, _ = _enumerate_with_ties(F, max(deltas), I)
+    vals = _scan_values(F, F.is_integral(), ms, ns)
+    return [int(_at_most(vals, delta).sum()) for delta in deltas]
 
 
 def _run_scan(
@@ -317,7 +349,6 @@ def _run_scan(
     _CHUNK so that temporaries stay small.
     """
     F = case.F
-    A, B, C = (int(F.A), int(F.B), int(F.C)) if integral else (F.A, F.B, F.C)
     ipieces = I.pieces()
     out_m, out_n = [_NO_INTS], [_NO_INTS]
     ties = 0
@@ -339,14 +370,9 @@ def _run_scan(
             pos = np.arange(c0, min(c0 + _CHUNK, total), dtype=np.int64)
             s = np.searchsorted(ends, pos, side="right")
             ms, ns = shift[s] + pos, span_n[s]
-            if integral:
-                big = max(int(np.abs(ms).max()), int(ns[-1]))
-                vals = _int_values(A, B, C, ms, ns, big)
-                ok = (vals > 0) & (vals <= delta)
-            else:
-                mm, nn = (ms * ms).astype(float), (ns * ns).astype(float)
-                vals = A * mm + B * ms.astype(float) * ns.astype(float) + C * nn
-                ok = (vals > 0) & (vals <= delta)
+            vals = _scan_values(F, integral, ms, ns)
+            ok = (vals > 0) & _at_most(vals, delta)
+            if not integral:
                 ties += int((np.abs(vals - delta) < TIE_REL * delta).sum())
             ok &= np.gcd(ms, ns) == 1
             # the comparisons of I.contains(m / n), exact for |m|, n < 2^53
@@ -446,6 +472,16 @@ def brute_force_W(F: RealForm, delta: float, I: ProjInterval) -> list[Frac]:
 # equidistribution statistics
 
 
+def count_residual(empirical: int, delta: float, mu: float) -> tuple[float, float, float]:
+    """(predicted, residual, normalized residual) of a count of W_delta on an
+    interval of mu-mass mu: predicted = (3 delta / pi^2) mu, and the residual
+    is normalized by sqrt(delta) log^2 delta (nan at delta = 1)."""
+    predicted = 3.0 * delta / math.pi**2 * mu
+    residual = empirical - predicted
+    scale = math.sqrt(delta) * math.log(delta) ** 2
+    return predicted, residual, residual / scale if scale else math.nan
+
+
 def _heights(case: QuadCase, I: ProjInterval, t: np.ndarray) -> tuple[np.ndarray, float, float]:
     """The monotone coordinate h along I (dh = d_mu, continued through the
     infinity seam of a wrapping I) at each t, and its range (h0, h1).
@@ -484,9 +520,8 @@ def equid_report(
     case = QuadCase.of(F)
     ms, ns, t, ties = _enumerate_with_ties(F, delta, I, case)
     mu_tot = _mu(case, I)
-    predicted = 3.0 * delta / math.pi**2 * mu_tot
     empirical = len(t)
-    residual = empirical - predicted
+    predicted, residual, normalized = count_residual(empirical, delta, mu_tot)
     h, h0, h1 = _heights(case, I, t)
     # astype truncates toward zero, as int() does
     j = ((h - h0) / ((h1 - h0) / buckets)).astype(np.int64)
@@ -496,12 +531,11 @@ def equid_report(
         dev = max(counts) / min(counts) - 1.0
     else:
         dev = math.inf if empirical else 0.0
-    scale = math.sqrt(delta) * math.log(delta) ** 2
     return EnumReport(
         empirical=empirical,
         predicted=predicted,
         residual=residual,
-        normalized_residual=residual / scale if scale else math.nan,
+        normalized_residual=normalized,
         histogram=[(c, mass) for c in counts],
         max_ratio_dev=dev,
         boundary_ties=ties,

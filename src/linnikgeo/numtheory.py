@@ -153,10 +153,8 @@ _gamma0_fit: dict[int, float] = {}
 def gamma0_fitted(T: int = 10**6) -> float:
     """Empirical constant: exact sum of phi(n)/n^2 minus (6/pi^2) log T."""
     if T not in _gamma0_fit:
-        phi = _phi_upto(T)
-        n = np.arange(1, T + 1, dtype=np.float64)
-        exact = float((phi[1 : T + 1] / (n * n)).sum())
-        _gamma0_fit[T] = exact - 6.0 / math.pi**2 * math.log(T)
+        exact, main = sum_phi_over_n2(T, gamma0=0.0)
+        _gamma0_fit[T] = exact - main
     return _gamma0_fit[T]
 
 
@@ -325,7 +323,6 @@ def pell_fundamental(D: int) -> PellSolution:
         Q = (D - P * P) // Q
 
 
-_T = ((1, 1), (0, 1))
 _S = ((0, -1), (1, 0))
 
 
@@ -333,11 +330,6 @@ def _matmul(m1, m2):
     (a, b), (c, d) = m1
     (e, f), (g, h) = m2
     return ((a * e + b * g, a * f + b * h), (c * e + d * g, c * f + d * h))
-
-
-def _apply(m, z: complex) -> complex:
-    (a, b), (c, d) = m
-    return (a * z + b) / (c * z + d)
 
 
 def sl2z_reduce(z: PointH | complex) -> tuple[PointH, tuple[tuple[int, int], tuple[int, int]]]:

@@ -311,3 +311,67 @@ def test_importing_the_cli_leaves_scipy_unloaded():
     res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)), check=True)
     assert res.stdout.strip() == "False"
+
+
+def _verify_argv(A, B, C, case, lo, hi, ladder):
+    return ["verify", "-A", A, "-B", B, "-C", C, "--case", case, "--lo", lo, "--hi", hi,
+            "--delta-ladder", ladder]
+
+
+@pytest.mark.parametrize("form", [("1", "0", "1", "definite", "-1", "1"),
+                                  ("0.5", "0.25", "-1.5", "indefinite", "2", "3")])
+def test_verify_ladder_enumerates_once(capsys, monkeypatch, form):
+    """A three-rung verify enumerates once and prints the lines of three
+    one-rung runs (an integral and a dyadic form)."""
+    ladder = ["3000", "20000", "7000.5"]
+    singles = []
+    for d in ladder:
+        assert main(_verify_argv(*form, d)) == 0
+        singles.append(capsys.readouterr().out.splitlines())
+    calls = []
+    real = linnik._enumerate_with_ties
+    monkeypatch.setattr(linnik, "_enumerate_with_ties", lambda *a: calls.append(a) or real(*a))
+    assert main(_verify_argv(*form, ",".join(ladder))) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(calls) == 1 and calls[0][1] == 20000.0
+    assert lines[:-1] == [s[0] for s in singles]
+    assert all(lines[-1] == s[-1] for s in singles)
+
+
+def test_verify_has_no_buckets_option(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(_verify_argv("1", "0", "1", "definite", "-1", "1", "1e3") + ["--buckets", "8"])
+    assert exc.value.code == 2
+
+
+def test_verify_non_finite_rung_is_bad_input():
+    for ladder in ("nan,100", "100,nan", "100,inf"):
+        assert main(_verify_argv("1", "0", "1", "definite", "-1", "1", ladder)) == 2
+
+
+def _python(code, timeout=60):
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)),
+                          timeout=timeout)
+
+
+def test_overflowing_discriminant_exits_promptly():
+    """B^2 - 4AC overflows: bad input at once, naming the form, with no
+    numpy warning and no scan (the last delta would scan n up to 10^50)."""
+    base = ["wset", "-A", "1e200", "-B", "0", "--lo", "-1", "--hi", "1"]
+    code = (f"from linnikgeo.cli import main\nbase = {base!r}\n"
+            "print(main(base + ['-C', '1e200', '--delta', '1e203']),"
+            " main(base[:-4] + ['-C=-1e200', '--delta', '1e203', '--lo', '2', '--hi', '3']),"
+            " main(base + ['-C', '1e200', '--delta', '1e300']))")
+    res = _python(code, timeout=30)
+    assert res.stdout.split() == ["2", "2", "2"]
+    assert "Warning" not in res.stderr
+    assert res.stderr.count("discriminant of RealForm") == 3
+
+
+def test_cycle_runs_without_scipy():
+    code = ("import sys\nfrom linnikgeo.cli import main\n"
+            "rc = main(['cycle', '-A', '1', '-B', '1', '-C', '-1', '--f', 'j',"
+            " '--delta-ladder', '1e4'])\nprint(rc, 'scipy' in sys.modules)")
+    res = _python(code)
+    assert res.stdout.splitlines()[-1] == "0 False"

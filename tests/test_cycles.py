@@ -7,6 +7,7 @@ import pytest
 from linnikgeo.cycles import (
     CONSTANT_ONE,
     J_FUNCTION,
+    ModularFunction,
     apply_mobius,
     closed_geodesic,
     cm_count_closed,
@@ -193,3 +194,105 @@ def test_cycle_value_converges():
 def test_cycle_value_j():
     estimates, quadrature = cycle_value(J_FUNCTION, IntForm(1, 1, -1), [10**5])
     assert abs(estimates[0][1] - quadrature) < 0.05 * abs(quadrature)
+
+
+def test_j_tables():
+    from linnikgeo.cycles import _SIGMA3, _TAU
+
+    assert list(_SIGMA3) == [sum(d**3 for d in range(1, n + 1) if n % d == 0) for n in range(1, 13)]
+    # Delta = q prod (1 - q^n)^24, as integer polynomial coefficients
+    prod = [1] + [0] * 12
+    for n in range(1, 13):
+        for _ in range(24):
+            prod = [prod[k] - (prod[k - n] if k >= n else 0) for k in range(13)]
+    assert list(_TAU) == prod[:12]
+
+
+def test_j_matches_mpmath():
+    mpmath = pytest.importorskip("mpmath")
+    rng = random.Random(23)
+    zs = [complex(rng.uniform(-0.5, 0.5), 0.87 + 4.13 * k / 39) for k in range(40)]
+    # the bottom arc |z| = 1 from rho to rho + 1, where |q| is largest
+    arc = [cmath.exp(1j * math.pi * (1 / 3 + k / 30)) for k in range(11)]
+    zs = [z for z in zs if abs(z) >= 1] + arc + [0.3 + 3.9j, 0.3 + 5j]
+    assert len(zs) >= 30
+    for z in zs:
+        ref = complex(1728 * mpmath.kleinj(mpmath.mpc(z)))
+        assert abs(j_invariant(z) - ref) <= 1e-13 * max(abs(ref), 1728), z
+
+
+def _principal(D):
+    return IntForm(1, 1, -(D - 1) // 4) if D % 4 == 1 else IntForm(1, 0, -D // 4)
+
+
+def test_cycle_quadrature_matches_scipy_quad():
+    quad = pytest.importorskip("scipy.integrate").quad
+    for D in (5, 8, 12, 13, 17):
+        cg = closed_geodesic(_principal(D))
+        sc, L = cg.semicircle, cg.length
+        th0, th1 = fundamental_arc(cg)
+        lo = -L if th1 < th0 else 0.0
+        g = lambda u: j_invariant(complex(sc.q - sc.r * math.tanh(u), sc.r / math.cosh(u)))
+        ref = complex(*(quad(lambda u: part(g(u)), lo, lo + L, limit=200, epsabs=1e-8, epsrel=1e-12)[0]
+                        for part in (lambda w: w.real, lambda w: w.imag)))
+        got = cycle_quadrature(cg, J_FUNCTION)
+        assert abs(got - ref) <= 1e-9 * abs(ref), (D, got, ref)
+
+
+def test_cycle_quadrature_long_arcs():
+    """References: mpmath.quad at 25 digits over 200 equal pieces of the arc
+    u in [-2 log eps_D, 0], with 1728 kleinj of the reduced point (both are
+    real).  Float noise in the points near the cusp leaves an imaginary part
+    of about 1e-8 (D = 37) and 5e-4 (D = 61) relative."""
+    import warnings
+
+    for D, ref, rel in ((37, 7125.1889006037, 1e-8), (61, 10491.940149422, 1e-3)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = cycle_quadrature(closed_geodesic(_principal(D)), J_FUNCTION)
+        assert abs(got.real - ref) <= rel * ref, (D, got)
+        assert abs(got - ref) <= 1e-3 * ref, (D, got)
+
+
+def test_cycle_quadrature_refusals():
+    import time
+
+    from linnikgeo.errors import NumericalInstability
+
+    t = time.perf_counter()
+    with pytest.raises(NumericalInstability, match="float grid"):
+        cycle_quadrature(closed_geodesic(_principal(73)), J_FUNCTION)
+    assert time.perf_counter() - t < 1.0
+    # an integrand that never settles: both last values are in the message
+    rng = random.Random(2)
+    noise = ModularFunction("noise", lambda z: complex(rng.random()))
+    with pytest.raises(NumericalInstability, match=r"512 nodes give .*, 1024 give"):
+        cycle_quadrature(closed_geodesic(IntForm(1, 1, -1)), noise)
+
+
+def test_cycle_value_enumerates_once(monkeypatch):
+    """One arc scan at the largest delta, no records; each rung equals the
+    one-rung call and the sum over cm_on_fundamental_arc's records."""
+    from linnikgeo import cycles, geodesic_enum
+
+    cg = closed_geodesic(IntForm(1, 1, -1))
+    ladder = [3000.0, 12000.5, 20000.0]
+    for f in (CONSTANT_ONE, J_FUNCTION):
+        scale = 2 * math.pi**2 * math.sqrt(5) / 3
+        by_records = [scale / d * sum((f(r.point.z) for r in cm_on_fundamental_arc(cg, d)), 0j)
+                      for d in ladder]
+        singles = [cycle_value(f, IntForm(1, 1, -1), [d])[0][0] for d in ladder]
+        calls = []
+        real_arc_pairs = cycles._arc_pairs
+        with monkeypatch.context() as mp:
+            mp.setattr(cycles, "_arc_pairs", lambda *a: calls.append(a) or real_arc_pairs(*a))
+
+            def refuse(*args):
+                raise AssertionError("a CMOnGeodesic was built")
+
+            mp.setattr(geodesic_enum, "CMOnGeodesic", refuse)
+            mp.setattr(cycles, "CMOnGeodesic", refuse)
+            estimates, _ = cycle_value(f, IntForm(1, 1, -1), ladder)
+        assert len(calls) == 1 and calls[0][1] == max(ladder)
+        assert estimates == singles
+        assert [v for _, v in estimates] == by_records

@@ -408,3 +408,32 @@ def test_overlapping_pieces_counted_once():
         got = enumerate_W(F, delta, I)
         assert len(set(got)) == len(got)
         assert got == brute_force_W(F, delta, I)
+
+
+def test_int64_values_compared_with_delta_exactly():
+    # F(2, 3) = 13 (2^50 + 1) = 13 * 2^50 + 13 rounds to the float delta
+    F, I = RealForm(2**50 + 1, 0, 2**50 + 1), ProjInterval(0, 1)
+    for delta in (13 * 2**50 + 12, float(13 * 2**50 + 12)):
+        got = [(f.m, f.n) for f in enumerate_W(F, delta, I)]
+        assert got == [(0, 1), (1, 3), (1, 2), (1, 1)]
+
+
+def test_overflowing_discriminant_is_a_domain_error():
+    for A, B, C in ((1e200, 0, 1e200), (1e200, 0, -1e200), (1e200, 1e200, 1e200)):
+        F = RealForm(A, B, C)
+        with pytest.raises(DomainError, match="discriminant of RealForm"):
+            linnik.QuadCase.of(F)
+        with pytest.raises(DomainError):
+            enumerate_W(F, 1e203, ProjInterval(-1, 1))
+
+
+def test_ladder_counts_match_one_enumeration_per_delta():
+    cases = [(RealForm(1, 0, 1), ProjInterval(-1, 1)), (RealForm(0.5, 0.25, -1.5), ProjInterval(2, 3)),
+             (RealForm(0.1, 0, 0.3), ProjInterval(-2, 2)), (RealForm(1, 0, -2), ProjInterval(2, -2, True))]
+    for F, I in cases:
+        ladder = [700, 60.5, 3000, 2999.5]
+        assert linnik.ladder_counts(F, ladder, I) == [len(enumerate_W(F, d, I)) for d in ladder]
+    # the scan's float order puts F(-205, 174) at this delta; A m m + B m n + C n n
+    # (form_values) puts it one ulp above
+    F, I, ladder = RealForm(0.1, 0.3, 0.7), ProjInterval(-2, 2), [14694.699999999997, 20000]
+    assert linnik.ladder_counts(F, ladder, I) == [len(enumerate_W(F, d, I)) for d in ladder]

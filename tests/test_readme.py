@@ -1,0 +1,11 @@
+import pathlib
+import re
+
+README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_python_blocks_run():
+    blocks = re.findall(r"^```python\n(.*?)^```", README.read_text(encoding="utf-8"), re.S | re.M)
+    assert len(blocks) >= 3
+    for block in blocks:
+        exec(compile(block, str(README), "exec"), {})
