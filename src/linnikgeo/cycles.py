@@ -17,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError, ImprimitiveForm, NumericalInstability, PointNotOnGeodesic
+from .errors import DomainError, ImprimitiveForm, NumericalInstability
 from .forms import IntForm, Semicircle, geodesic_of_form, is_normalized
 from .geodesic_enum import (
     CM_ON_G,
@@ -29,7 +29,7 @@ from .geodesic_enum import (
     _records,
     build_param,
 )
-from .linnik import _absmax, _int_values
+from .linnik import ProjInterval, _absmax, _int_values
 from .hyperbolic import PointH
 from .numtheory import PellSolution, pell_fundamental, sl2z_reduce
 
@@ -71,51 +71,33 @@ def apply_mobius(gamma, z: complex) -> complex:
     return (a * z + b) / (c * z + d)
 
 
-def _arg_on(sc: Semicircle, z: complex, tol: float = 1e-9) -> float:
-    if abs(abs(z - sc.q) - sc.r) > tol * max(1.0, sc.r):
-        raise PointNotOnGeodesic(f"{z} is not on {sc}")
-    return math.atan2(z.imag, z.real - sc.q)
-
-
-def topmost(cg: ClosedGeodesic) -> PointH:
-    sc = cg.semicircle
-    return PointH(sc.q, sc.r)
-
-
 def fundamental_arc(cg: ClosedGeodesic) -> tuple[float, float]:
-    """Angle interval (arg at the top, arg at its gamma-image), along the flow.
+    """Angles theta0 < theta1 of the fundamental arc: the arc of length
+    cg.length centred on the top of the semicircle.
 
-    The hyperbolic length of the returned arc equals cg.length; traversing
-    it once covers the closed geodesic exactly once.
+    Its ends have cos theta = -+u0 sqrt(D) / t0 and sin theta = 2 / t0, and
+    gamma maps one to the other, so traversing the arc once covers the
+    closed geodesic exactly once.  The end at theta1 (the smaller real part)
+    belongs to the arc, the end at theta0 does not.
     """
-    sc, z0 = cg.semicircle, topmost(cg).as_complex()
-    return _arg_on(sc, z0), _arg_on(sc, apply_mobius(cg.gamma, z0))
-
-
-def _arc_length(theta0: float, theta1: float) -> float:
-    """Hyperbolic length of the semicircle arc between two angles."""
-    u = lambda t: math.log(math.tan(t / 2))
-    return abs(u(theta1) - u(theta0))
-
-
-# relative padding of the scan window around the fundamental arc's angles
-_ARC_PAD = 1e-9
+    w = cg.pell.u0 * math.sqrt(cg.pell.D)
+    return math.atan2(2, w), math.atan2(2, -w)
 
 
 def _arc_ends(cg: ClosedGeodesic, param: GeodesicParam) -> tuple[Fraction, Fraction]:
-    """t = m/n of the arc's start (the topmost point) and of its gamma-image.
+    """t = m/n of the fundamental arc's ends, the one of smaller real part
+    first.
 
-    Both are rational: along the geodesic the incident CM point of t has
-    real part x = -(P b0 + t R/S) / (2S), and the gamma-image of the top
-    point q + i r has a rational real part since r^2 is rational.
+    The ends lie at distance L/2 from the top q + i r, at x = q -+ r tanh(L/2),
+    and tanh(L/2) = u0 sqrt(D) / t0 makes them rational (a > 0, since the
+    form is normalized).  Along the geodesic
+    the incident CM point of t has real part x = -(P b0 + t R/S) / (2S).
     """
-    a, b, c = cg.form.triple()
-    (al, be), (ga, de) = cg.gamma
-    q, r2 = Fraction(-b, 2 * a), Fraction(b * b - 4 * a * c, 4 * a * a)
-    x_end = ((al * q + be) * (ga * q + de) + al * ga * r2) / ((ga * q + de) ** 2 + ga * ga * r2)
+    a, b, _ = cg.form.triple()
+    q, h = Fraction(-b, 2 * a), Fraction(cg.pell.D * cg.pell.u0, 2 * a * cg.pell.t0)
     P, _, R = param.pqr
     S, b0 = param.S, param.bezout[0]
-    return tuple(-(2 * S * x + P * b0) * S / R for x in (q, x_end))
+    return tuple(-(2 * S * x + P * b0) * S / R for x in (q - h, q + h))
 
 
 def _arc_pairs(
@@ -124,20 +106,19 @@ def _arc_pairs(
     """Columns (ms, ns, ts) of the CM points of |D| <= delta on the
     fundamental arc, sorted along the geodesic.
 
-    The scan window pads the arc's angles a little, staying inside (0, pi);
-    then a pair is kept when m/n equals the start t0 or lies strictly
-    between t0 and the end t1, both compared exactly.
+    The scan covers the t-window between the ends rounded to floats; correct
+    rounding is monotone, so no pair between the ends is lost.  A pair is
+    then kept when m/n equals the included end e0 or lies strictly between
+    e0 and the other end e1, both compared exactly.
     """
     param = build_param(cg.form, CM_ON_G)
-    th0, th1 = fundamental_arc(cg)
-    lo, hi = min(th0, th1), max(th0, th1)
-    window = (lo * (1 - _ARC_PAD), hi + (math.pi - hi) * _ARC_PAD)
-    ms, ns, ts = _enum_pairs(param, delta, window)
-    t0, t1 = _arc_ends(cg, param)
-    k = max(abs(t.numerator) + t.denominator for t in (t0, t1))
+    e0, e1 = _arc_ends(cg, param)
+    lo, hi = sorted((e0, e1))
+    ms, ns, ts = _enum_pairs(param, delta, ProjInterval(float(lo), float(hi)))
+    k = max(abs(e.numerator) + e.denominator for e in (e0, e1))
     m, n = _ints(k * _absmax(ms, ns), ms, ns)
-    # the sign of m/n - t, by cross-multiplication (n > 0)
-    s0, s1 = (m * t.denominator - n * t.numerator for t in (t0, t1))
+    # the sign of m/n - e, by cross-multiplication (n > 0)
+    s0, s1 = (m * e.denominator - n * e.numerator for e in (e0, e1))
     keep = (s0 == 0) | ((s0 < 0) & (s1 > 0)) | ((s0 > 0) & (s1 < 0))
     return param, ms[keep], ns[keep], ts[keep]
 
@@ -145,8 +126,8 @@ def _arc_pairs(
 def cm_on_fundamental_arc(cg: ClosedGeodesic, delta: float) -> list[CMOnGeodesic]:
     """CM points of |D| <= delta on the fundamental arc, seam counted once.
 
-    The arc is half-open: the start (the topmost point) is included, its
-    image under gamma is not.
+    The arc is half-open: of its two ends, which gamma maps to one another,
+    the one of smaller real part is included and the other is not.
     """
     if delta < 1:
         return []
@@ -204,24 +185,22 @@ def cycle_quadrature(cg: ClosedGeodesic, f: ModularFunction) -> complex:
     """Direct cycle integral of f over the closed geodesic, by Gauss-Legendre
     rules of doubling order until two agree.
 
-    In u = log tan(theta/2), the hyperbolic arc length, the point is
-    q - r tanh(u) + i r / cosh(u), and gamma moves the top (u = 0) by exactly
-    cg.length.  Refuses (NumericalInstability) an arc that dips below the
-    float grid of its semicircle, where points are noise, and rules that
-    never agree.
+    In u = log tan(theta/2), the hyperbolic arc length from the top, the
+    point is q - r tanh(u) + i r / cosh(u), and the fundamental arc is
+    u in [-L/2, L/2] with L = cg.length.  Refuses (NumericalInstability) an
+    arc that dips below the float grid of its semicircle, where points are
+    noise, and rules that never agree.
     """
     sc, L = cg.semicircle, cg.length
-    y_min, grid = sc.r / math.cosh(L), math.ulp(abs(sc.q) + sc.r)
+    y_min, grid = sc.r / math.cosh(L / 2), math.ulp(abs(sc.q) + sc.r)
     if grid > _QUAD_TOL * y_min:
         raise NumericalInstability(
             f"the arc of {cg.form} reaches y = {y_min:.3g}, below the float grid {grid:.3g}"
         )
-    th0, th1 = fundamental_arc(cg)
-    mid = -L / 2 if th1 < th0 else L / 2
     prev, fmax, n = None, 0.0, _GL_FIRST
     while True:
         x, w = np.polynomial.legendre.leggauss(n)
-        u = mid + L / 2 * x
+        u = L / 2 * x
         z = map(complex, (sc.q - sc.r * np.tanh(u)).tolist(), (sc.r / np.cosh(u)).tolist())
         vals = np.array(list(map(f, z)), dtype=complex)
         val, fmax = complex(L / 2 * (w @ vals)), max(fmax, float(np.abs(vals).max()))

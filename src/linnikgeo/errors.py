@@ -33,10 +33,6 @@ class NotPerpendicularPair(LinnikError, ValueError):
     """perp_foot called on a pair failing the perpendicularity predicate."""
 
 
-class PointNotOnGeodesic(LinnikError, ValueError):
-    """A base point claimed to lie on a geodesic does not."""
-
-
 # -- number theory ------------------------------------------------------------
 
 class LimitTooLarge(LinnikError, ValueError):

@@ -146,8 +146,11 @@ def t_of_coord(param: GeodesicParam, coord: float) -> float:
     return (-B + math.sqrt(-D) / math.tan(coord)) / (2 * A)
 
 
-def _arc_interval(param: GeodesicParam, arc: tuple[float, float]) -> ProjInterval:
-    """Translate a coordinate window into a t-interval for the scan."""
+def _arc_interval(param: GeodesicParam, arc: tuple[float, float] | None) -> ProjInterval | None:
+    """Translate a coordinate window into a t-interval for the scan (None
+    for no window).  Its closure must stay off the base's endpoints."""
+    if arc is None:
+        return None
     c1, c2 = arc
     if not c1 < c2:
         raise DomainError(f"arc needs c1 < c2, got {arc}")
@@ -156,14 +159,17 @@ def _arc_interval(param: GeodesicParam, arc: tuple[float, float]) -> ProjInterva
             raise DomainError("half-line arc needs y > 0")
     elif not (0 < c1 and c2 < math.pi):
         raise DomainError("semicircle arc needs 0 < theta1 < theta2 < pi")
+    wraps = False
     if param.mode == RM_PERP_G and not param.half_line:
         # theta = pi/2 is the point at infinity of the t-line
         if c1 == math.pi / 2 or c2 == math.pi / 2:
             raise DomainError("arc endpoint at theta = pi/2 maps to infinity")
-        if c1 < math.pi / 2 < c2:
-            return ProjInterval(t_of_coord(param, c2), t_of_coord(param, c1), True)
+        wraps = c1 < math.pi / 2 < c2
     t1, t2 = t_of_coord(param, c1), t_of_coord(param, c2)
-    return ProjInterval(min(t1, t2), max(t1, t2))
+    I = ProjInterval(t2, t1, True) if wraps else ProjInterval(min(t1, t2), max(t1, t2))
+    if _min_on_closure(_scan_form(param), I) <= 0:
+        raise IntervalTouchesRoot(f"arc {arc} reaches the base endpoints")
+    return I
 
 
 # ---------------------------------------------------------------------------
@@ -250,19 +256,19 @@ _NO_PAIRS = (np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), np.zeros(
 def _enum_pairs(
     param: GeodesicParam,
     delta: float,
-    arc: tuple[float, float] | None,
+    I: ProjInterval | None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Columns (ms, ns, t = ms / ns) of the incident pairs, sorted along t."""
+    """Columns (ms, ns, t = ms / ns) of the incident pairs with t in the
+    window I (all of them when I is None), sorted along t."""
     if not math.isfinite(delta):
         raise DomainError(f"delta must be finite, got {delta}")
     if delta < 1:
         return _NO_PAIRS
     F = _scan_form(param)
-    if arc is not None:
-        I = _arc_interval(param, arc)
+    if I is not None:
         minF = _min_on_closure(F, I)
         if minF <= 0:
-            raise IntervalTouchesRoot(f"arc {arc} reaches the base endpoints")
+            raise IntervalTouchesRoot(f"t-window {I} reaches the base endpoints")
         n_max = math.isqrt(math.floor(delta / minF))
     else:
         I = _full_interval(param)
@@ -413,7 +419,7 @@ def enum_cm_on_geodesic(
     requires rational endpoints (square derived discriminant) or a half-line.
     """
     param = build_param(G, CM_ON_G)
-    return _records(param, *_enum_pairs(param, delta, arc))
+    return _records(param, *_enum_pairs(param, delta, _arc_interval(param, arc)))
 
 
 def enum_rm_perp_geodesic(
@@ -424,7 +430,7 @@ def enum_rm_perp_geodesic(
     """RM curves of discriminant <= delta meeting the geodesic of G
     perpendicularly, with their intersection feet."""
     param = build_param(G, RM_PERP_G)
-    return _records(param, *_enum_pairs(param, delta, arc))
+    return _records(param, *_enum_pairs(param, delta, _arc_interval(param, arc)))
 
 
 def enum_rm_through_point(p: IntForm, delta: float) -> list[RMThroughPoint]:
@@ -453,6 +459,8 @@ def enum_cm_in_ball(
         raise ValueError("give exactly one of D, delta")
     if D is not None and D >= 0:
         raise WrongDiscriminantSign("need D < 0")
+    if delta is not None and not math.isfinite(delta):
+        raise DomainError(f"delta must be finite, got {delta}")
     be: BallE = ball(z0, s0)
     x0, y0 = be.center.x, be.center.y
     re = be.radius_euclid
@@ -530,6 +538,8 @@ def enum_cm_on_im1(delta: float, x_lo: float, x_hi: float) -> list[CMPoint]:
     These are exactly the points m/n + i from primitive forms
     (n^2, -2mn, n^2 + m^2), discriminant -4 n^4.
     """
+    if not math.isfinite(delta):
+        raise DomainError(f"delta must be finite, got {delta}")
     out = []
     a_max = math.isqrt(math.floor(delta)) // 2 + 1
     for a in range(1, a_max + 1):

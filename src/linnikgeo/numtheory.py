@@ -238,11 +238,7 @@ def ext_gcd(Q: int, R: int) -> tuple[int, int, int]:
         S, b = -S, -b
     step = abs(R // S)
     b %= step
-    cands = [b, b - step]
-    b0 = min(cands, key=lambda x: (abs(x), -x if x < 0 else 0))
-    if abs(b0) == abs(b0 - step if b0 >= 0 else b0 + step):
-        # tie on absolute value: pick the nonnegative one
-        b0 = abs(b0)
+    b0 = b if 2 * b <= step else b - step
     c0 = (S - b0 * Q) // R
     assert b0 * Q + c0 * R == S
     return S, b0, c0

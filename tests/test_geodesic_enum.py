@@ -6,12 +6,14 @@ import pytest
 
 from linnikgeo.errors import (
     DomainError,
+    IntervalTouchesRoot,
     NotPerpendicularPair,
     UnboundedDivergence,
     WrongDiscriminantSign,
 )
 from linnikgeo.forms import IntForm, cm_on_geodesic, normalize, rm_perp_geodesic
 from linnikgeo.geodesic_enum import (
+    _arc_interval,
     _ball_angles,
     _coord_col,
     _enum_pairs,
@@ -305,7 +307,7 @@ def test_column_builders_match_scalar_reference():
         (IntForm(2, 1, 3), RM_THROUGH_P, 2000, None),
     ]:
         param = build_param(G, mode)
-        ms, ns, ts = _enum_pairs(param, delta, arc)
+        ms, ns, ts = _enum_pairs(param, delta, _arc_interval(param, arc))
         assert len(ms) > 20
         _check_columns(param, ms, ns, ts)
     # coefficients near 2^41 overflow int64 in the form columns, which then
@@ -354,6 +356,16 @@ def test_non_finite_delta_rejected():
             enum_cm_on_geodesic(IntForm(1, 1, -1), delta, arc=(0.5, 2.0))
         with pytest.raises(DomainError):
             enum_rm_through_point(IntForm(1, 0, 1), delta)
+        with pytest.raises(DomainError):
+            enum_cm_in_ball(PointH(0.0, 1.0), 0.5, delta=delta)
+        with pytest.raises(DomainError):
+            enum_cm_on_im1(delta, -1, 1)
+
+
+def test_root_touching_arc_names_the_arc():
+    # cos(1e-10) rounds to 1, so the arc's t-end is a root of the scan form
+    with pytest.raises(IntervalTouchesRoot, match=r"arc \(1e-10, 1.0\)"):
+        enum_cm_on_geodesic(IntForm(1, 0, -1), 100, arc=(1e-10, 1.0))
 
 
 def test_enum_cm_on_im1():
