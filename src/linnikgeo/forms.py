@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from .errors import NotPositiveDiscriminant, WrongDiscriminantSign, ZeroForm
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IntForm:
     """Normalized integer triple: gcd 1, first nonzero entry positive."""
 
@@ -112,7 +112,7 @@ def discriminant(f: IntForm) -> int:
     return f.discriminant()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CMPoint:
     """Upper half-plane root of a negative-discriminant form with a >= 1."""
 
@@ -131,7 +131,7 @@ class CMPoint:
         return complex(-b / (2 * a), math.sqrt(-d) / (2 * a))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RMCurve:
     """Semicircle joining the two real roots of an indefinite form, a != 0."""
 

@@ -7,13 +7,18 @@ integer solutions of 2aC0 + 2cA0 = bB0, which are parametrized by coprime
 pairs (m, n) through a Bezout choice.  The derived real form (A, B, C) below
 turns each family into an aggregate-Linnik set in t = m/n, so the linnik
 engine does the heavy lifting.  Records are built from columns (forms,
-coordinates, feet and ball points as numpy arrays), in blocks of rows.
+coordinates, feet and ball points as numpy arrays), in blocks of rows, by
+one builder that checks the columns and then fills the slots of the value
+objects directly.
 """
 
 from __future__ import annotations
 
+import gc
 import math
+from collections import deque
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -36,6 +41,7 @@ from .linnik import (
     _min_on_closure,
     _run_scan,
     _sort_along,
+    _tuples,
 )
 from .numtheory import ext_gcd
 
@@ -359,31 +365,88 @@ def _foot_cols(
     G: IntForm, a: np.ndarray, b: np.ndarray, c: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Columns (x, y) of perp_foot(IntForm(a, b, c), G), with its checks and
-    its float operations."""
+    its arithmetic."""
     A0, B0, C0 = G.triple()
-    big = max(_absmax(a, b, c), abs(A0), abs(B0), abs(C0))
-    a, b, c = _ints(8 * big * big, a, b, c)
+    s = max(abs(A0), abs(B0), abs(C0))
+    # the numerator of y^2 is below 45 s^3 m^2, its denominator 16 s^4 m^2
+    a, b, c = _ints(64 * s**4 * _absmax(a, b, c) ** 2, a, b, c)
     off = np.flatnonzero(2 * a * C0 + 2 * c * A0 != b * B0)
     if len(off):
         rm = IntForm(*(int(v[off[0]]) for v in (a, b, c)))
         raise NotPerpendicularPair(f"{rm} is not perpendicular to {G}")
     if A0 == 0:
         x = np.full(len(a), -C0 / B0)
+        num, den = b * b - 4 * a * c, 4 * a * a
     else:
-        x = np.asarray((A0 * c - C0 * a) / (B0 * a - A0 * b), dtype=float)
-    q = np.asarray(-b / (2 * a), dtype=float)
-    r2 = np.asarray((b * b - 4 * a * c) / (4 * a * a), dtype=float)
-    y2 = r2 - _each(_sq, x - q)
-    if (y2 <= 0).any():
+        u = B0 * a - A0 * b
+        x = np.asarray((A0 * c - C0 * a) / u, dtype=float)
+        D0 = G.discriminant()
+        num, den = D0 * (u * u - a * a * D0), 4 * A0 * A0 * (u * u)
+    if (num <= 0).any():
         raise NotPerpendicularPair("curves do not intersect in the half-plane")
-    return x, np.sqrt(y2)
+    return x, np.sqrt(np.asarray(num / den, dtype=float))
 
 
-def _build(make: Callable, cols: list[np.ndarray]) -> list:
-    """make(*row) for every row of the columns, a block of rows at a time."""
-    out = []
-    for r0 in range(0, len(cols[0]), _ROWS):
-        out += map(make, *(col[r0 : r0 + _ROWS].tolist() for col in cols))
+def _objs(cls: type, *cols: list) -> list:
+    """cls objects whose slots, in order, hold the columns: made by
+    object.__new__ and the slot descriptors, with no __init__ and no
+    __post_init__ (_build checks the columns instead)."""
+    objs = list(map(object.__new__, repeat(cls, len(cols[0]))))
+    for name, col in zip(cls.__slots__, cols):
+        deque(map(getattr(cls, name).__set__, objs, col), 0)
+    return objs
+
+
+# the records (and bare points) whose value object is a CMPoint
+_CM = (CMPoint, CMOnGeodesic, CMInBall)
+
+
+def _block(record: type, a: list, b: list, c: list, *rest: list) -> list:
+    """The records of one block of rows: the CMPoint or RMCurve of the
+    forms (a, b, c), then the Frac (m, n, t) and the foot (x, y) where the
+    record has them, then its last float.  record = CMPoint: the points."""
+    fields = [_objs(CMPoint if record in _CM else RMCurve, _objs(IntForm, a, b, c))]
+    if record is CMPoint:
+        return fields[0]
+    if record is not CMInBall:
+        m, n, t, *rest = rest
+        fields.append(_tuples(Frac, m, n, t))
+    if record is RMPerpGeodesic:
+        x, y, *rest = rest
+        fields.append(_objs(PointH, x, y))
+    return _tuples(record, *fields, *rest)
+
+
+def _build(record: type, cols: list[np.ndarray]) -> list:
+    """The records of the columns [a, b, c, ...] (in _block's order), a
+    block of rows at a time.
+
+    The checks of CMPoint, RMCurve and PointH are made on the columns;
+    where a row fails one, the public constructors of that row raise their
+    own error.  The cyclic garbage collector is paused while the list
+    fills (records hold no reference cycles), and left as it was found.
+    """
+    cm = record in _CM
+    a, b, c = _ints(5 * _absmax(*cols[:3]) ** 2, *cols[:3])
+    d = b * b - 4 * a * c
+    bad = ((a < 1) | (d >= 0)) if cm else ((a == 0) | (d <= 0))
+    if record is RMPerpGeodesic:
+        bad |= ~(cols[7] > 0)
+    rows = np.flatnonzero(bad)
+    if len(rows):
+        # the first failing row's constructors raise their own error
+        i = rows[0]
+        (CMPoint if cm else RMCurve)(IntForm(*(int(col[i]) for col in cols[:3])))
+        PointH(float(cols[6][i]), float(cols[7][i]))
+    out: list = []
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for r0 in range(0, len(a), _ROWS):
+            out += _block(record, *(col[r0 : r0 + _ROWS].tolist() for col in cols))
+    finally:
+        if enabled:
+            gc.enable()
     return out
 
 
@@ -391,20 +454,10 @@ def _records(param: GeodesicParam, ms: np.ndarray, ns: np.ndarray, ts: np.ndarra
     """The records of the pairs (ms, ns, ts = ms / ns) in param's mode."""
     a, b, c = _form_cols(param, ms, ns)
     cols = [a, b, c, ms, ns, ts]
-    if param.mode == CM_ON_G:
-        make = lambda a, b, c, m, n, t, u: CMOnGeodesic(
-            CMPoint(IntForm(a, b, c)), Frac(m, n, t), u
-        )
-    elif param.mode == RM_PERP_G:
+    if param.mode == RM_PERP_G:
         cols += _foot_cols(param.base, a, b, c)
-        make = lambda a, b, c, m, n, t, x, y, u: RMPerpGeodesic(
-            RMCurve(IntForm(a, b, c)), Frac(m, n, t), PointH(x, y), u
-        )
-    else:
-        make = lambda a, b, c, m, n, t, u: RMThroughPoint(
-            RMCurve(IntForm(a, b, c)), Frac(m, n, t), u
-        )
-    return _build(make, cols + [_coord_col(param, ts)])
+    record = {CM_ON_G: CMOnGeodesic, RM_PERP_G: RMPerpGeodesic, RM_THROUGH_P: RMThroughPoint}[param.mode]
+    return _build(record, cols + [_coord_col(param, ts)])
 
 
 def enum_cm_on_geodesic(
@@ -483,13 +536,15 @@ def enum_cm_in_ball(
         else:
             # y = sqrt(4ac - b^2) / 2a must lie on the disk's vertical
             # chord at x = -b/2a, so c = (b^2 + (2ay)^2) / 4a is bounded
-            # by the chord's ends (padded by 1; membership decides)
+            # by the chord's ends (padded by 1; membership decides).  The
+            # part b^2 // 4a of c is kept in integers: as a float it loses
+            # more than the pad once b^2 passes 2^53
             bf = bs.astype(float)
             h = np.sqrt(np.maximum(re * re - (bf / (2 * a) + x0) ** 2, 0.0))
             b2 = bs * bs
-            b2f = b2.astype(float)
-            chord_lo = _floor_ints(np.floor((b2f + (2 * a * (y0 - h)) ** 2) / (4 * a)), dt) - 1
-            chord_hi = _floor_ints(np.ceil((b2f + (2 * a * (y0 + h)) ** 2) / (4 * a)), dt) + 1
+            q, r = b2 // (4 * a), (b2 % (4 * a)).astype(float)
+            chord_lo = q + _floor_ints(np.floor((r + (2 * a * (y0 - h)) ** 2) / (4 * a)), dt) - 1
+            chord_hi = q + _floor_ints(np.ceil((r + (2 * a * (y0 + h)) ** 2) / (4 * a)), dt) + 1
             # smallest c with D <= -1, largest with |D| <= d_max
             c_lo = np.maximum((b2 + 4 * a) // (4 * a), chord_lo)
             c_hi = np.minimum((b2 + d_max) // (4 * a), chord_hi)
@@ -512,8 +567,7 @@ def enum_cm_in_ball(
     order = np.lexsort((c, b, a))
     a, b, c = a[order], b[order], c[order]
     ang = _ball_angles(z0, zx[order], zy[order])
-    make = lambda a, b, c, u: CMInBall(CMPoint(IntForm(a, b, c)), u)
-    return _build(make, [a, b, c, ang])
+    return _build(CMInBall, [a, b, c, ang])
 
 
 def _ball_angles(p: PointH, zx: np.ndarray, zy: np.ndarray) -> np.ndarray:
@@ -536,26 +590,28 @@ def enum_cm_on_im1(delta: float, x_lo: float, x_hi: float) -> list[CMPoint]:
     """CM points on the horizontal line Im z = 1 with |D| <= delta, x in window.
 
     These are exactly the points m/n + i from primitive forms
-    (n^2, -2mn, n^2 + m^2), discriminant -4 n^4.
+    (n^2, -2mn, n^2 + m^2), discriminant -4 n^4.  The candidates (a, b) are
+    generated as columns; the points come stably sorted by Re z.
     """
     if not math.isfinite(delta):
         raise DomainError(f"delta must be finite, got {delta}")
-    out = []
-    a_max = math.isqrt(math.floor(delta)) // 2 + 1
-    for a in range(1, a_max + 1):
-        if 4 * a * a > delta:
-            continue
-        # y = 1 forces D = -4a^2, so c = (b^2 + 4a^2) / (4a)
-        b_lo, b_hi = math.ceil(-2 * a * x_hi), math.floor(-2 * a * x_lo)
-        for b in range(b_lo, b_hi + 1):
-            if (b * b + 4 * a * a) % (4 * a) != 0:
-                continue
-            c = (b * b + 4 * a * a) // (4 * a)
-            if math.gcd(math.gcd(a, abs(b)), abs(c)) != 1:
-                continue
-            out.append(CMPoint(IntForm(a, b, c)))
-    out.sort(key=lambda p: p.z.real)
-    return out
+    # y = 1 forces D = -4a^2, so 4a^2 <= delta and c = (b^2 + 4a^2) / (4a)
+    a_max = math.isqrt(math.floor(delta)) // 2
+    spans = [(a, math.ceil(-2 * a * x_hi), math.floor(-2 * a * x_lo)) for a in range(1, a_max + 1)]
+    b_abs = max((max(abs(lo), abs(hi)) for _, lo, hi in spans), default=0)
+    dt = _int_dtype(b_abs * b_abs + 4 * a_max * a_max)
+    cols: list[list[np.ndarray]] = [[np.zeros(0, dtype=dt)] for _ in range(3)]
+    for a, b_lo, b_hi in spans:
+        bs = np.arange(b_lo, b_hi + 1, dtype=dt)
+        bs = bs[(bs * bs) % (4 * a) == 0]  # 4a divides b^2 + 4a^2
+        cols[0].append(np.full(len(bs), a, dtype=dt))
+        cols[1].append(bs)
+        cols[2].append((bs * bs + 4 * a * a) // (4 * a))
+    a, b, c = (np.concatenate(col) for col in cols)
+    keep = np.gcd(np.gcd(a, b), c) == 1
+    a, b, c = a[keep], b[keep], c[keep]
+    order = np.argsort(np.asarray(-b / (2 * a), dtype=float), kind="stable")
+    return _build(CMPoint, [a[order], b[order], c[order]])
 
 
 # ---------------------------------------------------------------------------

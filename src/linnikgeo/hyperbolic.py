@@ -20,7 +20,7 @@ from .errors import (
 from .forms import Geodesic, HalfLine, IntForm, Semicircle, rm_perp_geodesic
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PointH:
     x: float
     y: float
@@ -107,8 +107,12 @@ def perp_foot(rm: IntForm, G: IntForm) -> PointH:
     """Perpendicular intersection point of an RM curve with a geodesic.
 
     Closed form: on a semicircle geodesic the foot has
-    Re(z) = (A0*c - C0*a) / (B0*a - A0*b); on a half-line geodesic
-    Re(z) = -C0/B0.  Im(z) comes from the RM circle equation.
+    Re(z) = (A0*c - C0*a) / u with u = B0*a - A0*b; on a half-line geodesic
+    Re(z) = -C0/B0.  Im(z)^2 is rational and is found exactly: by the
+    incidence relation 2*a*C0 + 2*c*A0 = b*B0 it is
+    D0 * (u^2 - a^2*D0) / (4*A0^2*u^2) on the base's circle, and the RM
+    curve's top D / (4*a^2) on a half-line base.  Im(z) is the square root
+    of the correctly rounded quotient.
     """
     if not rm_perp_geodesic(rm, G):
         raise NotPerpendicularPair(f"{rm} is not perpendicular to {G}")
@@ -116,11 +120,12 @@ def perp_foot(rm: IntForm, G: IntForm) -> PointH:
     A0, B0, C0 = G.triple()
     if A0 == 0:
         x = -C0 / B0
+        num, den = rm.discriminant(), 4 * a * a
     else:
-        x = (A0 * c - C0 * a) / (B0 * a - A0 * b)
-    q = -b / (2 * a)
-    r2 = (b * b - 4 * a * c) / (4 * a * a)
-    y2 = r2 - (x - q) ** 2
-    if y2 <= 0:
+        u = B0 * a - A0 * b
+        x = (A0 * c - C0 * a) / u
+        D0 = G.discriminant()
+        num, den = D0 * (u * u - a * a * D0), 4 * A0 * A0 * (u * u)
+    if num <= 0:
         raise NotPerpendicularPair("curves do not intersect in the half-plane")
-    return PointH(x, math.sqrt(y2))
+    return PointH(x, math.sqrt(num / den))

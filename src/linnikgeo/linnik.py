@@ -89,10 +89,15 @@ class Frac(NamedTuple):
         return cls(m, n, m / n)
 
 
+def _tuples(cls: type, *cols: list) -> list:
+    """cls (a NamedTuple) records of the columns, made by tuple's C-level
+    constructor rather than the namedtuple's Python-level __new__."""
+    return list(map(partial(tuple.__new__, cls), zip(*cols)))
+
+
 def _fracs(ms: np.ndarray, ns: np.ndarray, t: np.ndarray) -> list[Frac]:
-    """Frac records of the columns, made by tuple's C-level constructor
-    rather than the namedtuple's Python-level __new__."""
-    return list(map(partial(tuple.__new__, Frac), zip(ms.tolist(), ns.tolist(), t.tolist())))
+    """Frac records of the columns."""
+    return _tuples(Frac, ms.tolist(), ns.tolist(), t.tolist())
 
 
 @dataclass(eq=False)

@@ -1,5 +1,10 @@
+import dataclasses
+import gc
 import math
 import random
+import re
+import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,17 +16,24 @@ from linnikgeo.errors import (
     UnboundedDivergence,
     WrongDiscriminantSign,
 )
-from linnikgeo.forms import IntForm, cm_on_geodesic, normalize, rm_perp_geodesic
+from linnikgeo import geodesic_enum
+from linnikgeo.forms import CMPoint, IntForm, RMCurve, cm_on_geodesic, normalize, rm_perp_geodesic
 from linnikgeo.geodesic_enum import (
     _arc_interval,
     _ball_angles,
+    _build,
     _coord_col,
     _enum_pairs,
     _foot_cols,
     _form_cols,
+    _records,
     CM_ON_G,
     RM_PERP_G,
     RM_THROUGH_P,
+    CMInBall,
+    CMOnGeodesic,
+    RMPerpGeodesic,
+    RMThroughPoint,
     build_param,
     coord_of_t,
     enum_cm_in_ball,
@@ -34,6 +46,7 @@ from linnikgeo.geodesic_enum import (
     t_of_coord,
 )
 from linnikgeo.hyperbolic import PointH, ang_p, ball, perp_foot
+from linnikgeo.linnik import Frac
 
 
 def test_build_param_examples():
@@ -267,6 +280,8 @@ def test_enum_cm_in_ball_chord_matches_full_loop():
         (rho, 1.0, dict(delta=600)),
         (PointH(0, math.sqrt(2)), 0.7, dict(delta=600)),
         (PointH(0.1, 0.5), 1.2, dict(delta=300)),  # reaches down to y = 0.15
+        # b^2 beyond 2^53: the chord's float c-bounds lost points here
+        (PointH(2**26 + 0.25, 1.5), 0.9, dict(delta=400)),
         # single-D mode
         (PointH(0, 1), 1.0, dict(D=-40003)),
         (rho, 1.0, dict(D=-40003)),
@@ -274,6 +289,25 @@ def test_enum_cm_in_ball_chord_matches_full_loop():
     ]:
         got = [(r.point.form.triple(), r.angle) for r in enum_cm_in_ball(z0, s0, **kw)]
         assert got and got == _ball_full_c_loop(z0, s0, **kw)
+
+
+# the geodesic of (1, 1, -1) moved by z -> z - k, k = 2^20 + 3: its forms'
+# coefficients are near 2^41
+_K = 2**20 + 3
+SHIFTED = IntForm(1, 2 * _K + 1, _K * _K + _K - 1)
+
+
+def _random_pairs(rng, param, count, sign, center=0):
+    """count random coprime (m, n), n <= 2^10 and |m - center * n| <= 2^10,
+    with sign * F(m, n) > 0 for F the derived form, as int64 columns."""
+    A, B, C = param.derived
+    pairs = []
+    while len(pairs) < count:
+        n = rng.randint(1, 2**10)
+        m = math.floor(center * n) + rng.randint(-(2**10), 2**10)
+        if math.gcd(m, n) == 1 and sign * (A * m * m + B * m * n + C * n * n) > 0:
+            pairs.append((m, n))
+    return [np.array(col, dtype=np.int64) for col in zip(*pairs)]
 
 
 def _bits(xs):
@@ -311,23 +345,10 @@ def test_column_builders_match_scalar_reference():
         assert len(ms) > 20
         _check_columns(param, ms, ns, ts)
     # coefficients near 2^41 overflow int64 in the form columns, which then
-    # hold Python ints; pairs with F(m, n) > 0 are drawn at random
+    # hold Python ints
     rng = random.Random(5)
-    k = 2**20 + 3
-    G = IntForm(1, 2 * k + 1, k * k + k - 1)  # (1, 1, -1) moved by z -> z - k
-    param = build_param(G, RM_PERP_G)
-    A, B, C = param.derived
-    pairs = []
-    while len(pairs) < 200:
-        m, n = rng.randint(-(2**10), 2**10), rng.randint(1, 2**10)
-        if math.gcd(m, n) != 1 or A * m * m + B * m * n + C * n * n <= 0:
-            continue
-        try:  # at this size the foot's float y^2 can cancel to <= 0
-            perp_foot(mn_to_form(param, m, n), G)
-        except NotPerpendicularPair:
-            continue
-        pairs.append((m, n))
-    ms, ns = (np.array(col, dtype=np.int64) for col in zip(*pairs))
+    param = build_param(SHIFTED, RM_PERP_G)
+    ms, ns = _random_pairs(rng, param, 200, 1)
     assert _form_cols(param, ms, ns)[2].dtype == object
     _check_columns(param, ms, ns, ms / ns)
     # the ball's angle column against ang_p, with points straight below,
@@ -374,3 +395,193 @@ def test_enum_cm_on_im1():
         assert abs(p.z.imag - 1) < 1e-12
         n2 = p.form.a
         assert p.form.discriminant() == -4 * n2 * n2
+
+
+def test_perp_foot_exact_on_shifted_base():
+    # float r^2 - (x - q)^2 cancelled to <= 0 here for most of these pairs;
+    # y^2 is now exact: y is the square root of its correctly rounded value
+    param = build_param(SHIFTED, RM_PERP_G)
+    ms, ns = _random_pairs(random.Random(11), param, 1239, 1)
+    forms = [mn_to_form(param, m, n) for m, n in zip(ms.tolist(), ns.tolist())]
+    for f in forms:
+        foot = perp_foot(f, SHIFTED)  # raises nothing
+        a, b, c = f.triple()
+        x = Fraction(SHIFTED.a * c - SHIFTED.c * a, SHIFTED.b * a - SHIFTED.a * b)
+        y2 = Fraction(f.discriminant(), 4 * a * a) - (x + Fraction(b, 2 * a)) ** 2
+        assert foot.y == math.sqrt(y2)
+    _, y = _foot_cols(SHIFTED, *_form_cols(param, ms, ns))
+    assert _bits(y) == _bits([perp_foot(f, SHIFTED).y for f in forms])
+
+
+def _leaves(obj):
+    """The int and float fields of a record, through its value objects."""
+    if isinstance(obj, (int, float)):
+        return [obj]
+    fields = obj if isinstance(obj, tuple) else [getattr(obj, n) for n in obj.__slots__]
+    return [v for f in fields for v in _leaves(f)]
+
+
+def _assert_same_records(got, ref):
+    assert len(got) == len(ref) > 0
+    for g, r in zip(got, ref):
+        assert type(g) is type(r) and g == r and hash(g) == hash(r) and repr(g) == repr(r)
+        assert all(type(v) in (int, float) for v in _leaves(g))
+
+
+def test_builder_matches_public_constructors():
+    # every record kind on int64 columns and, on the shifted bases, on
+    # columns of Python ints, against the same records made by the public
+    # constructors
+    rng = random.Random(3)
+    k = 2**23 + 1
+    point = IntForm(1, 2 * k, k * k + 1)  # i - k
+    for G, mode, record, big in [
+        (IntForm(1, 1, -1), CM_ON_G, CMOnGeodesic, False),
+        (SHIFTED, CM_ON_G, CMOnGeodesic, True),
+        (IntForm(0, 1, -2), CM_ON_G, CMOnGeodesic, False),
+        (IntForm(2, 1, -3), RM_PERP_G, RMPerpGeodesic, False),
+        (SHIFTED, RM_PERP_G, RMPerpGeodesic, True),
+        (IntForm(0, 3, 1), RM_PERP_G, RMPerpGeodesic, False),
+        (IntForm(2, 1, 3), RM_THROUGH_P, RMThroughPoint, False),
+        (point, RM_THROUGH_P, RMThroughPoint, True),
+    ]:
+        param = build_param(G, mode)
+        A, B, _ = param.derived
+        # CM pairs lie between the roots of F, around t = -B / 2A
+        center = Fraction(-B, 2 * A) if mode == CM_ON_G and A else 0
+        ms, ns = _random_pairs(rng, param, 300, -1 if mode == CM_ON_G else 1, center)
+        assert (_form_cols(param, ms, ns)[0].dtype == object) == big
+        got = _records(param, ms, ns, ms / ns)
+        ref = []
+        for m, n in zip(ms.tolist(), ns.tolist()):
+            f, frac, u = mn_to_form(param, m, n), Frac.make(m, n), coord_of_t(param, m / n)
+            if record is CMOnGeodesic:
+                ref.append(CMOnGeodesic(CMPoint(f), frac, u))
+            elif record is RMPerpGeodesic:
+                ref.append(RMPerpGeodesic(RMCurve(f), frac, perp_foot(f, G), u))
+            else:
+                ref.append(RMThroughPoint(RMCurve(f), frac, u))
+        _assert_same_records(got, ref)
+    # balls: far out on the real line b^2 overflows int64
+    for z0, big in [(PointH(0.25, 1.5), False), (PointH(2**30 + 0.25, 1.5), True)]:
+        got = enum_cm_in_ball(z0, 0.9, delta=400)
+        ref = [CMInBall(CMPoint(IntForm(*abc)), u) for abc, u in _ball_full_c_loop(z0, 0.9, delta=400)]
+        _assert_same_records(got, ref)
+        assert all(type(r.point.form.b) is int for r in got)
+
+
+def test_builder_rejects_rows_as_the_constructors_do():
+    def cols(*rows, dtype=np.int64):
+        return [np.array(col, dtype=dtype if type(col[0]) is int else float) for col in zip(*rows)]
+
+    ok_cm, ok_rm = (1, 0, 1), (1, 0, -1)
+    frac, foot = (0, 1, 0.0), (0.0, 1.0)
+    for record, good, bad_row, ctor in [
+        (CMOnGeodesic, ok_cm + frac + (1.0,), (1, 3, 1) + frac + (1.0,), lambda: CMPoint(IntForm(1, 3, 1))),
+        (CMOnGeodesic, ok_cm + frac + (1.0,), (0, 0, -1) + frac + (1.0,), lambda: CMPoint(IntForm(0, 0, -1))),
+        (CMInBall, ok_cm + (1.0,), (2, 1, 0) + (1.0,), lambda: CMPoint(IntForm(2, 1, 0))),
+        (RMThroughPoint, ok_rm + frac + (1.0,), (1, 0, 1) + frac + (1.0,), lambda: RMCurve(IntForm(1, 0, 1))),
+        (RMThroughPoint, ok_rm + frac + (1.0,), (0, 1, 1) + frac + (1.0,), lambda: RMCurve(IntForm(0, 1, 1))),
+        (RMPerpGeodesic, ok_rm + frac + foot + (1.0,), ok_rm + frac + (0.0, 0.0, 1.0), lambda: PointH(0.0, 0.0)),
+        (RMPerpGeodesic, ok_rm + frac + foot + (1.0,), ok_rm + frac + (0.0, math.nan, 1.0), lambda: PointH(0.0, math.nan)),
+    ]:
+        with pytest.raises(Exception) as ref:
+            ctor()
+        for dtype in (np.int64, object):
+            assert len(_build(record, cols(good, good, dtype=dtype))) == 2
+            with pytest.raises(ref.type, match=re.escape(str(ref.value))):
+                _build(record, cols(good, bad_row, good, dtype=dtype))
+
+
+def test_build_restores_gc_state(monkeypatch):
+    param = build_param(IntForm(1, 0, 1), RM_THROUGH_P)
+    pairs = _enum_pairs(param, 2000, None)
+    monkeypatch.setattr(geodesic_enum, "_ROWS", 16)
+    seen = []
+    block = geodesic_enum._block
+
+    def spy(*args):
+        seen.append(gc.isenabled())
+        if fail and len(seen) == 3:
+            raise RuntimeError("part-way")
+        return block(*args)
+
+    monkeypatch.setattr(geodesic_enum, "_block", spy)
+    was = gc.isenabled()
+    try:
+        for enabled in (True, False):
+            for fail in (False, True):
+                (gc.enable if enabled else gc.disable)()
+                seen.clear()
+                if fail:
+                    with pytest.raises(RuntimeError, match="part-way"):
+                        _records(param, *pairs)
+                else:
+                    assert len(_records(param, *pairs)) > 3 * 16
+                assert seen and not any(seen)  # paused while the list fills
+                assert gc.isenabled() == enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
+def test_value_classes_are_slotted_and_frozen():
+    rec = enum_rm_perp_geodesic(IntForm(1, 0, -1), 100, arc=(0.3, 1.2))[0]
+    point = enum_cm_in_ball(PointH(0, 1), 1.0, delta=20)[0].point
+    for obj in (rec.curve, rec.curve.form, rec.foot, point, point.form,
+                IntForm(1, 0, 1), CMPoint(IntForm(1, 0, 1)), PointH(0.0, 1.0)):
+        assert not hasattr(obj, "__dict__")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(obj, type(obj).__slots__[0], 0)
+
+
+def test_records_retain_under_400_bytes_each():
+    # 441 B per record with dict-backed frozen dataclasses, about 360 slotted
+    enum_rm_through_point(IntForm(1, 0, 1), 10**5)  # warm-up
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        recs = enum_rm_through_point(IntForm(1, 0, 1), 10**5)
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(recs) == 47741
+    assert retained / len(recs) < 400
+
+
+def _cm_on_im1_loop(delta, x_lo, x_hi):
+    """enum_cm_on_im1 as a loop over (a, b) with the validating constructors."""
+    out = []
+    a_max = math.isqrt(math.floor(delta)) // 2 + 1
+    for a in range(1, a_max + 1):
+        if 4 * a * a > delta:
+            continue
+        b_lo, b_hi = math.ceil(-2 * a * x_hi), math.floor(-2 * a * x_lo)
+        for b in range(b_lo, b_hi + 1):
+            if (b * b + 4 * a * a) % (4 * a) != 0:
+                continue
+            c = (b * b + 4 * a * a) // (4 * a)
+            if math.gcd(math.gcd(a, abs(b)), abs(c)) != 1:
+                continue
+            out.append(CMPoint(IntForm(a, b, c)))
+    out.sort(key=lambda p: p.z.real)
+    return out
+
+
+def test_enum_cm_on_im1_matches_loop():
+    for delta, x_lo, x_hi in [
+        (10**4, -1, 1),
+        (10**5, -0.3, 2.7),
+        (4, -1, 1),  # only i
+        (3.9, -1, 1),  # nothing
+        (0, -1, 1),
+        (5000, 0.5, 0.5),  # a single x
+        (5000, 1.0, -1.0),  # an empty window
+        (400, 2**40 + 0.25, 2**40 + 2.5),  # b^2 beyond int64
+    ]:
+        got = enum_cm_on_im1(delta, x_lo, x_hi)
+        ref = _cm_on_im1_loop(delta, x_lo, x_hi)
+        assert got == ref and [type(p) for p in got] == [type(p) for p in ref]
+        assert all(type(v) is int for p in got for v in p.form.triple())
+    assert len(enum_cm_on_im1(10**5, -0.3, 2.7)) > 100
