@@ -22,6 +22,7 @@ from .errors import (
 from .hyperbolic import PointH
 
 SIEVE_LIMIT = 10**8
+_SEG = 2**16  # table entries per block: a block's columns stay in cache
 
 _phi_cache: dict[str, np.ndarray] = {}
 
@@ -29,64 +30,88 @@ _phi_cache: dict[str, np.ndarray] = {}
 @dataclass(frozen=True)
 class PhiTable:
     limit: int
-    values: np.ndarray  # values[n] = phi(n) for 1 <= n <= limit; values[0] = 0
+    # values[n] = phi(n) for 1 <= n <= limit; values[0] = 0.  A read-only view
+    # of the cached int32 table: exact, as phi(n) <= n <= SIEVE_LIMIT < 2^31
+    values: np.ndarray
 
     def __getitem__(self, n: int) -> int:
         return int(self.values[n])
 
 
 def phi_sieve(T: int) -> PhiTable:
-    """Totients of 1..T by a sieve over primes."""
-    if not 1 <= T <= SIEVE_LIMIT:
+    """Totients of 1..T by a segmented sieve over the primes up to sqrt(T).
+
+    The int32 table is built block by block, so the working memory is the
+    table (4 bytes per entry) plus one block of _SEG entries.
+    """
+    if T < 1:
         raise LimitTooLarge(f"sieve limit must be in [1, {SIEVE_LIMIT}]")
     return PhiTable(T, _phi_upto(T))
 
 
-def _phi_upto(T: int) -> np.ndarray:
-    cached = _phi_cache.get("phi")
+def _sieved(name: str, T: int, dtype, fill) -> np.ndarray:
+    """Table `name` of 0..T from the cache, or built in blocks of _SEG entries.
+
+    fill(blk, lo, primes, rest) fills blk = table[lo : lo + len(blk)], given
+    the primes up to sqrt(T) and rest[i] = lo + i with those primes divided
+    out: 1, or the one prime factor of lo + i above sqrt(T).
+    """
+    cached = _phi_cache.get(name)
     if cached is not None and len(cached) > T:
         return cached[: T + 1]
-    phi = np.arange(T + 1, dtype=np.int64)
-    # rest[n] is n with its prime factors up to sqrt(T) divided out: 1, or
-    # the one prime factor of n above sqrt(T)
-    rest = phi.copy()
+    if T > SIEVE_LIMIT:
+        raise LimitTooLarge(f"table limit {T} exceeds SIEVE_LIMIT = {SIEVE_LIMIT}")
+    table = np.zeros(T + 1, dtype=dtype)
     r = math.isqrt(T)
     prime = np.ones(r + 1, dtype=bool)
     prime[:2] = False
     for p in range(2, math.isqrt(r) + 1):
         if prime[p]:
             prime[p * p :: p] = False
-    for p in np.flatnonzero(prime).tolist():
-        phi[p::p] -= phi[p::p] // p
-        q = p
-        while q <= T:
-            rest[q::q] //= p
-            q *= p
-    big = rest > 1
-    phi[big] -= phi[big] // rest[big]
-    if T >= len(_phi_cache.get("phi", ())):
-        _phi_cache["phi"] = phi
-    return phi
+    primes = np.flatnonzero(prime).tolist()
+    for start in range(0, T + 1, _SEG):
+        lo, hi = max(start, 1), min(start + _SEG, T + 1)  # rest would be 0 at n = 0
+        rest = np.arange(lo, hi, dtype=np.int32)
+        for p in primes:
+            q = p
+            while q < hi:
+                rest[-lo % q :: q] //= p
+                q *= p
+        fill(table[lo:hi], lo, primes, rest)
+    table.flags.writeable = False
+    _phi_cache[name] = table
+    return table
+
+
+def _phi_upto(T: int) -> np.ndarray:
+    def fill(phi, lo, primes, rest):
+        phi[:] = np.arange(lo, lo + len(phi))
+        for p in primes:
+            phi[-lo % p :: p] -= phi[-lo % p :: p] // p
+        phi //= rest  # phi is a multiple of the prime factor above sqrt(T)
+        phi *= np.maximum(rest - 1, 1)
+
+    return _sieved("phi", T, np.int32, fill)
 
 
 def _mobius_upto(T: int) -> np.ndarray:
-    cached = _phi_cache.get("mu")
-    if cached is not None and len(cached) > T:
-        return cached[: T + 1]
-    mu = np.ones(T + 1, dtype=np.int64)
-    prime = np.ones(T + 1, dtype=bool)
-    prime[:2] = False
-    for p in range(2, int(math.isqrt(T)) + 1):
-        if prime[p]:
-            prime[p * p :: p] = False
-            mu[p::p] *= -1
-            mu[p * p :: p * p] = 0
-    for p in range(int(math.isqrt(T)) + 1, T + 1):
-        if prime[p]:
-            mu[p::p] *= -1
-    if T >= len(_phi_cache.get("mu", ())):
-        _phi_cache["mu"] = mu
-    return mu
+    def fill(mu, lo, primes, rest):
+        mu[:] = 1
+        for p in primes:
+            mu[-lo % p :: p] *= -1
+            mu[-lo % (p * p) :: p * p] = 0
+        np.negative(mu, out=mu, where=rest > 1)
+
+    return _sieved("mu", T, np.int8, fill)
+
+
+def _block_sum(values: np.ndarray, lo: int, hi: int, term) -> float:
+    """Sum of term(values[n], n) for lo <= n < hi, one block of _SEG at a time."""
+    total = 0.0
+    for a in range(lo, hi, _SEG):
+        b = min(a + _SEG, hi)
+        total += float(term(values[a:b], np.arange(a, b, dtype=np.float64)).sum())
+    return total
 
 
 def _prime_factors(n: int) -> list[int]:
@@ -126,8 +151,7 @@ def sum_phi(T: int, table: PhiTable | None = None) -> tuple[int, float]:
 def sum_phi_over_n(T: int, table: PhiTable | None = None) -> tuple[float, float]:
     """(sum of phi(n)/n for n <= T, main term 6 T / pi^2)."""
     phi = table.values if table is not None and table.limit >= T else _phi_upto(T)
-    n = np.arange(1, T + 1, dtype=np.float64)
-    exact = float((phi[1 : T + 1] / n).sum())
+    exact = _block_sum(phi, 1, T + 1, lambda v, n: v / n)
     return exact, 6.0 * T / math.pi**2
 
 
@@ -140,8 +164,7 @@ def sum_phi_over_n2(
     is never claimed exact.
     """
     phi = table.values if table is not None and table.limit >= T else _phi_upto(T)
-    n = np.arange(1, T + 1, dtype=np.float64)
-    exact = float((phi[1 : T + 1] / (n * n)).sum())
+    exact = _block_sum(phi, 1, T + 1, lambda v, n: v / (n * n))
     if gamma0 is None:
         gamma0 = gamma0_fitted()
     return exact, 6.0 / math.pi**2 * math.log(T) + gamma0
@@ -161,8 +184,7 @@ def gamma0_fitted(T: int = 10**6) -> float:
 def gamma0_series(terms: int = 10**6) -> float:
     """Defining series: sum over d of mu(d) (euler_gamma - log d) / d^2."""
     mu = _mobius_upto(terms)
-    d = np.arange(1, terms + 1, dtype=np.float64)
-    return float((mu[1:] * (np.euler_gamma - np.log(d)) / (d * d)).sum())
+    return _block_sum(mu, 1, terms + 1, lambda m, d: m * (np.euler_gamma - np.log(d)) / (d * d))
 
 
 def weighted_sqrt_sum(
@@ -179,6 +201,8 @@ def weighted_sqrt_sum(
     antiderivative, D < 0 the arctan one; the main term is
     (3 delta / pi^2) [bracket(u)]_{s1}^{s2}.
     """
+    if not all(map(math.isfinite, (A, D, s1, s2, delta))):
+        raise DomainError(f"arguments must be finite, got {(A, D, s1, s2, delta)}")
     if A == 0:
         raise DomainError("A must be nonzero")
     if s1 > s2:
@@ -193,12 +217,15 @@ def weighted_sqrt_sum(
     n_hi = math.isqrt(max(0, math.floor(s2 * delta)))
     if n_hi <= n_lo:
         return 0.0, 0.0
-    phi = table.values if table is not None and table.limit >= n_hi else _phi_upto(n_hi)
-    n = np.arange(n_lo + 1, n_hi + 1, dtype=np.float64)
-    rad = D + 4 * A * delta / (n * n)
-    if (rad < -1e-9 * max(1.0, abs(D))).any():
+
+    def rad(n):
+        return D + 4 * A * delta / (n * n)
+
+    # rad is monotone in n, so its least value over the range sits at an end
+    if min(rad(n_lo + 1.0), rad(float(n_hi))) < -1e-9 * max(1.0, abs(D)):
         raise DomainError("radicand went negative inside the summation range")
-    exact = float((phi[n_lo + 1 : n_hi + 1] * np.sqrt(np.maximum(rad, 0.0))).sum())
+    phi = table.values if table is not None and table.limit >= n_hi else _phi_upto(n_hi)
+    exact = _block_sum(phi, n_lo + 1, n_hi + 1, lambda v, n: v * np.sqrt(np.maximum(rad(n), 0.0)))
 
     def bracket(u: float) -> float:
         head = math.sqrt(max(D * u * u + 4 * A * u, 0.0))

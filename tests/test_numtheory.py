@@ -1,10 +1,14 @@
+import functools
 import math
 import random
+import tracemalloc
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from linnikgeo import numtheory
-from linnikgeo.errors import BadResidue, LimitTooLarge, SquareDiscriminant
+from linnikgeo.errors import BadResidue, DomainError, LimitTooLarge, SquareDiscriminant
 from linnikgeo.numtheory import (
     PellSolution,
     _pell_one,
@@ -50,6 +54,132 @@ def test_phi_sieve_matches_trial_division(monkeypatch):
         assert phi_sieve(T).values.tolist() == [0] + [_totient(n) for n in range(1, T + 1)]
     # a smaller table is a prefix of the cached one
     assert phi_sieve(1000).values.tolist() == [0] + [_totient(n) for n in range(1, 1001)]
+
+
+SEG = numtheory._SEG
+REF_N = 3 * SEG + 1
+
+
+@functools.cache
+def _trial_division_tables(N: int = REF_N) -> tuple[np.ndarray, np.ndarray]:
+    """phi and mu of 0..N by testing every n for divisibility by each p <= sqrt(N)."""
+    n = np.arange(N + 1, dtype=np.int64)
+    phi, rest, mu = n.copy(), n.copy(), np.ones(N + 1, dtype=np.int64)
+    for p in range(2, math.isqrt(N) + 1):
+        if any(p % d == 0 for d in range(2, math.isqrt(p) + 1)):
+            continue
+        hit = np.flatnonzero(n % p == 0)[1:]  # n = 0 is left out
+        phi[hit] -= phi[hit] // p
+        mu[hit] *= -1
+        while hit.size:
+            rest[hit] //= p
+            hit = hit[rest[hit] % p == 0]
+            mu[hit] = 0
+    big = rest > 1
+    phi[big] -= phi[big] // rest[big]
+    mu[big] *= -1
+    phi[0] = mu[0] = 0
+    return phi, mu
+
+
+def test_trial_division_reference():
+    phi, mu = _trial_division_tables()
+    assert phi[:1001].tolist() == [0] + [_totient(n) for n in range(1, 1001)]
+    assert [phi[n] for n in (65536, 68921, 196607, REF_N)] == [
+        _totient(n) for n in (65536, 68921, 196607, REF_N)
+    ]
+    assert mu[1:13].tolist() == [1, -1, -1, 0, -1, 1, -1, 0, 0, 1, -1, 0]
+
+
+def _check_fresh_tables(T: int) -> None:
+    phi, mu = _trial_division_tables()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(numtheory, "_phi_cache", {})
+        assert np.array_equal(numtheory._phi_upto(T), phi[: T + 1]), T
+        assert np.array_equal(numtheory._mobius_upto(T)[1:], mu[1 : T + 1]), T
+
+
+# 257^2 = 66049 is the largest small prime's square, just past the first
+# block boundary; 41^2 = 1681 and 41^3 = 68921 straddle it
+@pytest.mark.parametrize(
+    "T",
+    [k * SEG + d for k in (1, 2, 3) for d in (-1, 0, 1)] + [257**2, 41**3, 41**3 + SEG],
+)
+def test_tables_at_segment_boundaries(T):
+    _check_fresh_tables(T)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, REF_N))
+def test_tables_match_trial_division(T):
+    _check_fresh_tables(T)
+
+
+def test_sum_phi_accumulates_past_int32():
+    exact, _ = sum_phi(10**5)
+    assert exact == sum(_trial_division_tables()[0][1 : 10**5 + 1].tolist())
+    assert exact == 3_039_650_754 > 2**31
+
+
+def test_cached_tables_are_read_only(monkeypatch):
+    monkeypatch.setattr(numtheory, "_phi_cache", {})
+    values = phi_sieve(1000).values
+    with pytest.raises(ValueError):
+        values[7] = 0
+    with pytest.raises(ValueError):
+        numtheory._mobius_upto(100)[7] = 0
+    assert sum_phi(10)[0] == 32
+    assert not phi_sieve(10**4).values.flags.writeable  # a rebuilt, longer table too
+
+
+def test_totient_sums_refuse_limits_above_the_sieve():
+    # limits numpy could not allocate: a missing guard fails, it never fills memory
+    huge = 10**15
+    for call in (
+        lambda: sum_phi(huge),
+        lambda: sum_phi_over_n(huge),
+        lambda: sum_phi_over_n2(huge, gamma0=0.0),
+        lambda: gamma0_series(huge),
+        lambda: weighted_sqrt_sum(1, 5, 0, 4, 1e30),
+        lambda: phi_sieve(huge),
+    ):
+        with pytest.raises(LimitTooLarge):
+            call()
+    # a table too short for the limit is rebuilt, under the same guard
+    with pytest.raises(LimitTooLarge):
+        sum_phi(huge, phi_sieve(100))
+
+
+@pytest.mark.parametrize("delta", [math.nan, math.inf, -math.inf])
+def test_weighted_sqrt_sum_refuses_non_finite_delta(delta):
+    with pytest.raises(DomainError):
+        weighted_sqrt_sum(1, 5, 0, 4, delta)
+    with pytest.raises(DomainError):
+        weighted_sqrt_sum(1, 5, 0, delta, 100.0)
+
+
+def test_sieve_and_sums_hold_one_block(monkeypatch):
+    # the table plus O(_SEG) working columns, not several copies of the table
+    monkeypatch.setattr(numtheory, "_phi_cache", {})
+    T, slack = 2 * 10**6, 4 * 2**20
+    tracemalloc.start()
+    try:
+        table = phi_sieve(T)
+        sieve_peak = tracemalloc.get_traced_memory()[1]
+        sum_peaks = []
+        for call in (
+            lambda: weighted_sqrt_sum(1, 5, 0, 4, T * T / 4, table),
+            lambda: sum_phi_over_n(T, table),
+            lambda: sum_phi_over_n2(T, table, gamma0=0.0),
+        ):
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            call()
+            sum_peaks.append(tracemalloc.get_traced_memory()[1] - base)
+    finally:
+        tracemalloc.stop()
+    assert sieve_peak <= table.values.nbytes + slack
+    assert max(sum_peaks) <= slack
 
 
 def test_count_coprime_upto():
