@@ -227,8 +227,15 @@ def _render_records(base_form: IntForm, mode: str, records, delta: float, fd: bo
     return "\n".join(out) + "\n"
 
 
+def _int_form(A, B, C) -> IntForm:
+    """The normalized form of integer coefficients; anything else is bad input."""
+    if not all(isinstance(x, int) or isinstance(x, float) and x.is_integer() for x in (A, B, C)):
+        raise ValueError(f"coefficients must be integers, got ({A}, {B}, {C})")
+    return normalize(int(A), int(B), int(C))
+
+
 def _run_render(A: int, B: int, C: int, delta: float, mode: str, arc, fd: bool):
-    G = normalize(int(A), int(B), int(C))
+    G = _int_form(A, B, C)
     if mode == "cm":
         records = enum_cm_on_geodesic(G, delta, arc=arc)
     elif mode == "rm-perp":
@@ -280,7 +287,7 @@ def cmd_render(args) -> int:
 
 
 def cmd_cycle(args) -> int:
-    G = normalize(int(args.A), int(args.B), int(args.C))
+    G = _int_form(args.A, args.B, args.C)
     f = {"one": CONSTANT_ONE, "j": J_FUNCTION}[args.f]
     estimates, quadv = cycle_value(f, G, args.delta_ladder)
     cg = closed_geodesic(G)

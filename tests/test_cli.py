@@ -375,3 +375,35 @@ def test_cycle_runs_without_scipy():
             " '--delta-ladder', '1e4'])\nprint(rc, 'scipy' in sys.modules)")
     res = _python(code)
     assert res.stdout.splitlines()[-1] == "0 False"
+
+
+@pytest.mark.parametrize("coeffs", [("1.5", "1", "-1"), ("1", "0.5", "-1"), ("1", "1", "-1.25")])
+def test_cycle_and_render_refuse_non_integer_coefficients(capsys, coeffs):
+    """Truncating 1.5 to 1 would answer for another form."""
+    A, B, C = coeffs
+    assert main(["cycle", "-A", A, "-B", B, "-C", C, "--delta-ladder", "100"]) == 2
+    assert main(["render", "-A", A, "-B", B, "-C", C, "--delta", "7"]) == 2
+    assert capsys.readouterr().err.count("coefficients must be integers") == 2
+
+
+def test_render_from_json_refuses_non_integer_coefficients(tmp_path, capsys):
+    cfg, out = tmp_path / "cfg.json", tmp_path / "out.svg"
+    for A in (1.9, "1", None):
+        doc = {"schema": 1, "config": {"A": A, "B": 0, "C": -1, "delta": 7, "mode": "cm"}}
+        cfg.write_text(json.dumps(doc))
+        assert main(["render", "--from-json", str(cfg), "--out", str(out)]) == 2
+    assert not out.exists()
+    assert capsys.readouterr().err.count("coefficients must be integers") == 3
+
+
+def test_cycle_pell_expansion_is_capped(capsys):
+    """D = 1 + 4e300 has a continued fraction far too long to expand: a
+    guard, at once, naming D and the step count."""
+    import time
+
+    t = time.perf_counter()
+    code = main(["cycle", "-A", "1e300", "-B", "1", "-C", "-1", "--delta-ladder", "100"])
+    assert time.perf_counter() - t < 1.0
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "guard exceeded" in err and str(1 + 4 * int(1e300)) in err and "steps" in err

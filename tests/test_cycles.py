@@ -250,13 +250,29 @@ def test_cycle_quadrature_matches_scipy_quad():
         assert abs(got - ref) <= 1e-9 * abs(ref), (D, got, ref)
 
 
+# References: mpmath.quad at 25 digits over equal pieces of one period u in
+# [-L/2, L/2], with 1728 kleinj of the reduced point (all are real).  This
+# table used 400 pieces (800 agree to 20 digits for D = 73 and 116), the
+# D = 37, 41 and 61 references in test_cycle_quadrature_long_arcs 200.
+_REFS = {
+    73: 21890.566374702893,
+    85: 6387.4618759183235,
+    101: 8624.8566516153693,
+    104: 6692.4996749005067,
+    105: 6302.3992465171929,
+    116: 14147.244893402623,
+    120: 4448.9112782078096,
+}
+
+
 def test_cycle_quadrature_long_arcs():
-    """References: mpmath.quad at 25 digits over 200 equal pieces of one
-    period u in [-L/2, L/2], with 1728 kleinj of the reduced point (all are
-    real).  Near the ends |j| reaches 2e8 (D = 37), 5e8 (D = 41) and 5e10
+    """Near the ends |j| reaches 2e8 (D = 37), 5e8 (D = 41) and 5e10
     (D = 61) and cancels along the arc, so the float noise of those points
-    leaves errors of about 2e-9, 1e-8 and 6e-7 relative."""
+    leaves errors of about 5e-10, 2e-8 and 3e-7 relative.  Longer units
+    either land within 1e-5 of their reference or are refused."""
     import warnings
+
+    from linnikgeo.errors import NumericalInstability
 
     for D, ref, rel in (
         (37, 7125.1889006036939, 1e-8),
@@ -267,9 +283,39 @@ def test_cycle_quadrature_long_arcs():
             warnings.simplefilter("error")
             got = cycle_quadrature(closed_geodesic(_principal(D)), J_FUNCTION)
         assert abs(got - ref) <= rel * ref, (D, got)
-    # long units that the arc from the top to its gamma-image refused
-    for D in (41, 73, 89, 109, 116):
-        assert math.isfinite(abs(cycle_quadrature(closed_geodesic(_principal(D)), J_FUNCTION)))
+    for D, ref in _REFS.items():
+        try:
+            got = cycle_quadrature(closed_geodesic(_principal(D)), J_FUNCTION)
+        except NumericalInstability:
+            continue
+        assert abs(got - ref) <= 1e-5 * ref, (D, got)
+
+
+def test_cycle_quadrature_principal_forms_up_to_72():
+    for D in range(5, 73):
+        if D % 4 in (0, 1) and math.isqrt(D) ** 2 != D:
+            assert math.isfinite(abs(cycle_quadrature(closed_geodesic(_principal(D)), J_FUNCTION)))
+
+
+def test_cycle_quadrature_nested_nodes():
+    """Each doubling evaluates only the new midpoints, so f is called once
+    per node of the final rule, and the nodes are distinct."""
+    for D, nodes in ((5, 32), (37, 256), (61, 512)):
+        zs = []
+        f = ModularFunction("j", lambda z: zs.append(z) or j_invariant(z))
+        cycle_quadrature(closed_geodesic(_principal(D)), f)
+        assert len(zs) == len(set(zs)) == nodes, (D, len(zs))
+
+
+def test_cycle_quadrature_needs_no_gauss_legendre(monkeypatch):
+    import numpy as np
+
+    def refuse(*args):
+        raise AssertionError("leggauss called")
+
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", refuse)
+    got = cycle_quadrature(closed_geodesic(_principal(37)), J_FUNCTION)
+    assert abs(got - 7125.1889006036939) <= 1e-8 * 7125.19
 
 
 def test_cycle_quadrature_refusals():
@@ -286,6 +332,32 @@ def test_cycle_quadrature_refusals():
     noise = ModularFunction("noise", lambda z: complex(rng.random()))
     with pytest.raises(NumericalInstability, match=r"512 nodes give .*, 1024 give"):
         cycle_quadrature(closed_geodesic(IntForm(1, 1, -1)), noise)
+    # a value below the float noise of its largest terms: max|j| = 8.8e14
+    # on the arc of D = 120, whose cycle integral is 4449, refused as soon
+    # as the noise shows, not after 1,024 nodes
+    zs = []
+    counted = ModularFunction("j", lambda z: zs.append(z) or j_invariant(z))
+    with pytest.raises(NumericalInstability, match=r"float noise .*: 64 nodes give .*, 128 give"):
+        cycle_quadrature(closed_geodesic(_principal(120)), counted)
+    assert len(zs) == 128
+    # and when the rules agree: the first two nodes carry +-1e12, which
+    # cancel exactly, so every rule gives L, yet the noise is 2e-4 L
+    spikes = iter((1e12, 2 - 1e12))
+    spiked = ModularFunction("spiked", lambda z: complex(next(spikes, 1)))
+    with pytest.raises(NumericalInstability, match="float noise"):
+        cycle_quadrature(closed_geodesic(IntForm(1, 1, -1)), spiked)
+
+
+def test_cycle_value_refuses_before_scanning():
+    """D = 73: the comparator is refused before the long arc is scanned."""
+    import time
+
+    from linnikgeo.errors import NumericalInstability
+
+    t = time.perf_counter()
+    with pytest.raises(NumericalInstability):
+        cycle_value(J_FUNCTION, IntForm(1, 1, -18), [200])
+    assert time.perf_counter() - t < 1.0
 
 
 def test_cycle_value_enumerates_once(monkeypatch):

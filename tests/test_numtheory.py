@@ -8,7 +8,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from linnikgeo import numtheory
-from linnikgeo.errors import BadResidue, DomainError, LimitTooLarge, SquareDiscriminant
+from linnikgeo.errors import (
+    BadResidue,
+    DomainError,
+    GuardExceeded,
+    LimitTooLarge,
+    SquareDiscriminant,
+)
 from linnikgeo.numtheory import (
     PellSolution,
     _pell_one,
@@ -284,6 +290,17 @@ def test_pell_even_discriminants():
         x, y = _pell_one(D // 4)
         p = pell_fundamental(D)
         assert (p.t0, p.u0) == (2 * x, y), D
+
+
+def test_pell_step_cap():
+    """D = 979,969 has the longest expansion for D <= 10^6 (2,349 steps),
+    far inside the cap; D = 1 + 4 * 10^300 runs past it and is refused,
+    naming D and the cap."""
+    p = pell_fundamental(979969)
+    assert p.t0 * p.t0 - 979969 * p.u0 * p.u0 == 4
+    D = 1 + 4 * int(1e300)
+    with pytest.raises(GuardExceeded, match=f"D = {D} runs past {numtheory._PELL_STEPS} steps"):
+        pell_fundamental(D)
 
 
 def test_pell_one_oracle():
