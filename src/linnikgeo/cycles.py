@@ -23,13 +23,13 @@ from .geodesic_enum import (
     CM_ON_G,
     CMOnGeodesic,
     GeodesicParam,
+    _cm_z_cols,
     _enum_pairs,
     _form_cols,
-    _ints,
     _records,
     build_param,
 )
-from .linnik import ProjInterval, _absmax, _int_values
+from .linnik import ProjInterval, _absmax, _int_values, _ints
 from .hyperbolic import PointH
 from .numtheory import PellSolution, pell_fundamental, sl2z_reduce
 
@@ -233,11 +233,10 @@ def cycle_value(
     scale_base = 2 * math.pi**2 * math.sqrt(D) / (3 * math.gcd(D, 2))
     param, ms, ns, _ = _arc_pairs(cg, max(deltas, default=0))
     a, b, _ = _form_cols(param, ms, ns)
-    # |D| exactly (the derived form's value is the discriminant), and z in
-    # the float operations of CMPoint.z
+    # |D| exactly: the derived form's value is the discriminant
     absd = -_int_values(*param.derived, ms, ns, _absmax(ms, ns))
-    y = np.sqrt(absd.astype(float)) / (2 * a).astype(float)
-    vals = list(map(f, map(complex, np.asarray(-b / (2 * a), dtype=float).tolist(), y.tolist())))
+    x, y = _cm_z_cols(a, b, absd)
+    vals = list(map(f, map(complex, x.tolist(), y.tolist())))
     pts = list(zip(vals, absd.tolist()))
     estimates = []
     for delta in deltas:  # int <= float compares exactly

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import gc
 import math
+import numbers
 from collections import deque
 from dataclasses import dataclass
 from itertools import repeat
@@ -38,9 +39,10 @@ from .linnik import (
     ProjInterval,
     QuadCase,
     _absmax,
+    _int_dtype,
+    _ints,
     _min_on_closure,
-    _run_scan,
-    _sort_along,
+    _scan_window,
     _tuples,
 )
 from .numtheory import ext_gcd
@@ -240,9 +242,6 @@ def _full_n_max(param: GeodesicParam, delta: float) -> int:
     return math.floor((m4ad + math.sqrt(m4ad)) / (2 * s)) + 1
 
 
-_NO_PAIRS = (np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), np.zeros(0))
-
-
 def _enum_pairs(
     param: GeodesicParam,
     delta: float,
@@ -250,26 +249,14 @@ def _enum_pairs(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Columns (ms, ns, t = ms / ns) of the incident pairs with t in the
     window I (all of them when I is None), sorted along t."""
-    if not math.isfinite(delta):
-        raise DomainError(f"delta must be finite, got {delta}")
-    if delta < 1:
-        return _NO_PAIRS
-    F = _scan_form(param)
-    case = QuadCase.of(F)
-    if I is not None:
-        minF = _min_on_closure(F, I)
-        if minF <= 0:
-            raise IntervalTouchesRoot(f"t-window {I} reaches the base endpoints")
-        n_max = math.isqrt(math.floor(delta / minF))
-    else:
+    case = QuadCase.of(_scan_form(param))
+    n_max = None
+    if I is None:
         # the positivity region of the scan form, closure touching its roots
         pos = case.pos
         I = ProjInterval(*pos[0]) if len(pos) == 1 else ProjInterval(pos[1][0], pos[0][1], True)
-        n_max = _full_n_max(param, delta)
-    if n_max < 1:
-        return _NO_PAIRS
-    ms, ns, _ = _run_scan(case, True, delta, I, n_max)
-    return _sort_along(I, ms, ns)
+        n_max = _full_n_max(param, delta) if 1 <= delta < math.inf else 0
+    return _scan_window(case, delta, I, n_max)[:3]
 
 
 # ---------------------------------------------------------------------------
@@ -277,20 +264,6 @@ def _enum_pairs(
 
 # rows per block of records: the .tolist() copies of one block stay small
 _ROWS = 4096
-
-
-def _int_dtype(bound: int) -> type:
-    """int64 when bound, a bound on every integer a computation makes, is
-    below 2^53; else object, for exact Python ints.
-
-    Below 2^53 no int64 product overflows and int64 -> float64 is exact,
-    so a true division rounds as Python's int / int does.
-    """
-    return np.int64 if bound < 2**53 else object
-
-
-def _ints(bound: int, *cols: np.ndarray) -> list[np.ndarray]:
-    return [c.astype(_int_dtype(bound)) for c in cols]
 
 
 def _floor_ints(x: np.ndarray, dt: type) -> np.ndarray:
@@ -321,6 +294,13 @@ def _form_cols(param: GeodesicParam, ms: np.ndarray, ns: np.ndarray) -> list[np.
     kb, kc, lb, lc = P * b0, P * c0, R // S, Q // S
     m, n = _ints((S + abs(kb) + abs(kc) + abs(lb) + abs(lc)) * big, ms, ns)
     return [n * S, n * kb + m * lb, n * kc - m * lc]
+
+
+def _cm_z_cols(a: np.ndarray, b: np.ndarray, absd: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Columns (x, y) of CMPoint.z, in its float operations, for the forms
+    (a, b, c) of discriminant -absd."""
+    y = np.sqrt(np.asarray(absd, dtype=float)) / np.asarray(2 * a, dtype=float)
+    return np.asarray(-b / (2 * a), dtype=float), y
 
 
 def _coord_col(param: GeodesicParam, t: np.ndarray) -> np.ndarray:
@@ -487,7 +467,8 @@ def enum_cm_in_ball(
 ) -> list[CMInBall]:
     """CM points inside the closed hyperbolic ball around z0.
 
-    Either a single discriminant D < 0 or a bound delta on |D|.  Exhaustive:
+    Either a single integer discriminant D < 0 or a bound delta on |D|
+    (delta < 1 gives no points).  Exhaustive:
     a <= sqrt(|D|) / (2 y_min) with y_min the lowest point of the ball.
     The candidates (a, b, c) of each a are generated as columns; gcd, sign,
     membership (the float operations of BallE.contains) and the angle (those
@@ -497,8 +478,12 @@ def enum_cm_in_ball(
         raise ValueError("need s0 > 0")
     if (D is None) == (delta is None):
         raise ValueError("give exactly one of D, delta")
-    if D is not None and D >= 0:
-        raise WrongDiscriminantSign("need D < 0")
+    if D is not None:
+        if not isinstance(D, numbers.Integral) and not float(D).is_integer():
+            raise DomainError(f"D must be an integer, got {D}")
+        D = int(D)
+        if D >= 0:
+            raise WrongDiscriminantSign("need D < 0")
     if delta is not None and not math.isfinite(delta):
         raise DomainError(f"delta must be finite, got {delta}")
     be: BallE = ball(z0, s0)
@@ -506,6 +491,8 @@ def enum_cm_in_ball(
     re = be.radius_euclid
     y_min = y0 - re
     d_max = -D if D is not None else math.floor(delta)
+    if d_max < 1:
+        return []
     a_max = math.isqrt(math.floor(d_max / (4 * y_min * y_min))) + 1
     # |b| <= b_abs and 4ac <= b^2 + d_max bound every integer below
     b_abs = max(abs(math.ceil(-2 * a_max * (x0 + re))), abs(math.floor(-2 * a_max * (x0 - re))))
@@ -547,8 +534,7 @@ def enum_cm_in_ball(
     d = b * b - 4 * a * c
     keep = (np.gcd(np.gcd(a, b), c) == 1) & (d < 0)
     a, b, c, d = a[keep], b[keep], c[keep], d[keep]
-    zx = np.asarray(-b / (2 * a), dtype=float)
-    zy = np.sqrt(np.asarray(-d, dtype=float)) / np.asarray(2 * a, dtype=float)
+    zx, zy = _cm_z_cols(a, b, -d)
     keep = _each(math.hypot, zx - x0, zy - y0) <= re
     a, b, c, zx, zy = a[keep], b[keep], c[keep], zx[keep], zy[keep]
     order = np.lexsort((c, b, a))
@@ -582,6 +568,8 @@ def enum_cm_on_im1(delta: float, x_lo: float, x_hi: float) -> list[CMPoint]:
     """
     if not math.isfinite(delta):
         raise DomainError(f"delta must be finite, got {delta}")
+    if delta < 1:
+        return []
     # y = 1 forces D = -4a^2, so 4a^2 <= delta and c = (b^2 + 4a^2) / (4a)
     a_max = math.isqrt(math.floor(delta)) // 2
     spans = [(a, math.ceil(-2 * a * x_hi), math.floor(-2 * a * x_lo)) for a in range(1, a_max + 1)]

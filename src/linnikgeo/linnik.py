@@ -34,6 +34,9 @@ BRUTE_GUARD = 10**6
 # most histogram buckets equid_report will allocate
 BUCKET_GUARD = 10**6
 
+# most work a scan may do, counted as n_max plus the candidates it tests
+SCAN_GUARD = 10**8
+
 # candidate values this close to the cutoff delta are reported as boundary
 # ties when the coefficients are not exact integers
 TIE_REL = 1e-9
@@ -288,7 +291,7 @@ def form_values(F: RealForm, ms: np.ndarray, ns: np.ndarray) -> np.ndarray:
     """F(m, n) = A m^2 + B m n + C n^2 for int64 columns ms, ns, equal to
     the scalar expression element by element.
 
-    Integral F is exact: int64 while coeff * max(|m|, n)^2 < 2^62, Python
+    Integral F is exact: int64 while coeff * max(|m|, n)^2 < 2^53, Python
     ints in an object array beyond.  Real (float) coefficients take the
     scalar expression's float operations in the same order, so every value
     is bit-identical to it.
@@ -300,16 +303,29 @@ def form_values(F: RealForm, ms: np.ndarray, ns: np.ndarray) -> np.ndarray:
 
 
 def _absmax(*cols: np.ndarray) -> int:
-    """The largest |entry| of the integer columns, 0 when they are empty."""
-    return max(int(np.abs(c).max(initial=0)) for c in cols)
+    """The largest |entry| of the integer columns, at least 1 so bounds cover the coefficients."""
+    return max(1, *(int(np.abs(c).max(initial=0)) for c in cols))
+
+
+def _int_dtype(bound: int) -> type:
+    """int64 when bound, a bound on every integer a computation makes, is
+    below 2^53; else object, for exact Python ints.
+
+    Below 2^53 no int64 product overflows and int64 -> float64 is exact,
+    so a true division rounds as Python's int / int does.
+    """
+    return np.int64 if bound < 2**53 else object
+
+
+def _ints(bound: int, *cols: np.ndarray) -> list[np.ndarray]:
+    dt = _int_dtype(bound)
+    return [c.astype(dt, copy=False) for c in cols]
 
 
 def _int_values(A: int, B: int, C: int, ms: np.ndarray, ns: np.ndarray, big: int) -> np.ndarray:
     """form_values for integer A, B, C, given big >= max(|m|, n)."""
-    if (abs(A) + abs(B) + abs(C)) * big * big < 2**62:
-        return A * ms * ms + B * ms * ns + C * (ns * ns)
-    vals = [A * m * m + B * m * k + C * k * k for m, k in zip(ms.tolist(), ns.tolist())]
-    return np.array(vals, dtype=object)
+    m, n = _ints((abs(A) + abs(B) + abs(C)) * big * big, ms, ns)
+    return A * m * m + B * m * n + C * (n * n)
 
 
 def _scan_values(F: RealForm, integral: bool, ms: np.ndarray, ns: np.ndarray) -> np.ndarray:
@@ -332,7 +348,7 @@ def ladder_counts(F: RealForm, deltas: list[float], I: ProjInterval) -> list[int
     a rung counts the pairs whose value the scan's test puts at most delta."""
     if not all(map(math.isfinite, deltas)):
         raise DomainError(f"deltas must be finite, got {deltas}")
-    ms, ns, _, _ = _enumerate_with_ties(F, max(deltas), I)
+    ms, ns, _, _ = _enumerate_with_ties(F, max(deltas, default=0), I)
     vals = _scan_values(F, F.is_integral(), ms, ns)
     return [int(_at_most(vals, delta).sum()) for delta in deltas]
 
@@ -356,7 +372,7 @@ def _run_scan(
     F = case.F
     ipieces = I.pieces()
     out_m, out_n = [_NO_INTS], [_NO_INTS]
-    ties = 0
+    ties = tested = 0
     for n0 in range(1, n_max + 1, _BLOCK):
         n = np.arange(n0, min(n0 + _BLOCK, n_max + 1), dtype=np.int64)
         L, H = _level_spans(case, n, delta, ipieces)
@@ -371,6 +387,8 @@ def _run_scan(
         # ends[s] > p, and is m = L[s] + p - (ends[s] - count[s])
         shift, span_n = L.ravel() - (ends - count), np.repeat(n, L.shape[1])
         total = int(ends[-1])
+        tested += total
+        _guard_scan(case, delta, I, n_max, tested)
         for c0 in range(0, total, _CHUNK):
             pos = np.arange(c0, min(c0 + _CHUNK, total), dtype=np.int64)
             s = np.searchsorted(ends, pos, side="right")
@@ -389,6 +407,15 @@ def _run_scan(
             out_m.append(ms[ok])
             out_n.append(ns[ok])
     return np.concatenate(out_m), np.concatenate(out_n), ties
+
+
+def _guard_scan(case: QuadCase, delta: float, I: ProjInterval, n_max: int, tested: int) -> None:
+    """Refuse a scan whose n_max plus candidates tested passes SCAN_GUARD."""
+    if n_max + tested > SCAN_GUARD:
+        raise GuardExceeded(
+            f"the scan of {case.F} on {I} at delta = {delta} has n_max = {n_max} and "
+            f"{tested} candidates, over SCAN_GUARD = {SCAN_GUARD}"
+        )
 
 
 def _sort_along(
@@ -416,20 +443,30 @@ def _enumerate_with_ties(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
     """W_delta on I as columns (ms, ns, t) sorted along I, and the number
     of boundary ties.  case is QuadCase.of(F), if the caller has it."""
-    if not math.isfinite(delta):
-        raise DomainError(f"delta must be finite, got {delta}")
-    if delta <= 0:
-        return _NO_INTS, _NO_INTS, _NO_FLOATS, 0
     case = case or QuadCase.of(F)
     _check_interval(case, I)
-    minF = _min_on_closure(F, I)
-    if minF <= 0:
-        raise IntervalTouchesRoot(
-            f"min of {F} on closure of {I} is {minF}; n-range would be infinite"
-        )
-    n_max = math.isqrt(math.floor(delta / minF))
-    if n_max < 1:
+    return _scan_window(case, delta, I)
+
+
+def _scan_window(
+    case: QuadCase, delta: float, I: ProjInterval, n_max: int | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """The one way into the scan: W_delta of case.F on I as _enumerate_with_ties
+    gives it.  n_max bounds n; None takes it from the minimum of F on the
+    closure of I, which must be positive."""
+    if not math.isfinite(delta):
+        raise DomainError(f"delta must be finite, got {delta}")
+    F = case.F
+    if n_max is None and delta > 0:
+        minF = _min_on_closure(F, I)
+        if minF <= 0:
+            raise IntervalTouchesRoot(
+                f"min of {F} on closure of {I} is {minF}; n-range would be infinite"
+            )
+        n_max = math.isqrt(math.floor(delta / minF))
+    if delta <= 0 or n_max < 1:
         return _NO_INTS, _NO_INTS, _NO_FLOATS, 0
+    _guard_scan(case, delta, I, n_max, 0)
     ms, ns, ties = _run_scan(case, F.is_integral(), delta, I, n_max)
     return (*_sort_along(I, ms, ns), ties)
 

@@ -407,3 +407,27 @@ def test_cycle_pell_expansion_is_capped(capsys):
     assert code == 3
     err = capsys.readouterr().err
     assert "guard exceeded" in err and str(1 + 4 * int(1e300)) in err and "steps" in err
+
+
+def test_unbounded_scan_is_a_guard(capsys):
+    """n_max would be 10^75: refused at once with its numbers, exit 3, and
+    no numpy warning (pytest makes one an error, which main reports as 1)."""
+    import time
+
+    t = time.perf_counter()
+    code = main(["wset", "-A", "1e100", "-B", "0", "-C", "1e100", "--delta", "1e250",
+                 "--lo", "-1", "--hi", "1"])
+    assert time.perf_counter() - t < 1.0
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "guard exceeded" in err and "SCAN_GUARD" in err
+
+
+def test_huge_coefficients_with_no_points(capsys):
+    """Value bounds made from empty columns must still cover the
+    coefficients: both commands find no points and exit 0."""
+    assert main(["wset", "-A", "1e30", "-B", "0", "-C", "1e30", "--delta", "1",
+                 "--lo", "0", "--hi", "1"]) == 0
+    assert "count=0 " in capsys.readouterr().err
+    assert main(_verify_argv("1e30", "0", "1e30", "definite", "0", "1", "2,10")) == 0
+    assert "empirical=0 " in capsys.readouterr().out

@@ -585,3 +585,40 @@ def test_enum_cm_on_im1_matches_loop():
         assert got == ref and [type(p) for p in got] == [type(p) for p in ref]
         assert all(type(v) is int for p in got for v in p.form.triple())
     assert len(enum_cm_on_im1(10**5, -0.3, 2.7)) > 100
+
+
+def test_huge_bases_with_no_pairs():
+    """Integer bounds made from empty columns must still cover the
+    coefficients of the base, or the int64 form columns overflow."""
+    assert enum_cm_on_geodesic(IntForm(1, 0, -(2**70)), 0.5) == []
+    assert enum_rm_perp_geodesic(IntForm(1, 0, -(2**70)), 0.5) == []
+    assert enum_rm_through_point(IntForm(1, 0, 2**70), 2**69) == []
+
+
+def test_scan_guard_counts_candidates_not_only_n_max():
+    """n_max is 1, but that one n has about 1.4e11 candidates: refused
+    before any is tested."""
+    import time
+
+    from linnikgeo.errors import GuardExceeded
+
+    t = time.perf_counter()
+    with pytest.raises(GuardExceeded, match="has n_max = 1 and [0-9]{12} candidates"):
+        enum_rm_through_point(IntForm(1, 0, 2**70), 2**73)
+    assert time.perf_counter() - t < 1.0
+
+
+def test_delta_below_one_is_empty():
+    for delta in (-5, 0, 0.5):
+        assert enum_cm_in_ball(PointH(0, 1), 1.0, delta=delta) == []
+        assert enum_cm_on_im1(delta, 0, 1) == []
+        assert enum_rm_through_point(IntForm(1, 0, 1), delta) == []
+
+
+def test_enum_cm_in_ball_takes_integral_float_D():
+    want = enum_cm_in_ball(PointH(0, 1), 1.0, D=-4)
+    assert len(want) == 5
+    assert enum_cm_in_ball(PointH(0, 1), 1.0, D=-4.0) == want
+    for D in (-4.5, -math.inf, math.nan):
+        with pytest.raises(DomainError, match=f"D must be an integer, got {D}"):
+            enum_cm_in_ball(PointH(0, 1), 1.0, D=D)

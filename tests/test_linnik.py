@@ -437,3 +437,32 @@ def test_ladder_counts_match_one_enumeration_per_delta():
     # (form_values) puts it one ulp above
     F, I, ladder = RealForm(0.1, 0.3, 0.7), ProjInterval(-2, 2), [14694.699999999997, 20000]
     assert linnik.ladder_counts(F, ladder, I) == [len(enumerate_W(F, d, I)) for d in ladder]
+
+
+def test_int_policy_switches_to_python_ints_at_2_53():
+    assert linnik._int_dtype(2**53 - 1) is np.int64
+    assert linnik._int_dtype(2**53) is object
+    col = np.arange(3, dtype=np.int64)
+    assert linnik._ints(2**53 - 1, col)[0] is col  # no cast, no copy
+    (wide,) = linnik._ints(2**53, col)
+    assert wide.dtype == object and wide.tolist() == [0, 1, 2]
+
+
+def test_ladder_counts_of_no_deltas():
+    assert linnik.ladder_counts(RealForm(1, 0, 1), [], ProjInterval(0, 1)) == []
+
+
+def test_scan_guard_refuses_n_max_before_scanning():
+    # n_max = isqrt(10^150); 1e100 (t^2 + 1) on [-1, 1] has its minimum 1e100 at 0
+    with mock.patch.object(linnik, "_run_scan", side_effect=AssertionError):
+        with pytest.raises(GuardExceeded, match=f"over SCAN_GUARD = {linnik.SCAN_GUARD}"):
+            enumerate_W(RealForm(1e100, 0, 1e100), 1e250, ProjInterval(-1, 1))
+
+
+def test_scan_guard_counts_candidates_block_by_block(monkeypatch):
+    F, I = RealForm(1, 0, 1), ProjInterval(-1, 1)
+    assert len(enumerate_W(F, 10**4, I)) > 0
+    monkeypatch.setattr(linnik, "SCAN_GUARD", 1000)
+    # n_max = 100 passes up front; the block's candidates do not
+    with pytest.raises(GuardExceeded, match="has n_max = 100 and [0-9]+ candidates"):
+        enumerate_W(F, 10**4, I)

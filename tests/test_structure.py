@@ -1,0 +1,55 @@
+"""The source keeps one way into the scan and one integer policy."""
+
+import ast
+import pathlib
+from collections import defaultdict
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "linnikgeo"
+
+
+class _Calls(ast.NodeVisitor):
+    """Calls by name, each under the innermost function that makes it."""
+
+    def __init__(self, module: str):
+        self.where = [module]
+        self.callers: dict[str, set[str]] = defaultdict(set)
+        self.defined: dict[str, list[str]] = defaultdict(list)
+
+    def visit_FunctionDef(self, node):
+        self.defined[node.name].append(f"{self.where[0]}:{node.name}")
+        self.where.append(node.name)
+        self.generic_visit(node)
+        self.where.pop()
+
+    visit_AsyncFunctionDef = visit_FunctionDef
+
+    def visit_Call(self, node):
+        f = node.func
+        name = f.id if isinstance(f, ast.Name) else f.attr if isinstance(f, ast.Attribute) else None
+        if name:
+            self.callers[name].add(f"{self.where[0]}:{self.where[-1]}")
+        self.generic_visit(node)
+
+
+def _scan_source() -> tuple[dict, dict]:
+    callers, defined = defaultdict(set), defaultdict(list)
+    for path in sorted(SRC.glob("*.py")):
+        v = _Calls(path.stem)
+        v.visit(ast.parse(path.read_text(encoding="utf-8")))
+        for k, s in v.callers.items():
+            callers[k] |= s
+        for k, s in v.defined.items():
+            defined[k] += s
+    return callers, defined
+
+
+def test_one_function_enters_the_scan():
+    callers, _ = _scan_source()
+    assert callers["_run_scan"] == {"linnik:_scan_window"}
+    assert callers["_sort_along"] == {"linnik:_scan_window"}
+
+
+def test_one_integer_policy():
+    _, defined = _scan_source()
+    assert defined["_int_dtype"] == ["linnik:_int_dtype"]
+    assert defined["_ints"] == ["linnik:_ints"]
