@@ -20,7 +20,7 @@ import numbers
 from collections import deque
 from dataclasses import dataclass
 from itertools import repeat
-from typing import Callable, NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -33,15 +33,17 @@ from .errors import (
     WrongDiscriminantSign,
 )
 from .forms import CMPoint, IntForm, RMCurve, is_normalized, RealForm
-from .hyperbolic import BallE, PointH, ball
+from .hyperbolic import BallE, PointH, _ball_angles, ball
 from .linnik import (
     Frac,
     ProjInterval,
     QuadCase,
     _absmax,
+    _guard,
     _int_dtype,
     _ints,
     _min_on_closure,
+    _ranges,
     _scan_window,
     _tuples,
 )
@@ -122,18 +124,29 @@ def mn_to_form(param: GeodesicParam, m: int, n: int) -> IntForm:
 
 def coord_of_t(param: GeodesicParam, t: float) -> float:
     """theta along a semicircle base (y along a half-line base) at t = m/n."""
+    return float(_coord_col(param, np.array([t], dtype=float))[0])
+
+
+def _coord_col(param: GeodesicParam, t: np.ndarray) -> np.ndarray:
+    """coord_of_t for a column of t; the first t that is not NaN but gives NaN
+    raises ZeroDivisionError (zero denominator) or ValueError, as floats do."""
     A, B, C = param.derived
-    if param.half_line:
-        if param.mode == CM_ON_G:
-            return math.sqrt(-4 / B * t - 4 * C / (B * B))
-        return math.sqrt(4 / B * t + 4 * C / (B * B))
-    D = param.derivedD
-    if param.mode == CM_ON_G:
-        return math.acos((-B - 2 * A * t) / math.sqrt(D))
-    if param.mode == RM_PERP_G:
-        return math.acos(-math.sqrt(D) / (2 * A * t + B))
-    F = (A * t + B) * t + C
-    return math.acos((B + 2 * A * t) / (2 * math.sqrt(A) * math.sqrt(F)))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if param.half_line:
+            num, den = (-1 if param.mode == CM_ON_G else 1) * (4 / B * t + 4 * C / (B * B)), 1.0
+        elif param.mode == CM_ON_G:
+            num, den = float(-B) - float(2 * A) * t, math.sqrt(param.derivedD)
+        elif param.mode == RM_PERP_G:
+            num, den = -math.sqrt(param.derivedD), float(2 * A) * t + float(B)
+        else:
+            F = (float(A) * t + float(B)) * t + float(C)
+            num, den = float(B) + float(2 * A) * t, 2 * math.sqrt(A) * np.sqrt(F)
+        out = np.sqrt(num) if param.half_line else np.arccos(num / den)
+    bad = np.flatnonzero(np.isnan(out) & ~np.isnan(t))
+    if len(bad):
+        zero = np.ndim(den) and den[bad[0]] == 0
+        raise ZeroDivisionError("float division by zero") if zero else ValueError("math domain error")
+    return out
 
 
 def t_of_coord(param: GeodesicParam, coord: float) -> float:
@@ -268,17 +281,7 @@ _ROWS = 4096
 
 def _floor_ints(x: np.ndarray, dt: type) -> np.ndarray:
     """Integer column of the integral floats x, exact for either dtype."""
-    return np.frompyfunc(int, 1, 1)(x).astype(dt)
-
-
-def _each(fn: Callable[..., float], *cols: np.ndarray) -> np.ndarray:
-    """fn applied per element to Python floats.  math.acos, math.hypot and
-    float ** 2 call libm; numpy's vectorised versions may round differently."""
-    return np.fromiter(map(fn, *(c.tolist() for c in cols)), float, len(cols[0]))
-
-
-def _sq(v: float) -> float:
-    return v**2
+    return np.frompyfunc(int, 1, 1)(x) if dt == object else x.astype(dt)
 
 
 def _form_cols(param: GeodesicParam, ms: np.ndarray, ns: np.ndarray) -> list[np.ndarray]:
@@ -301,31 +304,6 @@ def _cm_z_cols(a: np.ndarray, b: np.ndarray, absd: np.ndarray) -> tuple[np.ndarr
     (a, b, c) of discriminant -absd."""
     y = np.sqrt(np.asarray(absd, dtype=float)) / np.asarray(2 * a, dtype=float)
     return np.asarray(-b / (2 * a), dtype=float), y
-
-
-def _coord_col(param: GeodesicParam, t: np.ndarray) -> np.ndarray:
-    """coord_of_t(param, t) for a column of t, in the same float operations.
-
-    Where those leave the domain of sqrt or acos (or divide by 0),
-    coord_of_t at the first such t raises its own error.
-    """
-    A, B, C = param.derived
-    with np.errstate(divide="ignore", invalid="ignore"):
-        if param.half_line and param.mode == CM_ON_G:
-            x = -4 / B * t - 4 * C / (B * B)
-        elif param.half_line:
-            x = 4 / B * t + 4 * C / (B * B)
-        elif param.mode == CM_ON_G:
-            x = (float(-B) - float(2 * A) * t) / math.sqrt(param.derivedD)
-        elif param.mode == RM_PERP_G:
-            x = -math.sqrt(param.derivedD) / (float(2 * A) * t + float(B))
-        else:
-            F = (float(A) * t + float(B)) * t + float(C)
-            x = (float(B) + float(2 * A) * t) / (2 * math.sqrt(A) * np.sqrt(F))
-    bad = np.flatnonzero(~(x >= 0) if param.half_line else ~(np.abs(x) <= 1))
-    if len(bad):
-        coord_of_t(param, float(t[bad[0]]))
-    return np.sqrt(x) if param.half_line else _each(math.acos, x)
 
 
 def _foot_cols(
@@ -459,6 +437,26 @@ def enum_rm_through_point(p: IntForm, delta: float) -> list[RMThroughPoint]:
     return _records(param, *_enum_pairs(param, delta, None))
 
 
+# pairs or candidates per block: 2^14 int64s stay in cache (2^16 halved speed)
+_BALL_BLOCK = 2**14
+
+
+def _pairs(a_max: int, lo: float, hi: float, d_max: int, what: str) -> Iterator:
+    """Blocks of at most _BALL_BLOCK columns (a, b), 1 <= a <= a_max and
+    -b / 2a in [lo, hi], by a, then b, once a_max and then a_max (a_max + 1)
+    (hi - lo) + a_max, which bounds their count, pass _guard (what: the
+    search).  b's dtype bounds 4 (b^2 + d_max) >= 4ac for |D| <= d_max."""
+    _guard(a_max, "{} has a_max = {}", what, a_max)
+    bound = a_max * (a_max + 1) * (hi - lo) + a_max
+    _guard(bound, "{} has up to {:.0f} (a, b) pairs", what, bound)
+    af = np.arange(1, a_max + 1, dtype=float)
+    b_lo, b_hi = np.ceil(-2 * af * hi), np.floor(-2 * af * lo)
+    b_abs = int(max(np.abs(b_lo).max(initial=0), np.abs(b_hi).max(initial=0)))
+    dt = _int_dtype(4 * (b_abs * b_abs + d_max))
+    _, spans = _ranges(_floor_ints(b_lo, dt), _floor_ints(b_hi, dt), _BALL_BLOCK)
+    return ((s + 1, b) for s, b in spans)
+
+
 def enum_cm_in_ball(
     z0: PointH,
     s0: float,
@@ -470,9 +468,8 @@ def enum_cm_in_ball(
     Either a single integer discriminant D < 0 or a bound delta on |D|
     (delta < 1 gives no points).  Exhaustive:
     a <= sqrt(|D|) / (2 y_min) with y_min the lowest point of the ball.
-    The candidates (a, b, c) of each a are generated as columns; gcd, sign,
-    membership (the float operations of BallE.contains) and the angle (those
-    of ang_p) are then decided on the columns of all of them.
+    One column pass in blocks (_pairs, _ball_points), then the angles
+    (ang_p's) of the points, sorted by (a, b, c).
     """
     if not s0 > 0:
         raise ValueError("need s0 > 0")
@@ -487,106 +484,85 @@ def enum_cm_in_ball(
     if delta is not None and not math.isfinite(delta):
         raise DomainError(f"delta must be finite, got {delta}")
     be: BallE = ball(z0, s0)
-    x0, y0 = be.center.x, be.center.y
-    re = be.radius_euclid
-    y_min = y0 - re
+    x0, y0, re = be.center.x, be.center.y, be.radius_euclid
     d_max = -D if D is not None else math.floor(delta)
     if d_max < 1:
         return []
-    a_max = math.isqrt(math.floor(d_max / (4 * y_min * y_min))) + 1
-    # |b| <= b_abs and 4ac <= b^2 + d_max bound every integer below
-    b_abs = max(abs(math.ceil(-2 * a_max * (x0 + re))), abs(math.floor(-2 * a_max * (x0 - re))))
-    dt = _int_dtype(4 * (b_abs * b_abs + d_max))
-    cols: list[list[np.ndarray]] = [[np.zeros(0, dtype=dt)] for _ in range(3)]
-    for a in range(1, a_max + 1):
-        b_lo = math.ceil(-2 * a * (x0 + re))
-        b_hi = math.floor(-2 * a * (x0 - re))
-        if b_hi < b_lo:
-            continue
-        bs = np.arange(b_lo, b_hi + 1, dtype=dt)
+    a_max = math.isqrt(math.floor(d_max / (4 * (y0 - re) ** 2))) + 1
+    what = f"the ball of radius {s0} about {z0} at |D| <= {d_max}"
+    a, b, c, zx, zy = _ball_points(be, _pairs(a_max, x0 - re, x0 + re, d_max, what), D, d_max, what)
+    return _build(CMInBall, [a, b, c, _ball_angles(z0, zx, zy)])
+
+
+def _ball_points(be: BallE, pairs: Iterator, D: int | None, d_max: int, what: str) -> list[np.ndarray]:
+    """Columns (a, b, c, x, y), by pair, then c, of the primitive forms of
+    discriminant D (or in [-d_max, -1]) whose CM point (x, y) lies in the disk
+    be; the candidates so far pass _guard before each block of them is tested.
+
+    For a single D, c = (b^2 - D) / 4a where 4a divides b^2 - D.  Else
+    y = sqrt(4ac - b^2) / 2a lies on the disk's vertical chord at x = -b/2a,
+    so c = (b^2 + (2ay)^2) / 4a lies between the chord's ends, padded by 1;
+    b^2 // 4a stays in integers, as a float it loses more than the pad."""
+    x0, y0, re = be.center.x, be.center.y, be.radius_euclid
+    out, tested = [], 0  # _ranges yields at least one block, so out is not empty
+    for a, b in pairs:
+        b2, a4, af = b * b, 4 * a, a.astype(float)
         if D is not None:
-            bs = bs[(bs * bs - D) % (4 * a) == 0]
-            cs = (bs * bs - D) // (4 * a)
+            c = (b2 - D) // a4
+            keep = c * a4 == b2 - D
+            a, b, c_lo, c_hi = a[keep], b[keep], c[keep], c[keep]
         else:
-            # y = sqrt(4ac - b^2) / 2a must lie on the disk's vertical
-            # chord at x = -b/2a, so c = (b^2 + (2ay)^2) / 4a is bounded
-            # by the chord's ends (padded by 1; membership decides).  The
-            # part b^2 // 4a of c is kept in integers: as a float it loses
-            # more than the pad once b^2 passes 2^53
-            bf = bs.astype(float)
-            h = np.sqrt(np.maximum(re * re - (bf / (2 * a) + x0) ** 2, 0.0))
-            b2 = bs * bs
-            q, r = b2 // (4 * a), (b2 % (4 * a)).astype(float)
-            chord_lo = q + _floor_ints(np.floor((r + (2 * a * (y0 - h)) ** 2) / (4 * a)), dt) - 1
-            chord_hi = q + _floor_ints(np.ceil((r + (2 * a * (y0 + h)) ** 2) / (4 * a)), dt) + 1
+            h = np.sqrt(np.maximum(re * re - (b.astype(float) / (2 * af) + x0) ** 2, 0.0))
+            q, r = b2 // a4, (b2 % a4).astype(float)
+            chord_lo = q + _floor_ints(np.floor((r + (2 * af * (y0 - h)) ** 2) / (4 * af)), b.dtype) - 1
+            chord_hi = q + _floor_ints(np.ceil((r + (2 * af * (y0 + h)) ** 2) / (4 * af)), b.dtype) + 1
             # smallest c with D <= -1, largest with |D| <= d_max
-            c_lo = np.maximum((b2 + 4 * a) // (4 * a), chord_lo)
-            c_hi = np.minimum((b2 + d_max) // (4 * a), chord_hi)
-            # expand each range [c_lo, c_hi] into its candidates
-            count = np.maximum(c_hi - c_lo + 1, 0).astype(np.int64)
-            first = np.cumsum(count) - count
-            bs = np.repeat(bs, count)
-            cs = np.repeat(c_lo - first, count) + np.arange(len(bs), dtype=dt)
-        cols[0].append(np.full(len(bs), a, dtype=dt))
-        cols[1].append(bs)
-        cols[2].append(cs)
-    a, b, c = (np.concatenate(col) for col in cols)
-    d = b * b - 4 * a * c
-    keep = (np.gcd(np.gcd(a, b), c) == 1) & (d < 0)
-    a, b, c, d = a[keep], b[keep], c[keep], d[keep]
-    zx, zy = _cm_z_cols(a, b, -d)
-    keep = _each(math.hypot, zx - x0, zy - y0) <= re
-    a, b, c, zx, zy = a[keep], b[keep], c[keep], zx[keep], zy[keep]
-    order = np.lexsort((c, b, a))
-    a, b, c = a[order], b[order], c[order]
-    ang = _ball_angles(z0, zx[order], zy[order])
-    return _build(CMInBall, [a, b, c, ang])
-
-
-def _ball_angles(p: PointH, zx: np.ndarray, zy: np.ndarray) -> np.ndarray:
-    """ang_p(p, z) for columns of points z, in its float operations; the
-    center itself gets 0 by convention."""
-    px, py = p.x, p.y
-    # z straight below p (or p itself) gets 0, straight above it pi
-    ang = np.where(zy <= py, 0.0, math.pi)
-    off = np.flatnonzero(zx != px)
-    x, y = zx[off], zy[off]
-    # geodesic_through(p, z), then acos of the clipped cosine
-    q = (x + px) / 2 + (_each(_sq, y) - py**2) / (2 * (x - px))
-    r = _each(math.hypot, px - q, np.full(len(q), py))
-    base = _each(math.acos, np.maximum(-1.0, np.minimum(1.0, (q - px) / r)))
-    ang[off] = np.where(x > px, base, base + math.pi)
-    return ang
+            c_lo, c_hi = np.maximum(q + 1, chord_lo), np.minimum((b2 + d_max) // a4, chord_hi)
+        total, cands = _ranges(c_lo, c_hi, _BALL_BLOCK)
+        tested += total
+        _guard(tested, "{} has {:.0f} (a, b, c) candidates", what, tested)
+        for s, c in cands:
+            ka, kb = a[s], b[s]
+            d = kb * kb - 4 * ka * c
+            keep = (np.gcd(np.gcd(ka, kb), c) == 1) & (d < 0)
+            ka, kb, c, d = ka[keep], kb[keep], c[keep], d[keep]
+            x, y = _cm_z_cols(ka, kb, -d)
+            keep = be.contains_cols(x, y)
+            out.append([ka[keep], kb[keep], c[keep], x[keep], y[keep]])
+    return [np.concatenate(col) for col in zip(*out)]
 
 
 def enum_cm_on_im1(delta: float, x_lo: float, x_hi: float) -> list[CMPoint]:
     """CM points on the horizontal line Im z = 1 with |D| <= delta, x in window.
 
     These are exactly the points m/n + i from primitive forms
-    (n^2, -2mn, n^2 + m^2), discriminant -4 n^4.  The candidates (a, b) are
-    generated as columns; the points come stably sorted by Re z.
+    (n^2, -2mn, n^2 + m^2), discriminant -4 n^4, found in blocks of pairs
+    (a, b) (_pairs, _im1_points) and stably sorted by Re z.
     """
     if not math.isfinite(delta):
         raise DomainError(f"delta must be finite, got {delta}")
+    if math.isnan(x_lo) or math.isnan(x_hi):
+        raise DomainError(f"the window [{x_lo}, {x_hi}] is not a pair of numbers")
     if delta < 1:
         return []
     # y = 1 forces D = -4a^2, so 4a^2 <= delta and c = (b^2 + 4a^2) / (4a)
-    a_max = math.isqrt(math.floor(delta)) // 2
-    spans = [(a, math.ceil(-2 * a * x_hi), math.floor(-2 * a * x_lo)) for a in range(1, a_max + 1)]
-    b_abs = max((max(abs(lo), abs(hi)) for _, lo, hi in spans), default=0)
-    dt = _int_dtype(b_abs * b_abs + 4 * a_max * a_max)
-    cols: list[list[np.ndarray]] = [[np.zeros(0, dtype=dt)] for _ in range(3)]
-    for a, b_lo, b_hi in spans:
-        bs = np.arange(b_lo, b_hi + 1, dtype=dt)
-        bs = bs[(bs * bs) % (4 * a) == 0]  # 4a divides b^2 + 4a^2
-        cols[0].append(np.full(len(bs), a, dtype=dt))
-        cols[1].append(bs)
-        cols[2].append((bs * bs + 4 * a * a) // (4 * a))
-    a, b, c = (np.concatenate(col) for col in cols)
-    keep = np.gcd(np.gcd(a, b), c) == 1
-    a, b, c = a[keep], b[keep], c[keep]
+    d_max = math.floor(delta)
+    what = f"Im z = 1 on [{x_lo}, {x_hi}] at |D| <= {d_max}"
+    a, b, c = _im1_points(_pairs(math.isqrt(d_max) // 2, x_lo, x_hi, d_max, what))
     order = np.argsort(np.asarray(-b / (2 * a), dtype=float), kind="stable")
     return _build(CMPoint, [a[order], b[order], c[order]])
+
+
+def _im1_points(pairs: Iterator) -> list[np.ndarray]:
+    """Columns (a, b, c) of the primitive forms (a, b, b^2 / 4a + a) of the pairs."""
+    out = []
+    for a, b in pairs:
+        b2, a4 = b * b, 4 * a
+        keep = b2 % a4 == 0  # 4a divides b^2 + 4a^2
+        a, b, c = a[keep], b[keep], b2[keep] // a4[keep] + a[keep]
+        keep = np.gcd(np.gcd(a, b), c) == 1
+        out.append([a[keep], b[keep], c[keep]])
+    return [np.concatenate(col) for col in zip(*out)]
 
 
 # ---------------------------------------------------------------------------
@@ -615,22 +591,21 @@ def pushforward_check(
             if param.mode == RM_PERP_G:
                 # keep away from the t = infinity seam at pi/2
                 grid = grid[np.abs(grid - math.pi / 2) > 0.05]
-    worst = 0.0
-    for u in np.asarray(grid, dtype=float).tolist():
-        if not param.half_line and min(abs(math.sin(u)), abs(math.cos(u) if param.mode == RM_PERP_G else 1.0)) < 1e-9:
-            raise GridTouchesSingularity(f"grid point {u} is singular")
-        t = t_of_coord(param, u)
-        ft = (A * t + B) * t + C
-        if abs(ft) < 1e-12:
-            raise GridTouchesSingularity(f"grid point {u} hits a root")
-        h = 1e-6 * max(1.0, abs(t))
-        du_dt = (coord_of_t(param, t + h) - coord_of_t(param, t - h)) / (2 * h)
-        got = 1.0 / (abs(ft) * abs(du_dt))
-        if param.half_line:
-            target = 2.0 / (4 * param.pqr[1]) / u  # 2/B with B = 4Q
-        elif param.mode == RM_THROUGH_P:
-            target = 2.0 / math.sqrt(-D)
-        else:
-            target = 2.0 / math.sqrt(D) / math.sin(u)
-        worst = max(worst, abs(got - target) / target)
-    return worst
+    us = np.asarray(grid, dtype=float)
+    near = np.minimum(np.abs(np.sin(us)), np.abs(np.cos(us)) if param.mode == RM_PERP_G else 1.0) < 1e-9
+    if not param.half_line and near.any():
+        raise GridTouchesSingularity(f"grid point {us[near][0]} is singular")
+    t = np.array([t_of_coord(param, u) for u in us.tolist()], dtype=float)
+    ft = np.abs((A * t + B) * t + C)
+    if (ft < 1e-12).any():
+        raise GridTouchesSingularity(f"grid point {us[ft < 1e-12][0]} hits a root")
+    h = 1e-6 * np.maximum(1.0, np.abs(t))
+    du_dt = (_coord_col(param, t + h) - _coord_col(param, t - h)) / (2 * h)
+    got = 1.0 / (ft * np.abs(du_dt))
+    if param.half_line:
+        target = 2.0 / (4 * param.pqr[1]) / us  # 2/B with B = 4Q
+    elif param.mode == RM_THROUGH_P:
+        target = 2.0 / math.sqrt(-D)
+    else:
+        target = 2.0 / math.sqrt(D) / np.sin(us)
+    return float(np.max(np.abs(got - target) / target, initial=0.0))

@@ -12,6 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import (
     BadAngleOrder,
     CoincidentPoints,
@@ -45,9 +47,11 @@ class BallE:
             raise ValueError("euclidean radius must be in (0, center.y)")
 
     def contains(self, z: PointH, tol: float = 0.0) -> bool:
-        return math.hypot(z.x - self.center.x, z.y - self.center.y) <= (
-            self.radius_euclid + tol
-        )
+        return bool(self.contains_cols(np.array([z.x]), np.array([z.y]), tol)[0])
+
+    def contains_cols(self, x: np.ndarray, y: np.ndarray, tol: float = 0.0) -> np.ndarray:
+        """contains for columns of points (x, y)."""
+        return np.hypot(x - self.center.x, y - self.center.y) <= self.radius_euclid + tol
 
 
 def dist(z1: PointH, z2: PointH) -> float:
@@ -72,14 +76,18 @@ def ang_p(p: PointH, z: PointH) -> float:
     """Angle of z as seen from p, in [0, 2*pi)."""
     if p == z:
         raise CoincidentPoints("angle to the point itself is undefined")
-    if z.x == p.x:
-        return 0.0 if z.y < p.y else math.pi
-    g = geodesic_through(p, z)
-    assert isinstance(g, Semicircle)
-    base = math.acos(max(-1.0, min(1.0, (g.q - p.x) / g.r)))
-    if z.x > p.x:
-        return base
-    return base + math.pi
+    return float(_ball_angles(p, np.array([z.x]), np.array([z.y]))[0])
+
+
+def _ball_angles(p: PointH, zx: np.ndarray, zy: np.ndarray) -> np.ndarray:
+    """ang_p(p, z) for columns of points z; p itself gets 0 by convention."""
+    px, py = p.x, p.y
+    # the centre q of the geodesic through p and z, then the clipped cosine's
+    # arccos; z straight below p (or p itself) gets 0, straight above it pi
+    with np.errstate(divide="ignore", invalid="ignore"):
+        q = (zx + px) / 2 + (zy * zy - py * py) / (2 * (zx - px))
+        base = np.arccos(np.clip((q - px) / np.hypot(px - q, py), -1.0, 1.0))
+    return np.where(zx == px, np.where(zy <= py, 0.0, math.pi), np.where(zx > px, base, base + math.pi))
 
 
 def ball(z0: PointH, s0: float) -> BallE:

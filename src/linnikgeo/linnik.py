@@ -14,7 +14,7 @@ import math
 import sys
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -36,6 +36,7 @@ BUCKET_GUARD = 10**6
 
 # most work a scan may do, counted as n_max plus the candidates it tests
 SCAN_GUARD = 10**8
+_SCAN_WORK = "the scan of {} on {} at delta = {} has n_max = {} and {} candidates"
 
 # candidate values this close to the cutoff delta are reported as boundary
 # ties when the coefficients are not exact integers
@@ -241,9 +242,11 @@ def _level_spans(
             hit = lo <= hi
             L.append(np.where(hit, nf * lo, 2.0))
             H.append(np.where(hit, nf * hi, -1.0))
-    L = np.floor(np.stack(L, 1)).astype(np.int64) - 1
-    H = np.ceil(np.stack(H, 1)).astype(np.int64) + 1
-    return L, H
+    L, H = np.floor(np.stack(L, 1)), np.ceil(np.stack(H, 1))
+    reach = max(-L.min(), H.max())  # L <= H in a non-empty piece; past 2^62 int64 wraps
+    if not reach < 2**62:
+        raise GuardExceeded(f"the level set of {case.F} at delta = {delta} reaches |m| = {reach:.3g} > 2^62")
+    return L.astype(np.int64) - 1, H.astype(np.int64) + 1
 
 
 def mu_integral(F: RealForm, I: ProjInterval) -> float:
@@ -381,18 +384,11 @@ def _run_scan(
         # every range begins after the end before it and is tested once
         L, H = np.sort(L, axis=1), np.sort(H, axis=1)
         L[:, 1:] = np.maximum(L[:, 1:], H[:, :-1] + 1)
-        count = np.maximum(H - L + 1, 0).ravel()
-        ends = np.cumsum(count)
-        # candidate number p of the block lies in range s = the first with
-        # ends[s] > p, and is m = L[s] + p - (ends[s] - count[s])
-        shift, span_n = L.ravel() - (ends - count), np.repeat(n, L.shape[1])
-        total = int(ends[-1])
-        tested += total
-        _guard_scan(case, delta, I, n_max, tested)
-        for c0 in range(0, total, _CHUNK):
-            pos = np.arange(c0, min(c0 + _CHUNK, total), dtype=np.int64)
-            s = np.searchsorted(ends, pos, side="right")
-            ms, ns = shift[s] + pos, span_n[s]
+        total, chunks = _ranges(L.ravel(), H.ravel(), _CHUNK)
+        tested += int(total)
+        _guard(n_max + tested, _SCAN_WORK, F, I, delta, n_max, tested)
+        for s, ms in chunks:
+            ns = n[s // L.shape[1]]
             vals = _scan_values(F, integral, ms, ns)
             ok = (vals > 0) & _at_most(vals, delta)
             if not integral:
@@ -409,13 +405,33 @@ def _run_scan(
     return np.concatenate(out_m), np.concatenate(out_n), ties
 
 
-def _guard_scan(case: QuadCase, delta: float, I: ProjInterval, n_max: int, tested: int) -> None:
-    """Refuse a scan whose n_max plus candidates tested passes SCAN_GUARD."""
-    if n_max + tested > SCAN_GUARD:
-        raise GuardExceeded(
-            f"the scan of {case.F} on {I} at delta = {delta} has n_max = {n_max} and "
-            f"{tested} candidates, over SCAN_GUARD = {SCAN_GUARD}"
-        )
+def _ranges(lo: np.ndarray, hi: np.ndarray, chunk: int) -> tuple[float, Iterator[tuple[np.ndarray, ...]]]:
+    """The integers v of the ranges [lo[s], hi[s]]: their count (a float sum,
+    which cannot wrap; callers check it) and a lazy generator of them in order,
+    as columns (s, v) in blocks of at most chunk (one empty block if none)."""
+    count = np.maximum(hi - lo + 1, 0)
+    total = count.sum(dtype=float)
+
+    def blocks():
+        n, k = int(total), count.astype(np.int64, copy=False)
+        ends = np.cumsum(k)
+        starts = ends - k
+        if n <= chunk:  # one block with no search: 7 % of a small enumerate_W
+            yield np.repeat(np.arange(len(k)), k), np.repeat(lo - starts, k) + np.arange(n)
+            return
+        for p0 in range(0, n, chunk):
+            p1 = min(p0 + chunk, n)
+            i, j = np.searchsorted(ends, p0, side="right"), np.searchsorted(starts, p1)
+            part = np.minimum(ends[i:j], p1) - np.maximum(starts[i:j], p0)
+            yield np.repeat(np.arange(i, j), part), np.repeat(lo[i:j] - starts[i:j], part) + np.arange(p0, p1)
+
+    return total, blocks()
+
+
+def _guard(count: float, what: str, *args) -> None:
+    """Refuse work whose count passes SCAN_GUARD, naming it: what.format(*args)."""
+    if count > SCAN_GUARD:
+        raise GuardExceeded(f"{what.format(*args)}, over SCAN_GUARD = {SCAN_GUARD}")
 
 
 def _sort_along(
@@ -466,7 +482,7 @@ def _scan_window(
         n_max = math.isqrt(math.floor(delta / minF))
     if delta <= 0 or n_max < 1:
         return _NO_INTS, _NO_INTS, _NO_FLOATS, 0
-    _guard_scan(case, delta, I, n_max, 0)
+    _guard(n_max, _SCAN_WORK, F, I, delta, n_max, 0)
     ms, ns, ties = _run_scan(case, F.is_integral(), delta, I, n_max)
     return (*_sort_along(I, ms, ns), ties)
 

@@ -622,3 +622,142 @@ def test_enum_cm_in_ball_takes_integral_float_D():
     for D in (-4.5, -math.inf, math.nan):
         with pytest.raises(DomainError, match=f"D must be an integer, got {D}"):
             enum_cm_in_ball(PointH(0, 1), 1.0, D=D)
+
+
+def test_ball_and_im1_refuse_unbounded_work_at_once():
+    """a_max and a bound on the count of (a, b) pairs are checked before
+    their columns are made.  The first call ran past a 6 s timeout as a loop
+    over a; the second would have filled memory.  The third has an a_max of
+    9.6e7, under the guard, and up to 1.9e9 pairs."""
+    import time
+
+    from linnikgeo.errors import GuardExceeded
+
+    for call, match in [
+        (lambda: enum_cm_on_im1(1e12, 0, 1), r"has up to 250001000000 \(a, b\) pairs"),
+        (lambda: enum_cm_in_ball(PointH(0, 1), 1.0, delta=1e12), r"has up to [0-9]{13} \(a, b\) pairs"),
+        (lambda: enum_cm_in_ball(PointH(0, 1e-6), 0.1, delta=3e4), r"has up to [0-9]{10} \(a, b\) pairs"),
+        (lambda: enum_cm_in_ball(PointH(0, 1e-6), 0.1, delta=1e6), "has a_max = [0-9]{9},"),
+    ]:
+        t = time.perf_counter()
+        with pytest.raises(GuardExceeded, match=match):
+            call()
+        assert time.perf_counter() - t < 1.0
+
+
+def test_ball_guard_checks_a_max_then_pairs_then_candidates(monkeypatch):
+    """At delta = 1500 the radius-1 ball about i has a_max = 53, about 6,600
+    (a, b) pairs and about 40,000 candidates (a, b, c)."""
+    from linnikgeo import linnik
+    from linnikgeo.errors import GuardExceeded
+
+    for guard, match in [(52, "has a_max = 53,"), (1000, r"\(a, b\) pairs"), (10**4, r"\(a, b, c\) candidates")]:
+        monkeypatch.setattr(linnik, "SCAN_GUARD", guard)
+        with pytest.raises(GuardExceeded, match=match):
+            enum_cm_in_ball(PointH(0, 1), 1.0, delta=1500)
+    monkeypatch.setattr(linnik, "SCAN_GUARD", 10**5)
+    assert len(enum_cm_in_ball(PointH(0, 1), 1.0, delta=1500)) > 20000
+
+
+# the cases of test_column_builders_match_scalar_reference
+_COLUMN_CASES = [
+    (IntForm(1, 0, -1), CM_ON_G, 2000, None),
+    (IntForm(1, 1, -1), CM_ON_G, 2000, (0.3, 2.8)),
+    (IntForm(0, 1, -2), CM_ON_G, 2000, None),
+    (IntForm(1, 0, -1), RM_PERP_G, 2000, (0.3, 1.2)),
+    (IntForm(2, 1, -3), RM_PERP_G, 2000, (1.9, 2.9)),
+    (IntForm(0, 1, 0), RM_PERP_G, 2000, None),
+    (IntForm(0, 3, 1), RM_PERP_G, 2000, (0.2, 3.0)),
+    (IntForm(1, 0, 1), RM_THROUGH_P, 2000, None),
+    (IntForm(2, 1, 3), RM_THROUGH_P, 2000, None),
+]
+
+
+def _libm_coord(param, t):
+    """coord_of_t as per-element libm calls (math.sqrt, math.acos): the
+    reference the coordinate ufuncs are pinned to."""
+    A, B, C = param.derived
+    if param.half_line:
+        if param.mode == CM_ON_G:
+            return math.sqrt(-4 / B * t - 4 * C / (B * B))
+        return math.sqrt(4 / B * t + 4 * C / (B * B))
+    D = param.derivedD
+    if param.mode == CM_ON_G:
+        return math.acos((-B - 2 * A * t) / math.sqrt(D))
+    if param.mode == RM_PERP_G:
+        return math.acos(-math.sqrt(D) / (2 * A * t + B))
+    F = (A * t + B) * t + C
+    return math.acos((B + 2 * A * t) / (2 * math.sqrt(A) * math.sqrt(F)))
+
+
+def _libm_angle(p, z):
+    """ang_p (0 at p itself) as per-element operations (v**2, math.hypot,
+    math.acos): the reference the angle ufuncs are pinned to."""
+    if z.x == p.x:
+        return 0.0 if z.y <= p.y else math.pi
+    q = (z.x + p.x) / 2 + (z.y**2 - p.y**2) / (2 * (z.x - p.x))
+    base = math.acos(max(-1.0, min(1.0, (q - p.x) / math.hypot(p.x - q, p.y))))
+    return base if z.x > p.x else base + math.pi
+
+
+def _libm_ball_forms(z0, s0, delta):
+    """The forms of enum_cm_in_ball(z0, s0, delta=delta), every c tested and
+    membership decided by math.hypot per point."""
+    be = ball(z0, s0)
+    x0, y0, re = be.center.x, be.center.y, be.radius_euclid
+    out = []
+    for a in range(1, math.isqrt(math.floor(delta / (4 * (y0 - re) ** 2))) + 2):
+        for b in range(math.ceil(-2 * a * (x0 + re)), math.floor(-2 * a * (x0 - re)) + 1):
+            for c in range((b * b + 4 * a) // (4 * a), (b * b + delta) // (4 * a) + 1):
+                if math.gcd(math.gcd(a, b), c) == 1:
+                    y = math.sqrt(4 * a * c - b * b) / (2 * a)
+                    if math.hypot(-b / (2 * a) - x0, y - y0) <= re:
+                        out.append((a, b, c))
+    return out
+
+
+def test_ufunc_columns_stay_near_per_element_libm():
+    """The coordinate and angle columns use numpy ufuncs (np.arccos,
+    np.hypot, y * y), which may round differently from libm: coordinates
+    stay within 2 ulp, angles within 1e-14, and ball membership is
+    unchanged on the benchmark's balls."""
+    for G, mode, delta, arc in _COLUMN_CASES:
+        param = build_param(G, mode)
+        _, _, ts = _enum_pairs(param, delta, _arc_interval(param, arc))
+        ref = np.array([_libm_coord(param, t) for t in ts.tolist()])
+        assert np.all(np.abs(_coord_col(param, ts) - ref) <= 2 * np.spacing(ref))
+    rng = random.Random(5)
+    param = build_param(SHIFTED, RM_PERP_G)
+    ms, ns = _random_pairs(rng, param, 200, 1)
+    ref = np.array([_libm_coord(param, t) for t in (ms / ns).tolist()])
+    assert np.all(np.abs(_coord_col(param, ms / ns) - ref) <= 2 * np.spacing(ref))
+    # the random points of test_column_builders_match_scalar_reference
+    p = PointH(0.25, 1.5)
+    zs = [PointH(rng.uniform(-3, 3), rng.uniform(0.1, 4)) for _ in range(20000)]
+    zs += [PointH(0.25, 0.5), PointH(0.25, 2.0), p]
+    got = _ball_angles(p, np.array([z.x for z in zs]), np.array([z.y for z in zs]))
+    assert np.max(np.abs(got - [_libm_angle(p, z) for z in zs])) <= 1e-14
+    # the benchmark's balls: radius 1 about i, rho and i*sqrt(2), delta = 1500
+    for z0 in (PointH(0, 1), PointH(-0.5, math.sqrt(3) / 2), PointH(0, math.sqrt(2))):
+        recs = enum_cm_in_ball(z0, 1.0, delta=1500)
+        assert [r.point.form.triple() for r in recs] == _libm_ball_forms(z0, 1.0, 1500)
+        ref = [_libm_angle(z0, PointH(r.point.z.real, r.point.z.imag)) for r in recs]
+        assert np.max(np.abs(np.array([r.angle for r in recs]) - ref)) <= 1e-14
+
+
+def test_im1_filters_its_pairs_block_by_block():
+    """At delta = 4e6 (a_max = 1000) the window [0, 1] has about 10^6
+    (a, b) pairs.  They are filtered in blocks: built at once, their int64
+    columns took 48 MB.  The points are m/n + i with a = n^2 <= 1000 and
+    gcd(m, n) = 1."""
+    tracemalloc.start()
+    try:
+        recs = enum_cm_on_im1(4e6, 0, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
+    assert len(recs) == sum(math.gcd(m, n) == 1 for n in range(1, 32) for m in range(n + 1))
+    assert [r.z.real for r in recs] == sorted(r.z.real for r in recs)
+    with pytest.raises(DomainError, match="not a pair of numbers"):
+        enum_cm_on_im1(10, math.nan, 1)

@@ -1,5 +1,6 @@
 import math
 import random
+import warnings
 from unittest import mock
 
 import pytest
@@ -466,3 +467,29 @@ def test_scan_guard_counts_candidates_block_by_block(monkeypatch):
     # n_max = 100 passes up front; the block's candidates do not
     with pytest.raises(GuardExceeded, match="has n_max = 100 and [0-9]+ candidates"):
         enumerate_W(F, 10**4, I)
+
+
+def test_level_set_beyond_int64_is_refused_without_a_warning():
+    """n_max is 10^5, under the guard, but the level set reaches |m| = 1e55.
+    The int64 cast wrapped it (with a RuntimeWarning) into 217,252 fractions."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(GuardExceeded, match=r"reaches \|m\| = 1e\+55 > 2\^62"):
+            enumerate_W(RealForm(1e-100, 0, 1), 1e10, ProjInterval(-1e60, 1e60))
+
+
+def test_ranges_split_across_blocks():
+    rng = np.random.default_rng(3)
+    lo = rng.integers(-50, 50, 300)
+    hi = lo + rng.integers(-3, 40, 300)  # some ranges are empty
+    want_s = np.concatenate([np.full(max(h - l + 1, 0), i) for i, (l, h) in enumerate(zip(lo, hi))])
+    want_v = np.concatenate([np.arange(l, h + 1) for l, h in zip(lo, hi)])
+    for chunk in (1, 7, 64, 10**6):
+        total, blocks = linnik._ranges(lo, hi, chunk)
+        got = list(blocks)
+        assert total == len(want_v) and all(len(v) <= chunk for _, v in got)
+        assert np.array_equal(np.concatenate([s for s, _ in got]), want_s)
+        assert np.array_equal(np.concatenate([v for _, v in got]), want_v)
+    # no integers at all: one empty block
+    total, blocks = linnik._ranges(np.array([3]), np.array([1]), 4)
+    assert total == 0 and [len(v) for _, v in blocks] == [0]

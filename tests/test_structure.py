@@ -1,4 +1,5 @@
-"""The source keeps one way into the scan and one integer policy."""
+"""The source keeps one way into the scan, one integer policy and one
+implementation of each float formula."""
 
 import ast
 import pathlib
@@ -53,3 +54,19 @@ def test_one_integer_policy():
     _, defined = _scan_source()
     assert defined["_int_dtype"] == ["linnik:_int_dtype"]
     assert defined["_ints"] == ["linnik:_ints"]
+
+
+def test_scalar_geometry_is_a_row_of_its_column():
+    callers, defined = _scan_source()
+    assert not defined["_each"] and not defined["_sq"]
+    assert "geodesic_enum:coord_of_t" in callers["_coord_col"]
+    assert "hyperbolic:ang_p" in callers["_ball_angles"]
+    assert "hyperbolic:contains" in callers["contains_cols"]
+
+
+def test_ball_and_im1_enumerators_have_no_python_loops():
+    tree = ast.parse((SRC / "geodesic_enum.py").read_text(encoding="utf-8"))
+    fns = {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)}
+    for name in ("enum_cm_in_ball", "enum_cm_on_im1"):
+        loops = [n for n in ast.walk(fns[name]) if isinstance(n, (ast.For, ast.While, ast.comprehension))]
+        assert not loops, name
