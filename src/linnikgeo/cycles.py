@@ -18,7 +18,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError, ImprimitiveForm, NumericalInstability
-from .forms import IntForm, Semicircle, geodesic_of_form, is_normalized
+from .forms import IntForm, RealForm, Semicircle, geodesic_of_form, is_normalized
 from .geodesic_enum import (
     CM_ON_G,
     CMOnGeodesic,
@@ -29,7 +29,7 @@ from .geodesic_enum import (
     _records,
     build_param,
 )
-from .linnik import ProjInterval, _absmax, _int_values, _ints
+from .linnik import ProjInterval, _absmax, _ints, form_values
 from .hyperbolic import PointH
 from .numtheory import PellSolution, pell_fundamental, sl2z_reduce
 
@@ -234,7 +234,7 @@ def cycle_value(
     param, ms, ns, _ = _arc_pairs(cg, max(deltas, default=0))
     a, b, _ = _form_cols(param, ms, ns)
     # |D| exactly: the derived form's value is the discriminant
-    absd = -_int_values(*param.derived, ms, ns, _absmax(ms, ns))
+    absd = -form_values(RealForm(*param.derived), ms, ns)
     x, y = _cm_z_cols(a, b, absd)
     vals = list(map(f, map(complex, x.tolist(), y.tolist())))
     pts = list(zip(vals, absd.tolist()))

@@ -28,12 +28,11 @@ from .errors import (
     DomainError,
     GridTouchesSingularity,
     IntervalTouchesRoot,
-    NotPerpendicularPair,
     UnboundedDivergence,
     WrongDiscriminantSign,
 )
 from .forms import CMPoint, IntForm, RMCurve, is_normalized, RealForm
-from .hyperbolic import BallE, PointH, _ball_angles, ball
+from .hyperbolic import BallE, PointH, _ball_angles, _foot_cols, ball
 from .linnik import (
     Frac,
     ProjInterval,
@@ -108,14 +107,9 @@ def build_param(G: IntForm, mode: str) -> GeodesicParam:
 
 def mn_to_form(param: GeodesicParam, m: int, n: int) -> IntForm:
     """The incident form for the pair (m, n); its discriminant is F(m, n)
-    with F the derived form."""
-    if param.half_line:
-        P, Q = param.pqr
-        return IntForm(n * Q, n * P, -m)
-    P, Q, R = param.pqr
-    S = param.S
-    b0, c0 = param.bezout
-    return IntForm(n * S, n * P * b0 + m * (R // S), n * P * c0 - m * (Q // S))
+    with F the derived form.  Exact for any ints m, n."""
+    row = (np.array([v], dtype=object) for v in (m, n))
+    return IntForm(*(int(col[0]) for col in _form_cols(param, *row)))
 
 
 # ---------------------------------------------------------------------------
@@ -306,32 +300,6 @@ def _cm_z_cols(a: np.ndarray, b: np.ndarray, absd: np.ndarray) -> tuple[np.ndarr
     return np.asarray(-b / (2 * a), dtype=float), y
 
 
-def _foot_cols(
-    G: IntForm, a: np.ndarray, b: np.ndarray, c: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Columns (x, y) of perp_foot(IntForm(a, b, c), G), with its checks and
-    its arithmetic."""
-    A0, B0, C0 = G.triple()
-    s = max(abs(A0), abs(B0), abs(C0))
-    # the numerator of y^2 is below 45 s^3 m^2, its denominator 16 s^4 m^2
-    a, b, c = _ints(64 * s**4 * _absmax(a, b, c) ** 2, a, b, c)
-    off = np.flatnonzero(2 * a * C0 + 2 * c * A0 != b * B0)
-    if len(off):
-        rm = IntForm(*(int(v[off[0]]) for v in (a, b, c)))
-        raise NotPerpendicularPair(f"{rm} is not perpendicular to {G}")
-    if A0 == 0:
-        x = np.full(len(a), -C0 / B0)
-        num, den = b * b - 4 * a * c, 4 * a * a
-    else:
-        u = B0 * a - A0 * b
-        x = np.asarray((A0 * c - C0 * a) / u, dtype=float)
-        D0 = G.discriminant()
-        num, den = D0 * (u * u - a * a * D0), 4 * A0 * A0 * (u * u)
-    if (num <= 0).any():
-        raise NotPerpendicularPair("curves do not intersect in the half-plane")
-    return x, np.sqrt(np.asarray(num / den, dtype=float))
-
-
 def _objs(cls: type, *cols: list) -> list:
     """cls objects whose slots, in order, hold the columns: made by
     object.__new__ and the slot descriptors, with no __init__ and no
@@ -441,20 +409,31 @@ def enum_rm_through_point(p: IntForm, delta: float) -> list[RMThroughPoint]:
 _BALL_BLOCK = 2**14
 
 
+def _b_ranges(a: np.ndarray, lo: float, hi: float, d_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """Columns [b_lo, b_hi], one per entry of the column a, of the b with
+    -b / 2a in [lo, hi], found in float operations.  Their dtype bounds
+    4 (b^2 + d_max) >= 4ac for |D| <= d_max."""
+    af = a.astype(float)
+    b_lo, b_hi = np.ceil(-2 * af * hi), np.floor(-2 * af * lo)
+    b_abs = int(max(np.abs(b_lo).max(initial=0), np.abs(b_hi).max(initial=0)))
+    dt = _int_dtype(4 * (b_abs * b_abs + d_max))
+    return _floor_ints(b_lo, dt), _floor_ints(b_hi, dt)
+
+
 def _pairs(a_max: int, lo: float, hi: float, d_max: int, what: str) -> Iterator:
     """Blocks of at most _BALL_BLOCK columns (a, b), 1 <= a <= a_max and
     -b / 2a in [lo, hi], by a, then b, once a_max and then a_max (a_max + 1)
     (hi - lo) + a_max, which bounds their count, pass _guard (what: the
-    search).  b's dtype bounds 4 (b^2 + d_max) >= 4ac for |D| <= d_max."""
+    search) before the first block.  The b-ranges are made for _BALL_BLOCK
+    values of a at a time, so memory does not grow with a_max."""
     _guard(a_max, "{} has a_max = {}", what, a_max)
     bound = a_max * (a_max + 1) * (hi - lo) + a_max
     _guard(bound, "{} has up to {:.0f} (a, b) pairs", what, bound)
-    af = np.arange(1, a_max + 1, dtype=float)
-    b_lo, b_hi = np.ceil(-2 * af * hi), np.floor(-2 * af * lo)
-    b_abs = int(max(np.abs(b_lo).max(initial=0), np.abs(b_hi).max(initial=0)))
-    dt = _int_dtype(4 * (b_abs * b_abs + d_max))
-    _, spans = _ranges(_floor_ints(b_lo, dt), _floor_ints(b_hi, dt), _BALL_BLOCK)
-    return ((s + 1, b) for s, b in spans)
+    for a0 in range(1, a_max + 1, _BALL_BLOCK):
+        a = np.arange(a0, min(a0 + _BALL_BLOCK, a_max + 1))
+        _, spans = _ranges(*_b_ranges(a, lo, hi, d_max), _BALL_BLOCK)
+        for s, b in spans:
+            yield a[s], b
 
 
 def enum_cm_in_ball(
@@ -535,33 +514,50 @@ def _ball_points(be: BallE, pairs: Iterator, D: int | None, d_max: int, what: st
 def enum_cm_on_im1(delta: float, x_lo: float, x_hi: float) -> list[CMPoint]:
     """CM points on the horizontal line Im z = 1 with |D| <= delta, x in window.
 
-    These are exactly the points m/n + i from primitive forms
-    (n^2, -2mn, n^2 + m^2), discriminant -4 n^4, found in blocks of pairs
-    (a, b) (_pairs, _im1_points) and stably sorted by Re z.
+    These are exactly the points m/n + i with gcd(m, n) = 1: the primitive
+    forms (a, b, c) = (n^2, -2mn, n^2 + m^2) of discriminant -4 n^4, so
+    n <= isqrt(isqrt(delta) // 2).  n_max, then a bound on the count of
+    (m, n), pass _guard before any column is made; the pairs are scanned
+    in blocks of n (_im1_points) and sorted by Re z = -b / 2a, ties in
+    (a, b) order.
     """
     if not math.isfinite(delta):
         raise DomainError(f"delta must be finite, got {delta}")
     if math.isnan(x_lo) or math.isnan(x_hi):
         raise DomainError(f"the window [{x_lo}, {x_hi}] is not a pair of numbers")
-    if delta < 1:
+    if delta < 4:  # |D| = 4 n^4 >= 4
         return []
-    # y = 1 forces D = -4a^2, so 4a^2 <= delta and c = (b^2 + 4a^2) / (4a)
     d_max = math.floor(delta)
+    n_max = math.isqrt(math.isqrt(d_max) // 2)
     what = f"Im z = 1 on [{x_lo}, {x_hi}] at |D| <= {d_max}"
-    a, b, c = _im1_points(_pairs(math.isqrt(d_max) // 2, x_lo, x_hi, d_max, what))
-    order = np.argsort(np.asarray(-b / (2 * a), dtype=float), kind="stable")
+    _guard(n_max, "{} has n_max = {}", what, n_max)
+    # each n has at most n (x_hi - x_lo) + 1 values of m
+    bound = n_max * (n_max + 1) / 2 * (x_hi - x_lo) + n_max
+    _guard(bound, "{} has up to {:.0f} (m, n) pairs", what, bound)
+    a, b, c = _im1_points(n_max, x_lo, x_hi, d_max, what)
+    order = np.lexsort((b, a, np.asarray(-b / (2 * a), dtype=float)))
     return _build(CMPoint, [a[order], b[order], c[order]])
 
 
-def _im1_points(pairs: Iterator) -> list[np.ndarray]:
-    """Columns (a, b, c) of the primitive forms (a, b, b^2 / 4a + a) of the pairs."""
-    out = []
-    for a, b in pairs:
-        b2, a4 = b * b, 4 * a
-        keep = b2 % a4 == 0  # 4a divides b^2 + 4a^2
-        a, b, c = a[keep], b[keep], b2[keep] // a4[keep] + a[keep]
-        keep = np.gcd(np.gcd(a, b), c) == 1
-        out.append([a[keep], b[keep], c[keep]])
+def _im1_points(n_max: int, lo: float, hi: float, d_max: int, what: str) -> list[np.ndarray]:
+    """Columns (a, b, c) = (n^2, -2mn, n^2 + m^2) of the coprime (m, n),
+    1 <= n <= n_max, with -b / 2a in [lo, hi], for _BALL_BLOCK values of n at
+    a time.  The window is the ball's float test on b (_b_ranges), turned into
+    a range of m by exact floor division by 2n; the pairs so far pass _guard
+    before each block of them is tested."""
+    out, tested = [], 0
+    for n0 in range(1, n_max + 1, _BALL_BLOCK):
+        n = np.arange(n0, min(n0 + _BALL_BLOCK, n_max + 1))
+        b_lo, b_hi = _b_ranges(n * n, lo, hi, d_max)
+        n = n.astype(b_lo.dtype)
+        total, spans = _ranges(-(b_hi // (2 * n)), -b_lo // (2 * n), _BALL_BLOCK)
+        tested += total
+        _guard(tested, "{} has {:.0f} (m, n) candidates", what, tested)
+        for s, m in spans:
+            k = n[s]
+            keep = np.gcd(m, k) == 1
+            m, k = m[keep], k[keep]
+            out.append([k * k, -2 * m * k, k * k + m * m])
     return [np.concatenate(col) for col in zip(*out)]
 
 

@@ -1,10 +1,12 @@
-"""Upper half-plane geometry: distance, angles, balls, sector areas.
+"""Upper half-plane geometry: distance, angles, balls, sector areas, and
+the feet of RM curves perpendicular to a geodesic.
 
-Everything here is 64-bit floating point; exact arithmetic lives in the form
-layer.  The angle convention: ang_p(z) = 0 points straight down at the real
-axis, angles grow counterclockwise through the half-plane to the right of p
-(values in [0, pi]), and points strictly to the left of p get the antipodal
-value in (pi, 2*pi).
+Everything here is 64-bit floating point except the foot (perp_foot, and
+_foot_cols for columns): that is exact integer arithmetic on the forms up to
+two correctly rounded quotients.  The angle convention: ang_p(z) = 0 points
+straight down at the real axis, angles grow counterclockwise through the
+half-plane to the right of p (values in [0, pi]), and points strictly to the
+left of p get the antipodal value in (pi, 2*pi).
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from .errors import (
     NotPerpendicularPair,
 )
 from .forms import Geodesic, HalfLine, IntForm, Semicircle, rm_perp_geodesic
+from .linnik import _absmax, _ints
 
 
 @dataclass(frozen=True, slots=True)
@@ -122,18 +125,33 @@ def perp_foot(rm: IntForm, G: IntForm) -> PointH:
     curve's top D / (4*a^2) on a half-line base.  Im(z) is the square root
     of the correctly rounded quotient.
     """
-    if not rm_perp_geodesic(rm, G):
-        raise NotPerpendicularPair(f"{rm} is not perpendicular to {G}")
-    a, b, c = rm.triple()
+    rm_perp_geodesic(rm, G)  # its sign checks; _foot_cols tests the incidence
+    x, y = _foot_cols(G, *(np.array([v], dtype=object) for v in rm.triple()))
+    return PointH(float(x[0]), float(y[0]))
+
+
+def _foot_cols(
+    G: IntForm, a: np.ndarray, b: np.ndarray, c: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Columns (x, y) of the feet of perp_foot for columns (a, b, c) of RM
+    forms, in exact integers up to the two rounded quotients; the first row
+    off G's perpendiculars raises NotPerpendicularPair."""
     A0, B0, C0 = G.triple()
+    s = max(abs(A0), abs(B0), abs(C0))
+    # the numerator of y^2 is below 45 s^3 m^2, its denominator 16 s^4 m^2
+    a, b, c = _ints(64 * s**4 * _absmax(a, b, c) ** 2, a, b, c)
+    off = np.flatnonzero(2 * a * C0 + 2 * c * A0 != b * B0)
+    if len(off):
+        rm = IntForm(*(int(v[off[0]]) for v in (a, b, c)))
+        raise NotPerpendicularPair(f"{rm} is not perpendicular to {G}")
     if A0 == 0:
-        x = -C0 / B0
-        num, den = rm.discriminant(), 4 * a * a
+        x = np.full(len(a), -C0 / B0)
+        num, den = b * b - 4 * a * c, 4 * a * a
     else:
         u = B0 * a - A0 * b
-        x = (A0 * c - C0 * a) / u
+        x = np.asarray((A0 * c - C0 * a) / u, dtype=float)
         D0 = G.discriminant()
         num, den = D0 * (u * u - a * a * D0), 4 * A0 * A0 * (u * u)
-    if num <= 0:
+    if (num <= 0).any():
         raise NotPerpendicularPair("curves do not intersect in the half-plane")
-    return PointH(x, math.sqrt(num / den))
+    return x, np.sqrt(np.asarray(num / den, dtype=float))

@@ -69,10 +69,11 @@ class ProjInterval:
         elif self.lo > self.hi:
             raise ValueError("need lo <= hi (pass wraps=True to go through inf)")
 
-    def contains(self, t: float) -> bool:
+    def contains(self, t: float | np.ndarray) -> bool | np.ndarray:
+        """t in I, for a float t or elementwise for a column of them."""
         if self.wraps:
-            return t >= self.lo or t <= self.hi
-        return self.lo <= t <= self.hi
+            return (t >= self.lo) | (t <= self.hi)
+        return (self.lo <= t) & (t <= self.hi)
 
     def pieces(self) -> list[tuple[float, float]]:
         """The interval as one or two ordinary real intervals."""
@@ -292,17 +293,20 @@ def _min_on_closure(F: RealForm, I: ProjInterval) -> float:
 
 def form_values(F: RealForm, ms: np.ndarray, ns: np.ndarray) -> np.ndarray:
     """F(m, n) = A m^2 + B m n + C n^2 for int64 columns ms, ns, equal to
-    the scalar expression element by element.
+    the scalar expression element by element: the one evaluation of F(m, n)
+    that the scan, ladder_counts and the CLI's value column share.
 
     Integral F is exact: int64 while coeff * max(|m|, n)^2 < 2^53, Python
-    ints in an object array beyond.  Real (float) coefficients take the
-    scalar expression's float operations in the same order, so every value
-    is bit-identical to it.
+    ints in an object array beyond.  Real (float) coefficients multiply the
+    float-cast columns in the scalar expression's order, so every value is
+    bit-identical to it (and to brute_force_W's), and no int64 square wraps.
     """
-    if not F.is_integral():
-        m, n = ms.astype(float), ns.astype(float)
-        return F.A * m * m + F.B * m * n + F.C * n * n
-    return _scan_values(F, True, ms, ns)
+    if F.is_integral():
+        A, B, C = int(F.A), int(F.B), int(F.C)
+        m, n = _ints((abs(A) + abs(B) + abs(C)) * _absmax(ms, ns) ** 2, ms, ns)
+        return A * m * m + B * m * n + C * (n * n)
+    m, n = ms.astype(float), ns.astype(float)
+    return F.A * m * m + F.B * m * n + F.C * n * n
 
 
 def _absmax(*cols: np.ndarray) -> int:
@@ -325,21 +329,6 @@ def _ints(bound: int, *cols: np.ndarray) -> list[np.ndarray]:
     return [c.astype(dt, copy=False) for c in cols]
 
 
-def _int_values(A: int, B: int, C: int, ms: np.ndarray, ns: np.ndarray, big: int) -> np.ndarray:
-    """form_values for integer A, B, C, given big >= max(|m|, n)."""
-    m, n = _ints((abs(A) + abs(B) + abs(C)) * big * big, ms, ns)
-    return A * m * m + B * m * n + C * (n * n)
-
-
-def _scan_values(F: RealForm, integral: bool, ms: np.ndarray, ns: np.ndarray) -> np.ndarray:
-    """The values F(m, n) the scan tests: exact for integral F, else in
-    float operations of the scan's own order."""
-    if integral:
-        return _int_values(int(F.A), int(F.B), int(F.C), ms, ns, _absmax(ms, ns))
-    mm, nn = (ms * ms).astype(float), (ns * ns).astype(float)
-    return F.A * mm + F.B * ms.astype(float) * ns.astype(float) + F.C * nn
-
-
 def _at_most(vals: np.ndarray, delta: float) -> np.ndarray:
     """vals <= delta.  int64 values are compared with floor(delta) as an
     int: against a float delta, numpy would round them above 2^53."""
@@ -352,7 +341,7 @@ def ladder_counts(F: RealForm, deltas: list[float], I: ProjInterval) -> list[int
     if not all(map(math.isfinite, deltas)):
         raise DomainError(f"deltas must be finite, got {deltas}")
     ms, ns, _, _ = _enumerate_with_ties(F, max(deltas, default=0), I)
-    vals = _scan_values(F, F.is_integral(), ms, ns)
+    vals = form_values(F, ms, ns)
     return [int(_at_most(vals, delta).sum()) for delta in deltas]
 
 
@@ -389,17 +378,12 @@ def _run_scan(
         _guard(n_max + tested, _SCAN_WORK, F, I, delta, n_max, tested)
         for s, ms in chunks:
             ns = n[s // L.shape[1]]
-            vals = _scan_values(F, integral, ms, ns)
+            vals = form_values(F, ms, ns)
             ok = (vals > 0) & _at_most(vals, delta)
             if not integral:
                 ties += int((np.abs(vals - delta) < TIE_REL * delta).sum())
-            ok &= np.gcd(ms, ns) == 1
-            # the comparisons of I.contains(m / n), exact for |m|, n < 2^53
-            t = ms / ns
-            if I.wraps:
-                ok &= (t >= I.lo) | (t <= I.hi)
-            else:
-                ok &= (I.lo <= t) & (t <= I.hi)
+            # m / n rounds as the scalar's does for |m|, n < 2^53
+            ok &= (np.gcd(ms, ns) == 1) & I.contains(ms / ns)
             out_m.append(ms[ok])
             out_n.append(ns[ok])
     return np.concatenate(out_m), np.concatenate(out_n), ties

@@ -431,3 +431,17 @@ def test_huge_coefficients_with_no_points(capsys):
     assert "count=0 " in capsys.readouterr().err
     assert main(_verify_argv("1e30", "0", "1e30", "definite", "0", "1", "2,10")) == 0
     assert "empirical=0 " in capsys.readouterr().out
+
+
+def test_values_past_int64_squares_are_counted(tmp_path, capsys):
+    """m reaches 1.0e11, whose square wraps in int64: both commands count
+    the 15 points of a direct loop, and the value column is that loop's."""
+    out = tmp_path / "w.csv"
+    assert main(["wset", "-A", "1e-15", "-B", "0", "-C", "1", "--delta", "1e7",
+                 "--lo", "1e10", "--hi", "10000000000.5", "--out", str(out)]) == 0
+    assert "count=15 " in capsys.readouterr().err
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    assert [float(v) for *_, v, _ in rows] == [1e-15 * int(m) * int(m) + 1 * int(n) * int(n)
+                                               for m, n, *_ in rows]
+    assert main(_verify_argv("1e-15", "0", "1", "definite", "1e10", "10000000000.5", "1e7")) == 0
+    assert "empirical=15 " in capsys.readouterr().out

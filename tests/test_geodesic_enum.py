@@ -47,6 +47,7 @@ from linnikgeo.geodesic_enum import (
 )
 from linnikgeo.hyperbolic import PointH, ang_p, ball, perp_foot
 from linnikgeo.linnik import Frac
+from linnikgeo.numtheory import sum_phi
 
 
 def test_build_param_examples():
@@ -107,6 +108,10 @@ def test_mn_to_form():
             assert 2 * f.a * C0 + 2 * f.c * A0 == f.b * B0
             A, B, C = par.derived
             assert f.discriminant() == A * m * m + B * m * n + C * n * n
+    # exact past int64, as a one-row call of the form columns
+    for G, m, n in [(IntForm(1, 1, -1), 2**70, 3), (IntForm(0, 3, 1), -(2**70), 2**65 + 1)]:
+        par = build_param(G, CM_ON_G)
+        assert mn_to_form(par, m, n) == _scalar_form(par, m, n)
 
 
 def test_enum_cm_examples():
@@ -314,17 +319,49 @@ def _bits(xs):
     return np.asarray(xs, dtype=float).tobytes()
 
 
+def _scalar_form(param, m, n):
+    """The incident form of (m, n) as a scalar formula: the reference that
+    _form_cols and mn_to_form, its one-row call, are pinned to."""
+    if param.half_line:
+        P, Q = param.pqr
+        return IntForm(n * Q, n * P, -m)
+    P, Q, R = param.pqr
+    S = param.S
+    b0, c0 = param.bezout
+    return IntForm(n * S, n * P * b0 + m * (R // S), n * P * c0 - m * (Q // S))
+
+
+def _scalar_foot(rm, G):
+    """The foot of rm on G as a scalar formula: the reference that _foot_cols
+    and perp_foot, its one-row call, are pinned to."""
+    a, b, c = rm.triple()
+    A0, B0, C0 = G.triple()
+    if A0 == 0:
+        x = -C0 / B0
+        num, den = rm.discriminant(), 4 * a * a
+    else:
+        u = B0 * a - A0 * b
+        x = (A0 * c - C0 * a) / u
+        D0 = G.discriminant()
+        num, den = D0 * (u * u - a * a * D0), 4 * A0 * A0 * (u * u)
+    return PointH(x, math.sqrt(num / den))
+
+
 def _check_columns(param, ms, ns, ts):
-    """The column builders against mn_to_form, coord_of_t and perp_foot."""
-    forms = [mn_to_form(param, m, n) for m, n in zip(ms.tolist(), ns.tolist())]
+    """The column builders and their one-row calls (mn_to_form, coord_of_t,
+    perp_foot) against the scalar references."""
+    pairs = list(zip(ms.tolist(), ns.tolist()))
+    forms = [_scalar_form(param, m, n) for m, n in pairs]
     cols = _form_cols(param, ms, ns)
     assert [IntForm(*abc) for abc in zip(*(c.tolist() for c in cols))] == forms
+    assert [mn_to_form(param, m, n) for m, n in pairs] == forms
     assert _bits(_coord_col(param, ts)) == _bits([coord_of_t(param, t) for t in ts.tolist()])
     if param.mode == RM_PERP_G:
-        feet = [perp_foot(f, param.base) for f in forms]
+        feet = [_scalar_foot(f, param.base) for f in forms]
         x, y = _foot_cols(param.base, *cols)
         assert _bits(x) == _bits([p.x for p in feet])
         assert _bits(y) == _bits([p.y for p in feet])
+        assert [perp_foot(f, param.base) for f in forms] == feet
 
 
 def test_column_builders_match_scalar_reference():
@@ -402,15 +439,16 @@ def test_perp_foot_exact_on_shifted_base():
     # y^2 is now exact: y is the square root of its correctly rounded value
     param = build_param(SHIFTED, RM_PERP_G)
     ms, ns = _random_pairs(random.Random(11), param, 1239, 1)
-    forms = [mn_to_form(param, m, n) for m, n in zip(ms.tolist(), ns.tolist())]
+    forms = [_scalar_form(param, m, n) for m, n in zip(ms.tolist(), ns.tolist())]
     for f in forms:
         foot = perp_foot(f, SHIFTED)  # raises nothing
+        assert foot == _scalar_foot(f, SHIFTED)
         a, b, c = f.triple()
         x = Fraction(SHIFTED.a * c - SHIFTED.c * a, SHIFTED.b * a - SHIFTED.a * b)
         y2 = Fraction(f.discriminant(), 4 * a * a) - (x + Fraction(b, 2 * a)) ** 2
         assert foot.y == math.sqrt(y2)
     _, y = _foot_cols(SHIFTED, *_form_cols(param, ms, ns))
-    assert _bits(y) == _bits([perp_foot(f, SHIFTED).y for f in forms])
+    assert _bits(y) == _bits([_scalar_foot(f, SHIFTED).y for f in forms])
 
 
 def _leaves(obj):
@@ -587,6 +625,29 @@ def test_enum_cm_on_im1_matches_loop():
     assert len(enum_cm_on_im1(10**5, -0.3, 2.7)) > 100
 
 
+def test_im1_scans_coprime_pairs_by_n():
+    """The points m/n + i of [0, 1] with n <= 707: 1 + sum of phi(n).  As
+    (a, b) pairs this window had 2.5e11 candidates and was refused."""
+    import time
+
+    t = time.perf_counter()
+    got = enum_cm_on_im1(1e12, 0, 1)
+    assert time.perf_counter() - t < 5.0
+    assert len(got) == 1 + sum_phi(707)[0]
+
+
+def test_ball_pairs_are_made_in_blocks_of_a():
+    """a_max is about 10^7 and the ball holds no point.  Built for every a at
+    once, the columns of (a, b) ranges peaked at 561 MB."""
+    tracemalloc.start()
+    try:
+        assert enum_cm_in_ball(PointH(0, 1e-6), 1e-3, delta=400) == []
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20e6
+
+
 def test_huge_bases_with_no_pairs():
     """Integer bounds made from empty columns must still cover the
     coefficients of the base, or the int64 form columns overflow."""
@@ -625,16 +686,19 @@ def test_enum_cm_in_ball_takes_integral_float_D():
 
 
 def test_ball_and_im1_refuse_unbounded_work_at_once():
-    """a_max and a bound on the count of (a, b) pairs are checked before
-    their columns are made.  The first call ran past a 6 s timeout as a loop
-    over a; the second would have filled memory.  The third has an a_max of
+    """a_max (n_max on Im z = 1) and a bound on the count of (a, b) (or
+    (m, n)) pairs are checked before their columns are made.  The wide
+    window on Im z = 1 has n_max = 707 and up to 2.5e11 pairs; the next call
+    has n_max = 1.8e8.  The first ball ran past a 6 s timeout as a loop over
+    a; the second would have filled memory.  The third has an a_max of
     9.6e7, under the guard, and up to 1.9e9 pairs."""
     import time
 
     from linnikgeo.errors import GuardExceeded
 
     for call, match in [
-        (lambda: enum_cm_on_im1(1e12, 0, 1), r"has up to 250001000000 \(a, b\) pairs"),
+        (lambda: enum_cm_on_im1(1e12, 0, 1e6), r"has up to [0-9]{12} \(m, n\) pairs"),
+        (lambda: enum_cm_on_im1(4e33, 0, 1), "has n_max = [0-9]{9},"),
         (lambda: enum_cm_in_ball(PointH(0, 1), 1.0, delta=1e12), r"has up to [0-9]{13} \(a, b\) pairs"),
         (lambda: enum_cm_in_ball(PointH(0, 1e-6), 0.1, delta=3e4), r"has up to [0-9]{10} \(a, b\) pairs"),
         (lambda: enum_cm_in_ball(PointH(0, 1e-6), 0.1, delta=1e6), "has a_max = [0-9]{9},"),
@@ -747,9 +811,9 @@ def test_ufunc_columns_stay_near_per_element_libm():
 
 def test_im1_filters_its_pairs_block_by_block():
     """At delta = 4e6 (a_max = 1000) the window [0, 1] has about 10^6
-    (a, b) pairs.  They are filtered in blocks: built at once, their int64
-    columns took 48 MB.  The points are m/n + i with a = n^2 <= 1000 and
-    gcd(m, n) = 1."""
+    (a, b) pairs, whose int64 columns took 48 MB built at once.  The points
+    are m/n + i with a = n^2 <= 1000 and gcd(m, n) = 1, and only those
+    (m, n) are scanned."""
     tracemalloc.start()
     try:
         recs = enum_cm_on_im1(4e6, 0, 1)

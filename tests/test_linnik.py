@@ -37,6 +37,12 @@ def test_proj_interval():
     assert I.contains(2) and not I.contains(4)
     W = ProjInterval(2, -2, True)
     assert W.contains(5) and W.contains(-3) and not W.contains(0)
+    # elementwise on a column, through infinity and to infinite ends
+    t = np.array([-INF, -3, -2, 0, 2, 3, 5, INF])
+    assert W.contains(t).tolist() == [True, True, True, False, True, True, True, True]
+    assert I.contains(t).tolist() == [False, False, False, False, True, True, False, False]
+    assert ProjInterval(-INF, 0).contains(t).tolist() == [True] * 4 + [False] * 4
+    assert ProjInterval(0, INF).contains(t).tolist() == [False] * 3 + [True] * 5
     with pytest.raises(ValueError):
         ProjInterval(3, 1)
     with pytest.raises(ValueError):
@@ -301,9 +307,11 @@ _off = st.integers(2, 24).map(lambda k: k / 8)
 
 @st.composite
 def _form_and_interval(draw, case, shape):
-    """A form of the given sign case, integral or scaled by a dyadic factor
-    (so that the float path is exact), and a window inside {F > 0} of the
-    given shape: finite, unbounded, or wrapping through infinity."""
+    """A form of the given sign case, integral or scaled by a factor, and a
+    window inside {F > 0} of the given shape: finite, unbounded, or wrapping
+    through infinity.  The factors that are not dyadic (0.1, 0.3, 1/3) make
+    the float values inexact, which the scan and the oracle must round
+    alike; a parabolic form scaled by one stops being parabolic in floats."""
     if case == "linear":
         A, B = 0, draw(st.sampled_from([-1, 1])) * draw(st.integers(1, 6))
         C = draw(st.integers(-6, 6))
@@ -319,7 +327,8 @@ def _form_and_interval(draw, case, shape):
     else:
         A, B = -draw(st.integers(1, 3)), draw(st.integers(-3, 3))
         C = draw(st.integers(1, 6))
-    scale = draw(st.sampled_from([1, 0.25, 0.75]))
+    scales = [1, 0.25, 0.75] + ([] if case == "parabolic" else [0.1, 0.3, 1 / 3])
+    scale = draw(st.sampled_from(scales))
     F = RealForm(A * scale, B * scale, C * scale)
     if case == "definite":
         lo = draw(st.integers(-16, 16)) / 4
@@ -397,6 +406,21 @@ def test_enumerate_huge_coefficients_matches_brute_force():
         assert max(F.A * f.m**2 + F.B * f.m * f.n + F.C * f.n**2 for f in got) == delta
 
 
+def test_scan_and_oracle_round_f_alike():
+    # m reaches 1.0e11 here, and m * m wrapped in int64 (5 of the 15 points)
+    F, I = RealForm(1e-15, 0, 1), ProjInterval(1e10, 1e10 + 0.5)
+    want = [(m, n) for n in range(1, 11) for m in range(10**10 * n, (10**10 + 1) * n)
+            if math.gcd(m, n) == 1 and I.contains(m / n)
+            and 0 < F.A * m * m + F.B * m * n + F.C * n * n <= 1e7]
+    assert len(want) == 15
+    assert [(f.m, f.n) for f in enumerate_W(F, 1e7, I)] == sorted(want, key=lambda p: p[0] / p[1])
+    # 0.1 * 9 is 0.9, but 0.1 * 3 * 3 rounds up, and F(1, 3) = 0.1 + 0.1 * 3 * 3
+    # lands above 1: (1, 3) and (3, 1) are not in W_1
+    F, I = RealForm(0.1, 0, 0.1), ProjInterval(0, INF)
+    want = [Frac.make(m, n) for m, n in [(0, 1), (1, 2), (1, 1), (2, 1)]]
+    assert enumerate_W(F, 1, I) == brute_force_W(F, 1, I) == want
+
+
 def test_overlapping_pieces_counted_once():
     # the padded m-ranges of two pieces overlap at small n: the wrapped
     # windows of a steep form, and the two flanks of a cap near its top
@@ -434,8 +458,8 @@ def test_ladder_counts_match_one_enumeration_per_delta():
     for F, I in cases:
         ladder = [700, 60.5, 3000, 2999.5]
         assert linnik.ladder_counts(F, ladder, I) == [len(enumerate_W(F, d, I)) for d in ladder]
-    # the scan's float order puts F(-205, 174) at this delta; A m m + B m n + C n n
-    # (form_values) puts it one ulp above
+    # F(-205, 174) lies one ulp from this delta: the rung and the enumeration
+    # evaluate it alike (form_values)
     F, I, ladder = RealForm(0.1, 0.3, 0.7), ProjInterval(-2, 2), [14694.699999999997, 20000]
     assert linnik.ladder_counts(F, ladder, I) == [len(enumerate_W(F, d, I)) for d in ladder]
 

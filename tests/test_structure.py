@@ -70,3 +70,16 @@ def test_ball_and_im1_enumerators_have_no_python_loops():
     for name in ("enum_cm_in_ball", "enum_cm_on_im1"):
         loops = [n for n in ast.walk(fns[name]) if isinstance(n, (ast.For, ast.While, ast.comprehension))]
         assert not loops, name
+
+
+def test_one_implementation_per_formula():
+    """One float evaluation of F(m, n); the incident form, the foot and
+    interval membership are each a row of one column function."""
+    callers, defined = _scan_source()
+    assert not defined["_scan_values"]
+    assert "linnik:_run_scan" in callers["form_values"]
+    assert "linnik:ladder_counts" in callers["form_values"]
+    assert "linnik:_run_scan" in callers["contains"]
+    assert defined["_foot_cols"] == ["hyperbolic:_foot_cols"]
+    assert "geodesic_enum:mn_to_form" in callers["_form_cols"]
+    assert "hyperbolic:perp_foot" in callers["_foot_cols"]
