@@ -116,7 +116,7 @@ def _arc_pairs(
     lo, hi = sorted((e0, e1))
     ms, ns, ts = _enum_pairs(param, delta, ProjInterval(float(lo), float(hi)))
     k = max(abs(e.numerator) + e.denominator for e in (e0, e1))
-    m, n = _ints(k * _absmax(ms, ns), ms, ns)
+    m, n = _ints(k * _absmax(ms, ns), ms, ns, floats=False)
     # the sign of m/n - e, by cross-multiplication (n > 0)
     s0, s1 = (m * e.denominator - n * e.numerator for e in (e0, e1))
     keep = (s0 == 0) | ((s0 < 0) & (s1 > 0)) | ((s0 > 0) & (s1 < 0))

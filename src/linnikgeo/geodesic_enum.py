@@ -28,7 +28,6 @@ from .errors import (
     DomainError,
     GridTouchesSingularity,
     IntervalTouchesRoot,
-    UnboundedDivergence,
     WrongDiscriminantSign,
 )
 from .forms import CMPoint, IntForm, RMCurve, is_normalized, RealForm
@@ -38,13 +37,14 @@ from .linnik import (
     ProjInterval,
     QuadCase,
     _absmax,
+    _expand,
     _guard,
     _int_dtype,
     _ints,
     _min_on_closure,
-    _ranges,
     _scan_window,
     _tuples,
+    _upto,
 )
 from .numtheory import ext_gcd
 
@@ -117,7 +117,8 @@ def mn_to_form(param: GeodesicParam, m: int, n: int) -> IntForm:
 
 
 def coord_of_t(param: GeodesicParam, t: float) -> float:
-    """theta along a semicircle base (y along a half-line base) at t = m/n."""
+    """theta along a semicircle base (y along a half-line base) at t = m/n;
+    a one-row _coord_col, so loops should call that on a column of t."""
     return float(_coord_col(param, np.array([t], dtype=float))[0])
 
 
@@ -224,46 +225,10 @@ def _scan_form(param: GeodesicParam) -> RealForm:
     return RealForm(A, B, C)
 
 
-def _full_n_max(param: GeodesicParam, delta: float) -> int:
-    """n-bound for a root-touching scan: needs |derived value| >= 1 to close.
-
-    Half-line values factor as n * (integer); semicircle values need the
-    derived discriminant to be a perfect square (rational endpoints), else
-    the solution set is infinite and an arc is mandatory.
-    """
-    if param.half_line:
-        return math.floor(delta)
-    D = param.derivedD
-    if param.mode == RM_THROUGH_P:
-        A = param.derived[0]
-        return math.isqrt(math.floor(4 * A * delta / -D))
-    s = math.isqrt(D)
-    if s * s != D:
-        raise UnboundedDivergence(
-            f"derived discriminant {D} is not a square: infinitely many "
-            "solutions; restrict to an arc"
-        )
-    A = param.derived[0]
-    # 4*A*value = u*v with 2*sqrt(D)*n = v - u and 1 <= |u*v| <= 4*A*delta
-    m4ad = 4 * A * delta
-    return math.floor((m4ad + math.sqrt(m4ad)) / (2 * s)) + 1
-
-
-def _enum_pairs(
-    param: GeodesicParam,
-    delta: float,
-    I: ProjInterval | None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _enum_pairs(param: GeodesicParam, delta: float, I: ProjInterval | None) -> tuple[np.ndarray, ...]:
     """Columns (ms, ns, t = ms / ns) of the incident pairs with t in the
     window I (all of them when I is None), sorted along t."""
-    case = QuadCase.of(_scan_form(param))
-    n_max = None
-    if I is None:
-        # the positivity region of the scan form, closure touching its roots
-        pos = case.pos
-        I = ProjInterval(*pos[0]) if len(pos) == 1 else ProjInterval(pos[1][0], pos[0][1], True)
-        n_max = _full_n_max(param, delta) if 1 <= delta < math.inf else 0
-    return _scan_window(case, delta, I, n_max)[:3]
+    return _scan_window(QuadCase.of(_scan_form(param)), delta, I)[:3]
 
 
 # ---------------------------------------------------------------------------
@@ -340,7 +305,7 @@ def _build(record: type, cols: list[np.ndarray]) -> list:
     fills (records hold no reference cycles), and left as it was found.
     """
     cm = record in _CM
-    a, b, c = _ints(5 * _absmax(*cols[:3]) ** 2, *cols[:3])
+    a, b, c = _ints(5 * _absmax(*cols[:3]) ** 2, *cols[:3], floats=False)
     d = b * b - 4 * a * c
     bad = ((a < 1) | (d >= 0)) if cm else ((a == 0) | (d <= 0))
     if record is RMPerpGeodesic:
@@ -405,10 +370,6 @@ def enum_rm_through_point(p: IntForm, delta: float) -> list[RMThroughPoint]:
     return _records(param, *_enum_pairs(param, delta, None))
 
 
-# pairs or candidates per block: 2^14 int64s stay in cache (2^16 halved speed)
-_BALL_BLOCK = 2**14
-
-
 def _b_ranges(a: np.ndarray, lo: float, hi: float, d_max: int) -> tuple[np.ndarray, np.ndarray]:
     """Columns [b_lo, b_hi], one per entry of the column a, of the b with
     -b / 2a in [lo, hi], found in float operations.  Their dtype bounds
@@ -421,19 +382,16 @@ def _b_ranges(a: np.ndarray, lo: float, hi: float, d_max: int) -> tuple[np.ndarr
 
 
 def _pairs(a_max: int, lo: float, hi: float, d_max: int, what: str) -> Iterator:
-    """Blocks of at most _BALL_BLOCK columns (a, b), 1 <= a <= a_max and
-    -b / 2a in [lo, hi], by a, then b, once a_max and then a_max (a_max + 1)
-    (hi - lo) + a_max, which bounds their count, pass _guard (what: the
-    search) before the first block.  The b-ranges are made for _BALL_BLOCK
-    values of a at a time, so memory does not grow with a_max."""
+    """_expand's chunks ([a], b) of the pairs 1 <= a <= a_max with -b / 2a in
+    [lo, hi], by a, then b, once a_max and then a_max (a_max + 1) (hi - lo)
+    + a_max, which bounds their count, pass _guard (what: the search).  The
+    b-ranges are made for a block of values of a at a time, so memory does
+    not grow with a_max."""
     _guard(a_max, "{} has a_max = {}", what, a_max)
     bound = a_max * (a_max + 1) * (hi - lo) + a_max
     _guard(bound, "{} has up to {:.0f} (a, b) pairs", what, bound)
-    for a0 in range(1, a_max + 1, _BALL_BLOCK):
-        a = np.arange(a0, min(a0 + _BALL_BLOCK, a_max + 1))
-        _, spans = _ranges(*_b_ranges(a, lo, hi, d_max), _BALL_BLOCK)
-        for s, b in spans:
-            yield a[s], b
+    blocks = (([a], *_b_ranges(a, lo, hi, d_max)) for a in _upto(a_max))
+    return _expand(blocks, 0, "{} has {:.0f} (a, b) pairs", what)
 
 
 def enum_cm_in_ball(
@@ -483,31 +441,30 @@ def _ball_points(be: BallE, pairs: Iterator, D: int | None, d_max: int, what: st
     so c = (b^2 + (2ay)^2) / 4a lies between the chord's ends, padded by 1;
     b^2 // 4a stays in integers, as a float it loses more than the pad."""
     x0, y0, re = be.center.x, be.center.y, be.radius_euclid
-    out, tested = [], 0  # _ranges yields at least one block, so out is not empty
-    for a, b in pairs:
-        b2, a4, af = b * b, 4 * a, a.astype(float)
-        if D is not None:
-            c = (b2 - D) // a4
-            keep = c * a4 == b2 - D
-            a, b, c_lo, c_hi = a[keep], b[keep], c[keep], c[keep]
-        else:
+
+    def c_ranges():
+        for (a,), b in pairs:
+            b2, a4, af = b * b, 4 * a, a.astype(float)
+            if D is not None:
+                c = (b2 - D) // a4
+                keep = c * a4 == b2 - D
+                yield [a[keep], b[keep]], c[keep], c[keep]
+                continue
             h = np.sqrt(np.maximum(re * re - (b.astype(float) / (2 * af) + x0) ** 2, 0.0))
             q, r = b2 // a4, (b2 % a4).astype(float)
             chord_lo = q + _floor_ints(np.floor((r + (2 * af * (y0 - h)) ** 2) / (4 * af)), b.dtype) - 1
             chord_hi = q + _floor_ints(np.ceil((r + (2 * af * (y0 + h)) ** 2) / (4 * af)), b.dtype) + 1
             # smallest c with D <= -1, largest with |D| <= d_max
-            c_lo, c_hi = np.maximum(q + 1, chord_lo), np.minimum((b2 + d_max) // a4, chord_hi)
-        total, cands = _ranges(c_lo, c_hi, _BALL_BLOCK)
-        tested += total
-        _guard(tested, "{} has {:.0f} (a, b, c) candidates", what, tested)
-        for s, c in cands:
-            ka, kb = a[s], b[s]
-            d = kb * kb - 4 * ka * c
-            keep = (np.gcd(np.gcd(ka, kb), c) == 1) & (d < 0)
-            ka, kb, c, d = ka[keep], kb[keep], c[keep], d[keep]
-            x, y = _cm_z_cols(ka, kb, -d)
-            keep = be.contains_cols(x, y)
-            out.append([ka[keep], kb[keep], c[keep], x[keep], y[keep]])
+            yield [a, b], np.maximum(q + 1, chord_lo), np.minimum((b2 + d_max) // a4, chord_hi)
+
+    out = []  # _expand yields at least one chunk, so out is not empty
+    for (a, b), c in _expand(c_ranges(), 0, "{} has {:.0f} (a, b, c) candidates", what):
+        d = b * b - 4 * a * c
+        keep = (np.gcd(np.gcd(a, b), c) == 1) & (d < 0)
+        a, b, c, d = a[keep], b[keep], c[keep], d[keep]
+        x, y = _cm_z_cols(a, b, -d)
+        keep = be.contains_cols(x, y)
+        out.append([a[keep], b[keep], c[keep], x[keep], y[keep]])
     return [np.concatenate(col) for col in zip(*out)]
 
 
@@ -523,8 +480,8 @@ def enum_cm_on_im1(delta: float, x_lo: float, x_hi: float) -> list[CMPoint]:
     """
     if not math.isfinite(delta):
         raise DomainError(f"delta must be finite, got {delta}")
-    if math.isnan(x_lo) or math.isnan(x_hi):
-        raise DomainError(f"the window [{x_lo}, {x_hi}] is not a pair of numbers")
+    if not (math.isfinite(x_lo) and math.isfinite(x_hi)):
+        raise DomainError(f"the window [{x_lo}, {x_hi}] is not a pair of numbers with finite ends")
     if delta < 4:  # |D| = 4 n^4 >= 4
         return []
     d_max = math.floor(delta)
@@ -541,23 +498,22 @@ def enum_cm_on_im1(delta: float, x_lo: float, x_hi: float) -> list[CMPoint]:
 
 def _im1_points(n_max: int, lo: float, hi: float, d_max: int, what: str) -> list[np.ndarray]:
     """Columns (a, b, c) = (n^2, -2mn, n^2 + m^2) of the coprime (m, n),
-    1 <= n <= n_max, with -b / 2a in [lo, hi], for _BALL_BLOCK values of n at
-    a time.  The window is the ball's float test on b (_b_ranges), turned into
+    1 <= n <= n_max, with -b / 2a in [lo, hi], a block of values of n at a
+    time.  The window is the ball's float test on b (_b_ranges), turned into
     a range of m by exact floor division by 2n; the pairs so far pass _guard
     before each block of them is tested."""
-    out, tested = [], 0
-    for n0 in range(1, n_max + 1, _BALL_BLOCK):
-        n = np.arange(n0, min(n0 + _BALL_BLOCK, n_max + 1))
-        b_lo, b_hi = _b_ranges(n * n, lo, hi, d_max)
-        n = n.astype(b_lo.dtype)
-        total, spans = _ranges(-(b_hi // (2 * n)), -b_lo // (2 * n), _BALL_BLOCK)
-        tested += total
-        _guard(tested, "{} has {:.0f} (m, n) candidates", what, tested)
-        for s, m in spans:
-            k = n[s]
-            keep = np.gcd(m, k) == 1
-            m, k = m[keep], k[keep]
-            out.append([k * k, -2 * m * k, k * k + m * m])
+
+    def m_ranges():
+        for n in _upto(n_max):
+            b_lo, b_hi = _b_ranges(n * n, lo, hi, d_max)
+            n = n.astype(b_lo.dtype)
+            yield [n], -(b_hi // (2 * n)), -b_lo // (2 * n)
+
+    out = []
+    for (n,), m in _expand(m_ranges(), 0, "{} has {:.0f} (m, n) candidates", what):
+        keep = np.gcd(m, n) == 1
+        m, n = m[keep], n[keep]
+        out.append([n * n, -2 * m * n, n * n + m * m])
     return [np.concatenate(col) for col in zip(*out)]
 
 

@@ -50,6 +50,7 @@ class BallE:
             raise ValueError("euclidean radius must be in (0, center.y)")
 
     def contains(self, z: PointH, tol: float = 0.0) -> bool:
+        """z in the disk; a one-row contains_cols, which loops should call instead."""
         return bool(self.contains_cols(np.array([z.x]), np.array([z.y]), tol)[0])
 
     def contains_cols(self, x: np.ndarray, y: np.ndarray, tol: float = 0.0) -> np.ndarray:
@@ -76,7 +77,8 @@ def geodesic_through(p: PointH, z: PointH) -> Geodesic:
 
 
 def ang_p(p: PointH, z: PointH) -> float:
-    """Angle of z as seen from p, in [0, 2*pi)."""
+    """Angle of z as seen from p, in [0, 2*pi); a one-row _ball_angles, so
+    loops should call that on columns of points."""
     if p == z:
         raise CoincidentPoints("angle to the point itself is undefined")
     return float(_ball_angles(p, np.array([z.x]), np.array([z.y]))[0])

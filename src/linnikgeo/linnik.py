@@ -14,7 +14,7 @@ import math
 import sys
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -36,16 +36,15 @@ BUCKET_GUARD = 10**6
 
 # most work a scan may do, counted as n_max plus the candidates it tests
 SCAN_GUARD = 10**8
-_SCAN_WORK = "the scan of {} on {} at delta = {} has n_max = {} and {} candidates"
+_SCAN_WORK = "the scan of {} on {} at delta = {} has n_max = {} and {:.0f} candidates"
 
 # candidate values this close to the cutoff delta are reported as boundary
 # ties when the coefficients are not exact integers
 TIE_REL = 1e-9
 
-# values of n per vectorised block of the scan, and candidates per chunk
-# (int64 and float64 temporaries of _CHUNK entries stay under 1 MB)
-_BLOCK = 4096
-_CHUNK = 2**16
+# values per block and per chunk of every scan (_upto, _expand): columns of
+# 2^14 int64s stay in cache (2^16 halved the ball's speed)
+_BLOCK = 2**14
 _NO_INTS = np.zeros(0, dtype=np.int64)
 _NO_FLOATS = np.zeros(0)
 
@@ -138,13 +137,15 @@ class EnumReport:
 class QuadCase:
     """The sign case of F(t) = A t^2 + B t + C, worked out once.
 
-    roots are the real roots of F, sorted; pos are the open intervals where
-    F > 0; H is an antiderivative of 1/F there, and h_pinf, h_minf are its
-    limits at +-inf (nan where the integral diverges).
+    D is the discriminant B^2 - 4AC, an exact int for integral F; roots are
+    the real roots of F, sorted; pos are the open intervals where F > 0; H is
+    an antiderivative of 1/F there, and h_pinf, h_minf are its limits at
+    +-inf (nan where the integral diverges).
     """
 
     F: RealForm
     tag: str
+    D: float
     roots: tuple[float, ...]
     pos: tuple[tuple[float, float], ...]
     H: Callable[[float], float]
@@ -157,29 +158,30 @@ class QuadCase:
         D = F.discriminant()
         if not abs(D) <= sys.float_info.max:
             raise DomainError(f"the discriminant of {F} overflows: B^2 - 4AC = {D}")
+        D = int(B) ** 2 - 4 * int(A) * int(C) if F.is_integral() else D  # exact
         if A == 0:
             r = -C / B
             pos = ((r, INF),) if B > 0 else ((-INF, r),)
             H = lambda t: math.log(abs(B * t + C)) / B
-            return cls(F, "linear", (r,), pos, H, math.nan, math.nan)
+            return cls(F, "linear", D, (r,), pos, H, math.nan, math.nan)
         if D < 0 and A > 0:
             sd = math.sqrt(-D)
             H = lambda t: 2 / sd * math.atan((2 * A * t + B) / sd)
             lim = math.pi / sd
-            return cls(F, "definite", (), ((-INF, INF),), H, lim, -lim)
+            return cls(F, "definite", D, (), ((-INF, INF),), H, lim, -lim)
         if D < 0 or (D == 0 and A < 0):
             raise IntervalOutsidePositivityRegion(f"{F} is never positive")
         sd = math.sqrt(D)
         r1, r2 = sorted(((-B - sd) / (2 * A), (-B + sd) / (2 * A)))
         if A < 0:
             H = lambda t: math.log((t - r1) / (r2 - t)) / sd
-            return cls(F, "cap", (r1, r2), ((r1, r2),), H, math.nan, math.nan)
+            return cls(F, "cap", D, (r1, r2), ((r1, r2),), H, math.nan, math.nan)
         pos = ((-INF, r1), (r2, INF))
         if D == 0:
             H = lambda t: -2 / (2 * A * t + B)
-            return cls(F, "parabolic", (r1, r2), pos, H, 0.0, 0.0)
+            return cls(F, "parabolic", D, (r1, r2), pos, H, 0.0, 0.0)
         H = lambda t: math.log(abs((t - r2) / (t - r1))) / sd
-        return cls(F, "indefinite", (r1, r2), pos, H, 0.0, 0.0)
+        return cls(F, "indefinite", D, (r1, r2), pos, H, 0.0, 0.0)
 
     def at(self, t: float) -> float:
         """H(t), taking the limits at t = +-inf."""
@@ -195,11 +197,7 @@ def case_tag(F: RealForm) -> str:
 
 
 def _check_interval(case: QuadCase, I: ProjInterval) -> None:
-    """Closure of I must stay inside {F > 0} and off the roots of F."""
-    if I.wraps and case.F.A <= 0:
-        raise IntervalOutsidePositivityRegion(
-            "wrapping through infinity requires A > 0"
-        )
+    """Closure of I must stay inside {F > 0} and off the roots of F (so a wrapping I needs A > 0)."""
     for e in (I.lo, I.hi):
         if e in case.roots:
             raise IntervalTouchesRoot(f"endpoint {e} is a root of {case.F}")
@@ -212,14 +210,15 @@ def _check_interval(case: QuadCase, I: ProjInterval) -> None:
 
 def _level_spans(
     case: QuadCase, n: np.ndarray, delta: float, ipieces: list[tuple[float, float]]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Integer m-ranges [L, H] covering {m : m/n in I, F(m/n) <= delta/n^2},
-    one column per piece of the level set, for a block of n at once.
+) -> tuple[list[np.ndarray], np.ndarray, np.ndarray]:
+    """Integer m-ranges [L, H] covering {m : m/n in I, F(m/n) <= delta/n^2}
+    for a block of n, as _expand's block ([n], L, H): a range per piece of
+    the level set and n, merged so that no m is in two.
 
     Once _check_interval has passed, I lies in the closure of {F > 0}, so
     these cover {t in I : 0 < F(t) <= K}, and every piece is bounded.  The
-    float operations are those of the scalar formulas; each range is padded
-    by 1 against rounding, and an empty piece becomes the range [1, 0].
+    roots come from D + 4AK, which does not cancel as B^2 - 4A(C - K) does;
+    each range is padded by 1 against rounding, an empty piece is [1, 0].
     """
     A, B, C = case.F.A, case.F.B, case.F.C
     nf = n.astype(float)
@@ -228,7 +227,7 @@ def _level_spans(
         top = (K - C) / B
         below = [(-INF, top)] if B > 0 else [(top, INF)]
     else:
-        disc = B * B - 4 * A * (C - K)
+        disc = case.D + 4 * A * K
         real = disc >= 0
         sd = np.sqrt(np.where(real, disc, 0.0))
         r1, r2 = (-B - sd) / (2 * A), (-B + sd) / (2 * A)
@@ -247,7 +246,11 @@ def _level_spans(
     reach = max(-L.min(), H.max())  # L <= H in a non-empty piece; past 2^62 int64 wraps
     if not reach < 2**62:
         raise GuardExceeded(f"the level set of {case.F} at delta = {delta} reaches |m| = {reach:.3g} > 2^62")
-    return L.astype(np.int64) - 1, H.astype(np.int64) + 1
+    L, H = np.sort(L.astype(np.int64) - 1, axis=1), np.sort(H.astype(np.int64) + 1, axis=1)
+    # sorting starts and ends separately keeps how often each m is covered,
+    # so it keeps the union; then every range begins after the end before it
+    L[:, 1:] = np.maximum(L[:, 1:], H[:, :-1] + 1)
+    return [n.repeat(L.shape[1])], L.ravel(), H.ravel()
 
 
 def mu_integral(F: RealForm, I: ProjInterval) -> float:
@@ -296,14 +299,15 @@ def form_values(F: RealForm, ms: np.ndarray, ns: np.ndarray) -> np.ndarray:
     the scalar expression element by element: the one evaluation of F(m, n)
     that the scan, ladder_counts and the CLI's value column share.
 
-    Integral F is exact: int64 while coeff * max(|m|, n)^2 < 2^53, Python
-    ints in an object array beyond.  Real (float) coefficients multiply the
-    float-cast columns in the scalar expression's order, so every value is
-    bit-identical to it (and to brute_force_W's), and no int64 square wraps.
+    Integral F is exact: int64 while coeff * max(|m|, n)^2 < 2^63 (no value
+    becomes a float here), Python ints in an object array beyond.  Real
+    (float) coefficients multiply the float-cast columns in the scalar
+    expression's order, so every value is bit-identical to it (and to
+    brute_force_W's), and no int64 square wraps.
     """
     if F.is_integral():
         A, B, C = int(F.A), int(F.B), int(F.C)
-        m, n = _ints((abs(A) + abs(B) + abs(C)) * _absmax(ms, ns) ** 2, ms, ns)
+        m, n = _ints((abs(A) + abs(B) + abs(C)) * _absmax(ms, ns) ** 2, ms, ns, floats=False)
         return A * m * m + B * m * n + C * (n * n)
     m, n = ms.astype(float), ns.astype(float)
     return F.A * m * m + F.B * m * n + F.C * n * n
@@ -314,25 +318,23 @@ def _absmax(*cols: np.ndarray) -> int:
     return max(1, *(int(np.abs(c).max(initial=0)) for c in cols))
 
 
-def _int_dtype(bound: int) -> type:
+def _int_dtype(bound: int, floats: bool = True) -> type:
     """int64 when bound, a bound on every integer a computation makes, is
-    below 2^53; else object, for exact Python ints.
-
-    Below 2^53 no int64 product overflows and int64 -> float64 is exact,
-    so a true division rounds as Python's int / int does.
-    """
-    return np.int64 if bound < 2**53 else object
+    below 2^53 where one of them is divided or cast to float (floats), so the
+    cast is exact and a true division rounds as int / int does, or below 2^63
+    where none is (no product overflows); else object, for exact Python ints."""
+    return np.int64 if bound < (2**53 if floats else 2**63) else object
 
 
-def _ints(bound: int, *cols: np.ndarray) -> list[np.ndarray]:
-    dt = _int_dtype(bound)
+def _ints(bound: int, *cols: np.ndarray, floats: bool = True) -> list[np.ndarray]:
+    dt = _int_dtype(bound, floats)
     return [c.astype(dt, copy=False) for c in cols]
 
 
 def _at_most(vals: np.ndarray, delta: float) -> np.ndarray:
     """vals <= delta.  int64 values are compared with floor(delta) as an
     int: against a float delta, numpy would round them above 2^53."""
-    return vals <= (min(math.floor(delta), 2**62) if vals.dtype == np.int64 else delta)
+    return vals <= (min(math.floor(delta), 2**63 - 1) if vals.dtype == np.int64 else delta)
 
 
 def ladder_counts(F: RealForm, deltas: list[float], I: ProjInterval) -> list[int]:
@@ -357,35 +359,23 @@ def _run_scan(
     plus the count of float values within TIE_REL of delta (boundary ties;
     integral forms have none).
 
-    Works on blocks of _BLOCK values of n: the m-ranges of a block come
-    from one vectorised pass, and their candidates are tested in chunks of
-    _CHUNK so that temporaries stay small.
+    The m-ranges of each block of n come from one vectorised pass
+    (_level_spans), and _expand tests their candidates chunk by chunk.
     """
     F = case.F
     ipieces = I.pieces()
     out_m, out_n = [_NO_INTS], [_NO_INTS]
-    ties = tested = 0
-    for n0 in range(1, n_max + 1, _BLOCK):
-        n = np.arange(n0, min(n0 + _BLOCK, n_max + 1), dtype=np.int64)
-        L, H = _level_spans(case, n, delta, ipieces)
-        # merge the ranges of each n.  Sorting starts and ends separately
-        # keeps how often each m is covered, so it keeps the union; then
-        # every range begins after the end before it and is tested once
-        L, H = np.sort(L, axis=1), np.sort(H, axis=1)
-        L[:, 1:] = np.maximum(L[:, 1:], H[:, :-1] + 1)
-        total, chunks = _ranges(L.ravel(), H.ravel(), _CHUNK)
-        tested += int(total)
-        _guard(n_max + tested, _SCAN_WORK, F, I, delta, n_max, tested)
-        for s, ms in chunks:
-            ns = n[s // L.shape[1]]
-            vals = form_values(F, ms, ns)
-            ok = (vals > 0) & _at_most(vals, delta)
-            if not integral:
-                ties += int((np.abs(vals - delta) < TIE_REL * delta).sum())
-            # m / n rounds as the scalar's does for |m|, n < 2^53
-            ok &= (np.gcd(ms, ns) == 1) & I.contains(ms / ns)
-            out_m.append(ms[ok])
-            out_n.append(ns[ok])
+    ties = 0
+    blocks = (_level_spans(case, n, delta, ipieces) for n in _upto(n_max))
+    for (ns,), ms in _expand(blocks, n_max, _SCAN_WORK, F, I, delta, n_max):
+        vals = form_values(F, ms, ns)
+        ok = (vals > 0) & _at_most(vals, delta)
+        if not integral:
+            ties += int((np.abs(vals - delta) < TIE_REL * delta).sum())
+        # m / n rounds as the scalar's does for |m|, n < 2^53
+        ok &= (np.gcd(ms, ns) == 1) & I.contains(ms / ns)
+        out_m.append(ms[ok])
+        out_n.append(ns[ok])
     return np.concatenate(out_m), np.concatenate(out_n), ties
 
 
@@ -412,9 +402,30 @@ def _ranges(lo: np.ndarray, hi: np.ndarray, chunk: int) -> tuple[float, Iterator
     return total, blocks()
 
 
+def _upto(top: int) -> Iterator[np.ndarray]:
+    """1, ..., top as int64 columns of at most _BLOCK values."""
+    for v0 in range(1, top + 1, _BLOCK):
+        yield np.arange(v0, min(v0 + _BLOCK, top + 1), dtype=np.int64)
+
+
+def _expand(blocks: Iterable, start: float, what: str, *args) -> Iterator[tuple[list[np.ndarray], np.ndarray]]:
+    """The one blocked loop of every scan.  Each block (rows, lo, hi) holds
+    ranges [lo, hi] and columns rows with one entry per range; their integers
+    v come in chunks of at most _BLOCK as ([row[s], ...], v), row[s] the
+    entries of v's range.  Before a block is expanded, start plus the count
+    of integers so far passes _guard, named by what.format(*args, count)."""
+    count = 0.0
+    for rows, lo, hi in blocks:
+        total, chunks = _ranges(lo, hi, _BLOCK)
+        count += total
+        _guard(start + count, what, *args, count)
+        for s, v in chunks:
+            yield [row[s] for row in rows], v
+
+
 def _guard(count: float, what: str, *args) -> None:
-    """Refuse work whose count passes SCAN_GUARD, naming it: what.format(*args)."""
-    if count > SCAN_GUARD:
+    """Refuse work whose count passes SCAN_GUARD or is nan, naming it: what.format(*args)."""
+    if not count <= SCAN_GUARD:
         raise GuardExceeded(f"{what.format(*args)}, over SCAN_GUARD = {SCAN_GUARD}")
 
 
@@ -449,26 +460,54 @@ def _enumerate_with_ties(
 
 
 def _scan_window(
-    case: QuadCase, delta: float, I: ProjInterval, n_max: int | None = None
+    case: QuadCase, delta: float, I: ProjInterval | None = None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
     """The one way into the scan: W_delta of case.F on I as _enumerate_with_ties
-    gives it.  n_max bounds n; None takes it from the minimum of F on the
-    closure of I, which must be positive."""
+    gives it, with n bounded by the minimum of F on the closure of I, which
+    must be positive.  I = None is the whole positivity region of an integral
+    F, roots included, where _region_n_max bounds n."""
     if not math.isfinite(delta):
         raise DomainError(f"delta must be finite, got {delta}")
-    F = case.F
-    if n_max is None and delta > 0:
+    F, n_max = case.F, 0
+    if I is None:
+        pos = case.pos
+        I = ProjInterval(*pos[0]) if len(pos) == 1 else ProjInterval(pos[1][0], pos[0][1], True)
+        n_max = _region_n_max(case, delta) if delta >= 1 else 0
+    elif delta > 0:
         minF = _min_on_closure(F, I)
         if minF <= 0:
             raise IntervalTouchesRoot(
                 f"min of {F} on closure of {I} is {minF}; n-range would be infinite"
             )
         n_max = math.isqrt(math.floor(delta / minF))
-    if delta <= 0 or n_max < 1:
+    if n_max < 1:
         return _NO_INTS, _NO_INTS, _NO_FLOATS, 0
     _guard(n_max, _SCAN_WORK, F, I, delta, n_max, 0)
     ms, ns, ties = _run_scan(case, F.is_integral(), delta, I, n_max)
     return (*_sort_along(I, ms, ns), ties)
+
+
+def _region_n_max(case: QuadCase, delta: float) -> int:
+    """n-bound of the scan of an integral F over its positivity region and
+    roots.  Linear values factor as n (B m + C n), a definite F has 4A F(m, n)
+    >= -D n^2; else the roots must be rational, or W_delta is infinite."""
+    F, D = case.F, case.D
+    if not F.is_integral():
+        raise DomainError(f"{F} is not integral: its positivity region needs an interval")
+    A = abs(int(F.A))
+    if case.tag == "linear":
+        return math.floor(delta)
+    if case.tag == "definite":
+        return math.isqrt(math.floor(4 * A * delta / -D))
+    s = math.isqrt(D)
+    if s == 0 or s * s != D:
+        raise UnboundedDivergence(
+            f"discriminant {D} of {F} is not a nonzero square: infinitely many "
+            "solutions; restrict to an arc"
+        )
+    # 4|A| value = u v with 2 s n = |v - u| and 1 <= |u v| <= 4 |A| delta
+    m4ad = 4 * A * delta
+    return math.floor((m4ad + math.sqrt(m4ad)) / (2 * s)) + 1
 
 
 def brute_force_W(F: RealForm, delta: float, I: ProjInterval) -> list[Frac]:

@@ -825,3 +825,38 @@ def test_im1_filters_its_pairs_block_by_block():
     assert [r.z.real for r in recs] == sorted(r.z.real for r in recs)
     with pytest.raises(DomainError, match="not a pair of numbers"):
         enum_cm_on_im1(10, math.nan, 1)
+    # an infinite end: the b-window's int cast raised OverflowError on
+    # (inf, inf), and (0, inf) was refused only as work over the guard
+    for lo, hi in [(math.inf, math.inf), (-math.inf, -math.inf), (0, math.inf), (-math.inf, 0)]:
+        with pytest.raises(DomainError, match="not a pair of numbers with finite ends"):
+            enum_cm_on_im1(100, lo, hi)
+
+
+def test_ball_im1_and_geodesic_scans_cross_block_cuts(monkeypatch):
+    """With blocks and chunks of 3 entries, the ball's a-, b- and c-ranges,
+    the (m, n) of Im z = 1 and the scans of a half-line base and of a point
+    are cut many times, inside one range too; the records and their order
+    stay those of the default blocks."""
+    from linnikgeo import linnik
+
+    rho = PointH(-0.5, math.sqrt(3) / 2)
+    calls = [
+        lambda: enum_cm_in_ball(PointH(0, 1), 1.0, delta=300),
+        lambda: enum_cm_in_ball(PointH(0, 1), 1.0, D=-84),
+        lambda: enum_cm_in_ball(rho, 1.0, delta=300),
+        lambda: enum_cm_in_ball(rho, 1.0, D=-84),
+        lambda: enum_cm_on_im1(10**6, -1.5, 2.5),
+        lambda: enum_cm_on_geodesic(IntForm(0, 1, 0), 300),
+        lambda: enum_rm_through_point(IntForm(1, 1, 1), 300),
+    ]
+    want = [call() for call in calls]
+    assert [len(w) for w in want] == [2479, 16, 2482, 15, 601, 257, 83]
+    monkeypatch.setattr(linnik, "_BLOCK", 3)
+    assert [call() for call in calls] == want
+
+
+def test_level_set_roots_from_the_exact_discriminant():
+    """The scan form's level-set roots came from B^2 - 4A(C - K) in floats,
+    which cancels for large k: 877 curves at k = 2^26 + 1."""
+    for k in (0, 2**20 + 1, 2**26 + 1):
+        assert len(enum_rm_through_point(IntForm(1, 2 * k, k * k + 1), 2000)) == 957

@@ -385,9 +385,9 @@ def test_enumerate_matches_brute_force(case, shape, data):
 @settings(max_examples=30, deadline=None, derandomize=True)
 @given(data=st.data())
 def test_enumerate_matches_brute_force_across_blocks(case, shape, data):
-    # blocks of 3 values of n and chunks of 7 candidates: every call crosses
+    # blocks of 3 values of n and chunks of 3 candidates: every call crosses
     # many block and chunk boundaries, inside the m-ranges of one n too
-    with mock.patch.multiple(linnik, _BLOCK=3, _CHUNK=7):
+    with mock.patch.object(linnik, "_BLOCK", 3):
         _matches_brute_force(case, shape, data)
 
 
@@ -471,6 +471,29 @@ def test_int_policy_switches_to_python_ints_at_2_53():
     assert linnik._ints(2**53 - 1, col)[0] is col  # no cast, no copy
     (wide,) = linnik._ints(2**53, col)
     assert wide.dtype == object and wide.tolist() == [0, 1, 2]
+    # where no integer becomes a float, int64 holds every bound below 2^63
+    assert linnik._int_dtype(2**63 - 1, floats=False) is np.int64
+    assert linnik._int_dtype(2**63, floats=False) is object
+    assert linnik._ints(2**63 - 1, col, floats=False)[0] is col
+    assert linnik._ints(2**63, col, floats=False)[0].dtype == object
+
+
+def test_guard_refuses_a_nan_count():
+    with pytest.raises(GuardExceeded, match="over SCAN_GUARD"):
+        linnik._guard(math.nan, "the work of nan")
+
+
+def test_whole_positivity_region_needs_an_integral_form_and_rational_roots():
+    """_scan_window with no interval bounds n from the case: integral forms
+    only, and an irrational or double root leaves infinitely many pairs."""
+    with pytest.raises(DomainError, match="not integral"):
+        linnik._scan_window(linnik.QuadCase.of(RealForm(1, 0.5, 1)), 10)
+    for F in (RealForm(1, 1, -1), RealForm(1, -2, 1), RealForm(-1, 0, 2)):
+        with pytest.raises(UnboundedDivergence, match="not a nonzero square"):
+            linnik._scan_window(linnik.QuadCase.of(F), 10)
+    # t^2 - 1 on its two half-lines: t = m/n with 0 < m^2 - n^2 <= 8
+    ms, ns, _, _ = linnik._scan_window(linnik.QuadCase.of(RealForm(1, 0, -1)), 8)
+    assert sorted(zip(ms.tolist(), ns.tolist())) == [(-4, 3), (-3, 1), (-3, 2), (-2, 1), (2, 1), (3, 1), (3, 2), (4, 3)]
 
 
 def test_ladder_counts_of_no_deltas():

@@ -1,5 +1,5 @@
-"""The source keeps one way into the scan, one integer policy and one
-implementation of each float formula."""
+"""The source keeps one way into the scan, one scan loop, one integer
+policy and one implementation of each float formula."""
 
 import ast
 import pathlib
@@ -83,3 +83,25 @@ def test_one_implementation_per_formula():
     assert defined["_foot_cols"] == ["hyperbolic:_foot_cols"]
     assert "geodesic_enum:mn_to_form" in callers["_form_cols"]
     assert "hyperbolic:perp_foot" in callers["_foot_cols"]
+
+
+def test_one_scan_loop_and_one_n_bound():
+    """The W-set, ball and Im z = 1 scans run in _expand, the one caller of
+    _ranges, with one block size; only linnik bounds n."""
+    callers, defined = _scan_source()
+    assert callers["_ranges"] == {"linnik:_expand"}
+    for scan in ("linnik:_run_scan", "geodesic_enum:_pairs", "geodesic_enum:_ball_points",
+                 "geodesic_enum:_im1_points"):
+        assert scan in callers["_expand"]
+    bound = set()
+    for path in SRC.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                bound.add(node.id)
+            elif isinstance(node, ast.FunctionDef):
+                bound.add(node.name)
+                if node.name == "_scan_window":
+                    assert "n_max" not in [a.arg for a in node.args.args + node.args.kwonlyargs]
+    assert "_BLOCK" in bound and "_scan_window" in bound
+    assert not {"_CHUNK", "_BALL_BLOCK", "_full_n_max"} & bound
