@@ -14,13 +14,11 @@ import json
 import math
 import sys
 
+import numpy as np
+
 from .errors import GuardExceeded, LimitTooLarge, LinnikError
 from .forms import HalfLine, IntForm, RealForm, Semicircle, geodesic_of_form, normalize
-from .geodesic_enum import (
-    enum_cm_on_geodesic,
-    enum_rm_perp_geodesic,
-    enum_rm_through_point,
-)
+from .geodesic_enum import CM_ON_G, RM_PERP_G, RM_THROUGH_P, _check_cols, _cm_z_cols, _incident_cols
 from .linnik import ProjInterval, case_tag, count_residual, equid_report, form_values
 from .linnik import ladder_counts, mu_integral
 from .cycles import CONSTANT_ONE, J_FUNCTION, closed_geodesic, cycle_value
@@ -163,32 +161,27 @@ class _Axis:
         return w * self.scale + self.off
 
 
-def _render_records(base_form: IntForm, mode: str, records, delta: float, fd: bool) -> str:
-    pts = []  # (x, y, |D|)
-    curves = []  # (q, r)
-    for rec in records:
-        if mode == "cm":
-            z = rec.point.z
-            pts.append((z.real, z.imag, abs(rec.point.form.discriminant())))
-        elif mode == "rm-perp":
-            pts.append((rec.foot.x, rec.foot.y, rec.curve.form.discriminant()))
-            g = rec.curve.geodesic
-            curves.append((g.q, g.r))
-        else:  # rm-point
-            g = rec.curve.geodesic
-            pts.append((g.q, g.r, rec.curve.form.discriminant()))
-            curves.append((g.q, g.r))
-    xs = [p[0] for p in pts] or [0.0]
-    ys = [p[1] for p in pts] or [1.0]
+# one point of a render: its pixel position and hue
+_CIRCLE = '<circle cx="{:.9g}" cy="{:.9g}" r="3" fill="hsl({},70%,50%)"/>'.format
+_MODES = {"cm": CM_ON_G, "rm-perp": RM_PERP_G, "rm-point": RM_THROUGH_P}
+
+
+def _render_cols(base_form: IntForm, px, py, ad, curves, delta: float, fd: bool) -> str:
+    """The SVG of the points (px, py), coloured by |D| = ad, and of the
+    semicircles curves = (q, r) (None in cm mode), drawn from columns."""
+    qs, rs = curves if curves is not None else (px[:0], px[:0])
+    arcs = sorted(set(zip(qs.tolist(), rs.tolist())))
     base = geodesic_of_form(base_form) if base_form.discriminant() > 0 else None
+    if isinstance(base, Semicircle):
+        qs, rs = np.append(qs, base.q), np.append(rs, base.r)
+    xs = [px if len(px) else [0.0], qs - rs, qs + rs]
     if isinstance(base, HalfLine):
-        xs += [base.x - 1, base.x + 1]
-    for q, r in curves + ([(base.q, base.r)] if isinstance(base, Semicircle) else []):
-        xs += [q - r, q + r]
-        ys.append(r)
-    pad = 0.1 * max(max(xs) - min(xs), max(ys), 1.0)
-    wx0, wx1 = min(xs) - pad, max(xs) + pad
-    wy1 = max(ys) + pad
+        xs.append([base.x - 1, base.x + 1])
+    xs, ys = np.concatenate(xs), np.concatenate([py if len(py) else [1.0], rs])
+    x0, x1, y1 = float(xs.min()), float(xs.max()), float(ys.max())
+    pad = 0.1 * max(x1 - x0, y1, 1.0)
+    wx0, wx1 = x0 - pad, x1 + pad
+    wy1 = y1 + pad
     W, H = 800, 400
     sx = _Axis(wx0, wx1, 0, W)
     # same scale on both axes; y flipped, real axis near the bottom
@@ -207,7 +200,7 @@ def _render_records(base_form: IntForm, mode: str, records, delta: float, fd: bo
         )
     elif base:
         out.append(_svg_path_semicircle(base.q, base.r, sx, sy))
-    for q, r in sorted(set(curves)):
+    for q, r in arcs:
         out.append(_svg_path_semicircle(q, r, sx, sy))
     if fd:
         for x in (-0.5, 0.5):
@@ -216,13 +209,9 @@ def _render_records(base_form: IntForm, mode: str, records, delta: float, fd: bo
                 f'x2="{_fmt(sx(x))}" y2="{_fmt(sy(math.sqrt(3) / 2))}"/>'
             )
         out.append(_svg_path_semicircle(0.0, 1.0, sx, sy))
-    dmax = max(delta, 1.0)
-    for x, y, ad in pts:
-        hue = int(240 * (1 - min(ad / dmax, 1.0)))
-        out.append(
-            f'<circle cx="{_fmt(sx(x))}" cy="{_fmt(sy(y))}" r="3" '
-            f'fill="hsl({hue},70%,50%)"/>'
-        )
+    hue = 240 * (1 - np.minimum(np.asarray(ad / max(delta, 1.0), dtype=float), 1.0))
+    cx, cy = px * sx.scale + sx.off, py * sy.scale + sy.off
+    out += map(_CIRCLE, cx.tolist(), cy.tolist(), hue.astype(np.int64).tolist())
     out.append("</svg>")
     return "\n".join(out) + "\n"
 
@@ -235,16 +224,20 @@ def _int_form(A, B, C) -> IntForm:
 
 
 def _run_render(A: int, B: int, C: int, delta: float, mode: str, arc, fd: bool):
+    """Render from the record columns: the points are CMPoint.z (cm), the
+    feet (rm-perp) or the tops of RMCurve.geodesic (rm-point)."""
     G = _int_form(A, B, C)
-    if mode == "cm":
-        records = enum_cm_on_geodesic(G, delta, arc=arc)
-    elif mode == "rm-perp":
-        records = enum_rm_perp_geodesic(G, delta, arc=arc)
-    elif mode == "rm-point":
-        records = enum_rm_through_point(G, delta)
-    else:
+    if mode not in _MODES:
         raise ValueError(f"unknown render mode {mode!r}")
-    return _render_records(G, mode, records, delta, fd)
+    if mode == "rm-point" and arc is not None:
+        raise ValueError(f"an arc {arc} does not apply to mode rm-point")
+    record, cols = _incident_cols(G, _MODES[mode], delta, arc)
+    ad = np.abs(_check_cols(record, cols))
+    q, r = _cm_z_cols(cols[0], cols[1], ad)
+    if mode == "cm":
+        return _render_cols(G, q, r, ad, None, delta, fd)
+    px, py = cols[6:8] if mode == "rm-perp" else (q, r)
+    return _render_cols(G, px, py, ad, (q, r), delta, fd)
 
 
 def cmd_render(args) -> int:

@@ -13,6 +13,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 from typing import Callable
 
 import numpy as np
@@ -23,15 +24,16 @@ from .geodesic_enum import (
     CM_ON_G,
     CMOnGeodesic,
     GeodesicParam,
+    _build,
     _cm_z_cols,
     _enum_pairs,
     _form_cols,
-    _records,
+    _record_cols,
     build_param,
 )
-from .linnik import ProjInterval, _absmax, _ints, form_values
+from .linnik import ProjInterval, _absmax, _at_most, _ints, form_values
 from .hyperbolic import PointH
-from .numtheory import PellSolution, pell_fundamental, sl2z_reduce
+from .numtheory import PellSolution, _reduce, pell_fundamental
 
 
 @dataclass(frozen=True)
@@ -131,7 +133,7 @@ def cm_on_fundamental_arc(cg: ClosedGeodesic, delta: float) -> list[CMOnGeodesic
     """
     if delta < 1:
         return []
-    return _records(*_arc_pairs(cg, delta))
+    return _build(*_record_cols(*_arc_pairs(cg, delta)))
 
 
 def cm_count_closed(cg: ClosedGeodesic, delta: float) -> tuple[int, float]:
@@ -161,14 +163,15 @@ class ModularFunction:
 # < 0.0044, so the 13th terms are below 1e-20 of the sums.
 _SIGMA3 = (1, 9, 28, 73, 126, 252, 344, 585, 757, 1134, 1332, 2044)
 _TAU = (1, -24, 252, -1472, 4830, -6048, -16744, 84480, -113643, -115920, 534612, -370944)
+_HORNER = tuple(zip(_SIGMA3[::-1], _TAU[::-1]))  # highest power first
 
 
 def j_invariant(z: complex | PointH) -> complex:
     """Klein j = E4^3 / Delta, after fundamental-domain reduction.  Delta ~ q
     does not cancel, so j keeps its relative precision toward the cusp."""
-    q = cmath.exp(2j * math.pi * sl2z_reduce(z)[0].as_complex())
-    e4 = dq = 0j  # the two sums by Horner's rule, highest power first
-    for s3, tau in zip(_SIGMA3[::-1], _TAU[::-1]):
+    q = cmath.exp(2j * math.pi * _reduce(z)[0])
+    e4 = dq = 0j  # the two sums by Horner's rule
+    for s3, tau in _HORNER:
         e4, dq = (e4 + s3) * q, (dq + tau) * q
     return (1 + 240 * e4) ** 3 / dq
 
@@ -200,7 +203,7 @@ def cycle_quadrature(cg: ClosedGeodesic, f: ModularFunction) -> complex:
     total, fmax, n, u = 0j, 0.0, 0, np.array([-L / 2])
     while True:
         z = map(complex, (sc.q - sc.r * np.tanh(u)).tolist(), (sc.r / np.cosh(u)).tolist())
-        vals = np.array(list(map(f, z)), dtype=complex)
+        vals = np.array(list(map(f.evaluator, z)), dtype=complex)
         total, fmax, n = total + vals.sum(), max(fmax, float(np.abs(vals).max())), n + len(u)
         val = complex(L / n * total)
         if n > _NODES_FIRST:
@@ -236,10 +239,9 @@ def cycle_value(
     # |D| exactly: the derived form's value is the discriminant
     absd = -form_values(RealForm(*param.derived), ms, ns)
     x, y = _cm_z_cols(a, b, absd)
-    vals = list(map(f, map(complex, x.tolist(), y.tolist())))
-    pts = list(zip(vals, absd.tolist()))
+    vals = list(map(f.evaluator, map(complex, x.tolist(), y.tolist())))
     estimates = []
-    for delta in deltas:  # int <= float compares exactly
-        total = sum((v for v, d in pts if d <= delta), 0 + 0j)
+    for delta in deltas:
+        total = sum(compress(vals, _at_most(absd, delta).tolist()), 0j)
         estimates.append((delta, scale_base / delta * total))
     return estimates, quadrature

@@ -260,7 +260,8 @@ def _form_cols(param: GeodesicParam, ms: np.ndarray, ns: np.ndarray) -> list[np.
 
 def _cm_z_cols(a: np.ndarray, b: np.ndarray, absd: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Columns (x, y) of CMPoint.z, in its float operations, for the forms
-    (a, b, c) of discriminant -absd."""
+    (a, b, c) of discriminant -absd; for RM forms with a > 0 (as _form_cols
+    makes them) of discriminant absd, the (q, r) of RMCurve.geodesic."""
     y = np.sqrt(np.asarray(absd, dtype=float)) / np.asarray(2 * a, dtype=float)
     return np.asarray(-b / (2 * a), dtype=float), y
 
@@ -295,15 +296,11 @@ def _block(record: type, a: list, b: list, c: list, *rest: list) -> list:
     return _tuples(record, *fields, *rest)
 
 
-def _build(record: type, cols: list[np.ndarray]) -> list:
-    """The records of the columns [a, b, c, ...] (in _block's order), a
-    block of rows at a time.
-
-    The checks of CMPoint, RMCurve and PointH are made on the columns;
-    where a row fails one, the public constructors of that row raise their
-    own error.  The cyclic garbage collector is paused while the list
-    fills (records hold no reference cycles), and left as it was found.
-    """
+def _check_cols(record: type, cols: list[np.ndarray]) -> np.ndarray:
+    """The checks of CMPoint, RMCurve and PointH on the columns [a, b, c, ...]
+    (in _block's order) of record; where a row fails one, the public
+    constructors of that row raise their own error.  Returns the column of
+    discriminants b^2 - 4ac, exact."""
     cm = record in _CM
     a, b, c = _ints(5 * _absmax(*cols[:3]) ** 2, *cols[:3], floats=False)
     d = b * b - 4 * a * c
@@ -316,11 +313,20 @@ def _build(record: type, cols: list[np.ndarray]) -> list:
         i = rows[0]
         (CMPoint if cm else RMCurve)(IntForm(*(int(col[i]) for col in cols[:3])))
         PointH(float(cols[6][i]), float(cols[7][i]))
+    return d
+
+
+def _build(record: type, cols: list[np.ndarray]) -> list:
+    """The records of the columns [a, b, c, ...] (in _block's order), once
+    _check_cols passes them, a block of rows at a time.  The cyclic garbage
+    collector is paused while the list fills (records hold no reference
+    cycles), and left as it was found."""
+    _check_cols(record, cols)
     out: list = []
     enabled = gc.isenabled()
     gc.disable()
     try:
-        for r0 in range(0, len(a), _ROWS):
+        for r0 in range(0, len(cols[0]), _ROWS):
             out += _block(record, *(col[r0 : r0 + _ROWS].tolist() for col in cols))
     finally:
         if enabled:
@@ -328,14 +334,26 @@ def _build(record: type, cols: list[np.ndarray]) -> list:
     return out
 
 
-def _records(param: GeodesicParam, ms: np.ndarray, ns: np.ndarray, ts: np.ndarray) -> list:
-    """The records of the pairs (ms, ns, ts = ms / ns) in param's mode."""
+def _record_cols(
+    param: GeodesicParam, ms: np.ndarray, ns: np.ndarray, ts: np.ndarray
+) -> tuple[type, list[np.ndarray]]:
+    """The record type of param's mode and the columns, in _block's order,
+    of the records of the pairs (ms, ns, ts = ms / ns)."""
     a, b, c = _form_cols(param, ms, ns)
     cols = [a, b, c, ms, ns, ts]
     if param.mode == RM_PERP_G:
         cols += _foot_cols(param.base, a, b, c)
     record = {CM_ON_G: CMOnGeodesic, RM_PERP_G: RMPerpGeodesic, RM_THROUGH_P: RMThroughPoint}[param.mode]
-    return _build(record, cols + [_coord_col(param, ts)])
+    return record, cols + [_coord_col(param, ts)]
+
+
+def _incident_cols(
+    G: IntForm, mode: str, delta: float, arc: tuple[float, float] | None
+) -> tuple[type, list[np.ndarray]]:
+    """_record_cols of the forms incident to G in mode with |D| <= delta
+    (in the coordinate window arc, if one is given), sorted along t."""
+    param = build_param(G, mode)
+    return _record_cols(param, *_enum_pairs(param, delta, _arc_interval(param, arc)))
 
 
 def enum_cm_on_geodesic(
@@ -349,8 +367,7 @@ def enum_cm_on_geodesic(
     a half-line base).  Without an arc the full set must be finite, which
     requires rational endpoints (square derived discriminant) or a half-line.
     """
-    param = build_param(G, CM_ON_G)
-    return _records(param, *_enum_pairs(param, delta, _arc_interval(param, arc)))
+    return _build(*_incident_cols(G, CM_ON_G, delta, arc))
 
 
 def enum_rm_perp_geodesic(
@@ -360,14 +377,12 @@ def enum_rm_perp_geodesic(
 ) -> list[RMPerpGeodesic]:
     """RM curves of discriminant <= delta meeting the geodesic of G
     perpendicularly, with their intersection feet."""
-    param = build_param(G, RM_PERP_G)
-    return _records(param, *_enum_pairs(param, delta, _arc_interval(param, arc)))
+    return _build(*_incident_cols(G, RM_PERP_G, delta, arc))
 
 
 def enum_rm_through_point(p: IntForm, delta: float) -> list[RMThroughPoint]:
     """RM curves of discriminant <= delta through the CM point of p."""
-    param = build_param(p, RM_THROUGH_P)
-    return _records(param, *_enum_pairs(param, delta, None))
+    return _build(*_incident_cols(p, RM_THROUGH_P, delta, None))
 
 
 def _b_ranges(a: np.ndarray, lo: float, hi: float, d_max: int) -> tuple[np.ndarray, np.ndarray]:

@@ -158,7 +158,11 @@ class QuadCase:
         D = F.discriminant()
         if not abs(D) <= sys.float_info.max:
             raise DomainError(f"the discriminant of {F} overflows: B^2 - 4AC = {D}")
-        D = int(B) ** 2 - 4 * int(A) * int(C) if F.is_integral() else D  # exact
+        try:
+            integral = F.is_integral()
+        except OverflowError:
+            raise DomainError(f"the coefficients of {F} pass the float range") from None
+        D = int(B) ** 2 - 4 * int(A) * int(C) if integral else D  # exact
         if A == 0:
             r = -C / B
             pos = ((r, INF),) if B > 0 else ((-INF, r),)

@@ -349,34 +349,33 @@ def pell_fundamental(D: int) -> PellSolution:
     raise GuardExceeded(f"the continued fraction of D = {D} runs past {_PELL_STEPS} steps")
 
 
-_S = ((0, -1), (1, 0))
-
-
-def _matmul(m1, m2):
-    (a, b), (c, d) = m1
-    (e, f), (g, h) = m2
-    return ((a * e + b * g, a * f + b * h), (c * e + d * g, c * f + d * h))
-
-
 def sl2z_reduce(z: PointH | complex) -> tuple[PointH, tuple[tuple[int, int], tuple[int, int]]]:
     """Move z into the standard fundamental domain |Re| <= 1/2, |z| >= 1.
 
     Returns (z', gamma) with z' = gamma(z) and det(gamma) = 1.
     """
+    w, gamma = _reduce(z)
+    return PointH(w.real, w.imag), gamma
+
+
+def _reduce(z: PointH | complex) -> tuple[complex, tuple[tuple[int, int], tuple[int, int]]]:
+    """sl2z_reduce's (z', gamma) with z' a complex: the one reduction loop.
+    gamma = ((a, b), (c, d)) is kept as four ints; a translation by -n maps
+    it to ((a - n c, b - n d), (c, d)) and z -> -1/z to ((-c, -d), (a, b))."""
     w = z.as_complex() if isinstance(z, PointH) else complex(z)
     if not w.imag > 0:
         raise ValueError("point must be in the upper half-plane")
-    gamma = ((1, 0), (0, 1))
+    a, b, c, d = 1, 0, 0, 1
     for _ in range(10**4):
         n = round(w.real)
         if n != 0:
             w -= n
-            gamma = _matmul(((1, -n), (0, 1)), gamma)
+            a, b = a - n * c, b - n * d
         if abs(w) < 1 - 1e-15:
             w = -1 / w
-            gamma = _matmul(_S, gamma)
+            a, b, c, d = -c, -d, a, b
         else:
-            return PointH(w.real, w.imag), gamma
+            return w, ((a, b), (c, d))
     raise NumericalInstability("fundamental-domain reduction did not terminate")
 
 

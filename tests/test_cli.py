@@ -445,3 +445,132 @@ def test_values_past_int64_squares_are_counted(tmp_path, capsys):
                                                for m, n, *_ in rows]
     assert main(_verify_argv("1e-15", "0", "1", "definite", "1e10", "10000000000.5", "1e7")) == 0
     assert "empirical=15 " in capsys.readouterr().out
+
+
+# ---------------------------------------------------------------------------
+# render against its records
+
+
+class _Axis:
+    def __init__(self, w0, w1, p0, p1):
+        self.scale = (p1 - p0) / (w1 - w0)
+        self.off = p0 - w0 * self.scale
+
+    def __call__(self, w):
+        return w * self.scale + self.off
+
+
+def _semicircle(q, r, sx, sy):
+    return (f'<path d="M {sx(q - r):.9g} {sy(0):.9g} A {r * sx.scale:.9g} {r * sx.scale:.9g} 0 0 1 '
+            f'{sx(q + r):.9g} {sy(0):.9g}" class="geo"/>')
+
+
+def _render_records(base_form, mode, records, delta, fd):
+    """The SVG drawn record by record: the reference for render."""
+    from linnikgeo.forms import HalfLine, Semicircle, geodesic_of_form
+
+    pts, curves = [], []  # (x, y, |D|), (q, r)
+    for rec in records:
+        if mode == "cm":
+            z = rec.point.z
+            pts.append((z.real, z.imag, abs(rec.point.form.discriminant())))
+        elif mode == "rm-perp":
+            pts.append((rec.foot.x, rec.foot.y, rec.curve.form.discriminant()))
+            g = rec.curve.geodesic
+            curves.append((g.q, g.r))
+        else:
+            g = rec.curve.geodesic
+            pts.append((g.q, g.r, rec.curve.form.discriminant()))
+            curves.append((g.q, g.r))
+    xs = [p[0] for p in pts] or [0.0]
+    ys = [p[1] for p in pts] or [1.0]
+    base = geodesic_of_form(base_form) if base_form.discriminant() > 0 else None
+    if isinstance(base, HalfLine):
+        xs += [base.x - 1, base.x + 1]
+    for q, r in curves + ([(base.q, base.r)] if isinstance(base, Semicircle) else []):
+        xs += [q - r, q + r]
+        ys.append(r)
+    pad = 0.1 * max(max(xs) - min(xs), max(ys), 1.0)
+    wx0, wx1 = min(xs) - pad, max(xs) + pad
+    wy1 = max(ys) + pad
+    W, H = 800, 400
+    sx = _Axis(wx0, wx1, 0, W)
+    sy = _Axis(0, wy1, H - 10, H - 10 - wy1 * sx.scale)
+    out = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{W}" height="{H}" viewBox="0 0 {W} {H}">',
+        "<style>.geo{fill:none;stroke:#444;stroke-width:1}.axis{stroke:#000;stroke-width:1}</style>",
+        f'<line class="axis" x1="0" y1="{sy(0):.9g}" x2="{W}" y2="{sy(0):.9g}"/>',
+    ]
+    if isinstance(base, HalfLine):
+        out.append(f'<line class="geo" x1="{sx(base.x):.9g}" y1="{sy(0):.9g}" x2="{sx(base.x):.9g}" y2="0"/>')
+    elif base:
+        out.append(_semicircle(base.q, base.r, sx, sy))
+    for q, r in sorted(set(curves)):
+        out.append(_semicircle(q, r, sx, sy))
+    if fd:
+        for x in (-0.5, 0.5):
+            out.append(f'<line class="geo" x1="{sx(x):.9g}" y1="0" x2="{sx(x):.9g}" '
+                       f'y2="{sy(math.sqrt(3) / 2):.9g}"/>')
+        out.append(_semicircle(0.0, 1.0, sx, sy))
+    dmax = max(delta, 1.0)
+    for x, y, ad in pts:
+        hue = int(240 * (1 - min(ad / dmax, 1.0)))
+        out.append(f'<circle cx="{sx(x):.9g}" cy="{sy(y):.9g}" r="3" fill="hsl({hue},70%,50%)"/>')
+    out.append("</svg>")
+    return "\n".join(out) + "\n"
+
+
+_RENDERS = [
+    # (form, delta, mode, arc): semicircle bases on arcs and whole,
+    # half-line bases (A = 0), empty sets
+    ((1, 0, -1), 7, "cm", None), ((1, 0, -1), 2000.5, "cm", (0.3, 2.8)),
+    ((1, 1, -1), 3000, "cm", (0.5, 1.0)), ((0, 1, 0), 500, "cm", None),
+    ((0, 1, -2), 300, "cm", (0.5, 4.0)), ((1, 0, -1), 2, "cm", None),
+    ((1, 1, -1), 60, "rm-perp", (0.5, 2.6)), ((2, 1, -3), 900, "rm-perp", (0.3, 1.2)),
+    ((0, 3, 1), 400, "rm-perp", (0.2, 3.0)), ((1, 0, -1), 1, "rm-perp", (0.3, 1.2)),
+    ((1, 0, 1), 20, "rm-point", None), ((2, 1, 3), 1500, "rm-point", None),
+    ((1, 1, 1), 1, "rm-point", None),
+]
+
+
+@pytest.mark.parametrize("form, delta, mode, arc", _RENDERS)
+def test_render_bytes_equal_the_records_drawing(tmp_path, monkeypatch, form, delta, mode, arc):
+    """Byte-equal to drawing the enumerator's records, with and without
+    --fd, and render builds no records on the way."""
+    from linnikgeo import geodesic_enum as ge
+    from linnikgeo.forms import IntForm
+
+    enum = {"cm": ge.enum_cm_on_geodesic, "rm-perp": ge.enum_rm_perp_geodesic,
+            "rm-point": lambda G, d, arc: ge.enum_rm_through_point(G, d)}[mode]
+    records = enum(IntForm(*form), delta, arc=arc)
+    assert (len(records) > 0) == (delta > 2)
+
+    def refuse(*args):
+        raise AssertionError("a record was built")
+
+    # _build makes every record of the enumerators; the classes are patched
+    # in place, as the columns' record type is told by class identity
+    monkeypatch.setattr(ge, "_build", refuse)
+    for cls in (ge.CMOnGeodesic, ge.RMPerpGeodesic, ge.RMThroughPoint):
+        monkeypatch.setattr(cls, "__new__", refuse)
+    for fd in (False, True):
+        out = tmp_path / "a.svg"
+        argv = ["render", "-A", str(form[0]), "-B", str(form[1]), "-C", str(form[2]),
+                "--delta", str(delta), "--mode", mode, "--out", str(out)] + ["--fd"] * fd
+        if arc is not None:
+            argv += ["--arc", f"{arc[0]},{arc[1]}"]
+        assert main(argv) == 0
+        assert out.read_text() == _render_records(IntForm(*form), mode, records, delta, fd)
+
+
+def test_render_rm_point_refuses_an_arc(tmp_path, capsys):
+    """An rm-point render has no arc to apply: bad input, not a silent
+    drop, on the command line and through --from-json."""
+    out, cfg = tmp_path / "a.svg", tmp_path / "cfg.json"
+    assert main(["render", "-A", "1", "-B", "0", "-C", "1", "--delta", "20", "--mode", "rm-point",
+                 "--arc", "0.5,2", "--out", str(out)]) == 2
+    doc = {"schema": 1, "config": {"A": 1, "B": 0, "C": 1, "delta": 20, "mode": "rm-point", "arc": [0.5, 2]}}
+    cfg.write_text(json.dumps(doc))
+    assert main(["render", "--from-json", str(cfg), "--out", str(out)]) == 2
+    assert not out.exists()
+    assert capsys.readouterr().err.count("does not apply to mode rm-point") == 2

@@ -199,6 +199,61 @@ def test_j_modular_invariance():
             assert abs(j_invariant(w) - jz) < 1e-7 * max(1.0, abs(jz))
 
 
+def _matmul(m1, m2):
+    (a, b), (c, d) = m1
+    (e, f), (g, h) = m2
+    return ((a * e + b * g, a * f + b * h), (c * e + d * g, c * f + d * h))
+
+
+def _sl2z_reduce_by_matrices(z):
+    """The reduction as products of 2 x 2 matrices: the reference for _reduce."""
+    w = complex(z)
+    gamma = ((1, 0), (0, 1))
+    for _ in range(10**4):
+        n = round(w.real)
+        if n != 0:
+            w -= n
+            gamma = _matmul(((1, -n), (0, 1)), gamma)
+        if abs(w) < 1 - 1e-15:
+            w = -1 / w
+            gamma = _matmul(((0, -1), (1, 0)), gamma)
+        else:
+            return w, gamma
+    raise AssertionError("no reduction")
+
+
+def _j_by_matrices(z):
+    """Klein j through _sl2z_reduce_by_matrices, the sums built per call."""
+    from linnikgeo.cycles import _SIGMA3, _TAU
+
+    q = cmath.exp(2j * math.pi * _sl2z_reduce_by_matrices(z)[0])
+    e4 = dq = 0j
+    for s3, tau in zip(_SIGMA3[::-1], _TAU[::-1]):
+        e4, dq = (e4 + s3) * q, (dq + tau) * q
+    return (1 + 240 * e4) ** 3 / dq
+
+
+def _bits(z: complex) -> tuple[str, str]:
+    return z.real.hex(), z.imag.hex()
+
+
+def test_reduction_and_j_match_the_matrix_products_bit_for_bit():
+    """Random points, the arc |z| = 1 from rho to rho + 1, the edges
+    x = +-1/2 and points at y = 5: the same reduced point, gamma and j."""
+    from linnikgeo.numtheory import sl2z_reduce
+
+    rng = random.Random(23)
+    pts = [complex(rng.uniform(-6, 6), 10 ** rng.uniform(-1.5, 0.7)) for _ in range(600)]
+    pts += [cmath.exp(1j * math.pi * (2 - k / 200) / 3) for k in range(201)]
+    pts += [complex(x, y / 64) for x in (-0.5, 0.5) for y in range(1, 321)]
+    pts += [complex(x / 100, 5.0) for x in range(-300, 301)]
+    for z in pts:
+        w, gamma = _sl2z_reduce_by_matrices(z)
+        got, got_gamma = sl2z_reduce(z)
+        assert _bits(got.as_complex()) == _bits(w) and got_gamma == gamma, z
+        assert _bits(j_invariant(z)) == _bits(_j_by_matrices(z)), z
+
+
 def test_cycle_quadrature_of_one_is_length():
     for f in (IntForm(1, 1, -1), IntForm(1, 0, -3)):
         cg = closed_geodesic(f)

@@ -26,7 +26,7 @@ from linnikgeo.geodesic_enum import (
     _enum_pairs,
     _foot_cols,
     _form_cols,
-    _records,
+    _record_cols,
     CM_ON_G,
     RM_PERP_G,
     RM_THROUGH_P,
@@ -489,7 +489,7 @@ def test_builder_matches_public_constructors():
         center = Fraction(-B, 2 * A) if mode == CM_ON_G and A else 0
         ms, ns = _random_pairs(rng, param, 300, -1 if mode == CM_ON_G else 1, center)
         assert (_form_cols(param, ms, ns)[0].dtype == object) == big
-        got = _records(param, ms, ns, ms / ns)
+        got = _build(*_record_cols(param, ms, ns, ms / ns))
         ref = []
         for m, n in zip(ms.tolist(), ns.tolist()):
             f, frac, u = mn_to_form(param, m, n), Frac.make(m, n), coord_of_t(param, m / n)
@@ -553,9 +553,9 @@ def test_build_restores_gc_state(monkeypatch):
                 seen.clear()
                 if fail:
                     with pytest.raises(RuntimeError, match="part-way"):
-                        _records(param, *pairs)
+                        _build(*_record_cols(param, *pairs))
                 else:
-                    assert len(_records(param, *pairs)) > 3 * 16
+                    assert len(_build(*_record_cols(param, *pairs))) > 3 * 16
                 assert seen and not any(seen)  # paused while the list fills
                 assert gc.isenabled() == enabled
     finally:

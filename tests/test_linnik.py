@@ -452,6 +452,17 @@ def test_overflowing_discriminant_is_a_domain_error():
             enumerate_W(F, 1e203, ProjInterval(-1, 1))
 
 
+def test_coefficients_past_the_float_range_are_a_domain_error():
+    """D = 0 fits, but the coefficients do not become floats: refused
+    naming the form, not a bare OverflowError."""
+    F, I = RealForm(10**400, 2 * 10**400, 10**400), ProjInterval(0, 1)
+    for call in (lambda: enumerate_W(F, 100, I), lambda: mu_integral(F, I),
+                 lambda: linnik.ladder_counts(F, [10, 100], I), lambda: equid_report(F, 100, I, 4),
+                 lambda: brute_force_W(F, 100, I)):
+        with pytest.raises(DomainError, match=r"coefficients of RealForm\(A=1000"):
+            call()
+
+
 def test_ladder_counts_match_one_enumeration_per_delta():
     cases = [(RealForm(1, 0, 1), ProjInterval(-1, 1)), (RealForm(0.5, 0.25, -1.5), ProjInterval(2, 3)),
              (RealForm(0.1, 0, 0.3), ProjInterval(-2, 2)), (RealForm(1, 0, -2), ProjInterval(2, -2, True))]

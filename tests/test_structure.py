@@ -105,3 +105,18 @@ def test_one_scan_loop_and_one_n_bound():
                     assert "n_max" not in [a.arg for a in node.args.args + node.args.kwonlyargs]
     assert "_BLOCK" in bound and "_scan_window" in bound
     assert not {"_CHUNK", "_BALL_BLOCK", "_full_n_max"} & bound
+
+
+def test_render_cycles_and_j_read_columns():
+    """render reads the record columns, not the enumerators' records; one
+    reduction loop, with no 2 x 2 matrix products, serves sl2z_reduce and
+    j; cycle_value sums its rungs without a generator."""
+    callers, defined = _scan_source()
+    for enum in ("enum_cm_on_geodesic", "enum_rm_perp_geodesic", "enum_rm_through_point"):
+        assert not {c for c in callers[enum] if c.startswith("cli:")}, enum
+    assert "cli:_run_render" in callers["_incident_cols"]
+    assert not defined["_matmul"]
+    assert {"numtheory:sl2z_reduce", "cycles:j_invariant"} <= callers["_reduce"]
+    tree = ast.parse((SRC / "cycles.py").read_text(encoding="utf-8"))
+    fn = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "cycle_value")
+    assert not [n for n in ast.walk(fn) if isinstance(n, ast.GeneratorExp)]
