@@ -21,7 +21,7 @@ from .forms import HalfLine, IntForm, RealForm, Semicircle, geodesic_of_form, no
 from .geodesic_enum import CM_ON_G, RM_PERP_G, RM_THROUGH_P, _check_cols, _cm_z_cols, _incident_cols
 from .linnik import ProjInterval, case_tag, count_residual, equid_report, form_values
 from .linnik import ladder_counts, mu_integral
-from .cycles import CONSTANT_ONE, J_FUNCTION, closed_geodesic, cycle_value
+from .cycles import CONSTANT_ONE, J_FUNCTION, _cycle_value, closed_geodesic
 
 OK, INTERNAL, BAD_INPUT, GUARD, TOLERANCE = 0, 1, 2, 3, 4
 
@@ -282,8 +282,8 @@ def cmd_render(args) -> int:
 def cmd_cycle(args) -> int:
     G = _int_form(args.A, args.B, args.C)
     f = {"one": CONSTANT_ONE, "j": J_FUNCTION}[args.f]
-    estimates, quadv = cycle_value(f, G, args.delta_ladder)
     cg = closed_geodesic(G)
+    estimates, quadv = _cycle_value(f, cg, args.delta_ladder)
     if args.format == "json":
         doc = {
             "schema": 1,

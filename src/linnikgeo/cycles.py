@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
@@ -66,11 +67,6 @@ def closed_geodesic(f: IntForm) -> ClosedGeodesic:
     det = gamma[0][0] * gamma[1][1] - gamma[0][1] * gamma[1][0]
     assert det == 1
     return ClosedGeodesic(f, pell, gamma, 2 * pell.log_eps)
-
-
-def apply_mobius(gamma, z: complex) -> complex:
-    (a, b), (c, d) = gamma
-    return (a * z + b) / (c * z + d)
 
 
 def fundamental_arc(cg: ClosedGeodesic) -> tuple[float, float]:
@@ -164,12 +160,20 @@ class ModularFunction:
 _SIGMA3 = (1, 9, 28, 73, 126, 252, 344, 585, 757, 1134, 1332, 2044)
 _TAU = (1, -24, 252, -1472, 4830, -6048, -16744, 84480, -113643, -115920, 534612, -370944)
 _HORNER = tuple(zip(_SIGMA3[::-1], _TAU[::-1]))  # highest power first
+# |j| ~ e^(2 pi y) at the reduced point leaves the float range above this y
+_J_Y_MAX = math.log(sys.float_info.max) / (2 * math.pi)
 
 
 def j_invariant(z: complex | PointH) -> complex:
     """Klein j = E4^3 / Delta, after fundamental-domain reduction.  Delta ~ q
-    does not cancel, so j keeps its relative precision toward the cusp."""
-    q = cmath.exp(2j * math.pi * _reduce(z)[0])
+    does not cancel, so j keeps its relative precision toward the cusp.
+    Refused (DomainError) where the reduced point lies above y = _J_Y_MAX."""
+    w = _reduce(z)[0]
+    if w.imag > _J_Y_MAX:
+        raise DomainError(
+            f"j({z}) is past the float range: its reduced point has y = {w.imag:.6g} > {_J_Y_MAX:.6g}"
+        )
+    q = cmath.exp(2j * math.pi * w)
     e4 = dq = 0j  # the two sums by Horner's rule
     for s3, tau in _HORNER:
         e4, dq = (e4 + s3) * q, (dq + tau) * q
@@ -227,12 +231,18 @@ def cycle_value(
     CM point; a rung sums, in arc order, the points of |D| <= delta."""
     if not is_normalized(*w_form.triple()):
         raise ValueError(f"{w_form} is not normalized")
+    return _cycle_value(f, closed_geodesic(w_form), deltas)
+
+
+def _cycle_value(
+    f: ModularFunction, cg: ClosedGeodesic, deltas: list[float]
+) -> tuple[list[tuple[float, complex]], complex]:
+    """cycle_value on the closed geodesic of a normalized form."""
     for delta in deltas:
         if not (math.isfinite(delta) and delta > 0):
             raise DomainError(f"ladder delta must be positive and finite, got {delta}")
-    cg = closed_geodesic(w_form)
     quadrature = cycle_quadrature(cg, f)
-    D = w_form.discriminant()
+    D = cg.pell.D
     scale_base = 2 * math.pi**2 * math.sqrt(D) / (3 * math.gcd(D, 2))
     param, ms, ns, _ = _arc_pairs(cg, max(deltas, default=0))
     a, b, _ = _form_cols(param, ms, ns)

@@ -49,13 +49,13 @@ class BallE:
         if not 0 < self.radius_euclid < self.center.y:
             raise ValueError("euclidean radius must be in (0, center.y)")
 
-    def contains(self, z: PointH, tol: float = 0.0) -> bool:
+    def contains(self, z: PointH) -> bool:
         """z in the disk; a one-row contains_cols, which loops should call instead."""
-        return bool(self.contains_cols(np.array([z.x]), np.array([z.y]), tol)[0])
+        return bool(self.contains_cols(np.array([z.x]), np.array([z.y]))[0])
 
-    def contains_cols(self, x: np.ndarray, y: np.ndarray, tol: float = 0.0) -> np.ndarray:
+    def contains_cols(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """contains for columns of points (x, y)."""
-        return np.hypot(x - self.center.x, y - self.center.y) <= self.radius_euclid + tol
+        return np.hypot(x - self.center.x, y - self.center.y) <= self.radius_euclid
 
 
 def dist(z1: PointH, z2: PointH) -> float:

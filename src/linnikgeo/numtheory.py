@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -96,17 +95,6 @@ def _phi_upto(T: int) -> np.ndarray:
     return _sieved("phi", T, np.int32, fill)
 
 
-def _mobius_upto(T: int) -> np.ndarray:
-    def fill(mu, lo, primes, rest):
-        mu[:] = 1
-        for p in primes:
-            mu[-lo % p :: p] *= -1
-            mu[-lo % (p * p) :: p * p] = 0
-        np.negative(mu, out=mu, where=rest > 1)
-
-    return _sieved("mu", T, np.int8, fill)
-
-
 def _block_sum(values: np.ndarray, lo: int, hi: int, term) -> float:
     """Sum of term(values[n], n) for lo <= n < hi, one block of _SEG at a time."""
     total = 0.0
@@ -116,77 +104,35 @@ def _block_sum(values: np.ndarray, lo: int, hi: int, term) -> float:
     return total
 
 
-def _prime_factors(n: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1 if d == 2 else 2
-    if n > 1:
-        out.append(n)
-    return out
-
-
-def count_coprime_upto(T: float, n: int) -> int:
-    """#{1 <= m <= T : gcd(m, n) = 1} via Mobius over the divisors of n."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    limit = math.floor(T)
-    if limit < 1:
-        return 0
-    divs = [(1, 1)]  # (divisor, mobius sign)
-    for p in _prime_factors(n):
-        divs += [(d * p, -s) for d, s in divs]
-    return sum(s * (limit // d) for d, s in divs)
+def _phi_for(T: int, table: PhiTable | None) -> np.ndarray:
+    """phi of 0..T or more: the table's values if it reaches T, else the cache's."""
+    return table.values if table is not None and table.limit >= T else _phi_upto(T)
 
 
 def sum_phi(T: int, table: PhiTable | None = None) -> tuple[int, float]:
     """(sum of phi(n) for n <= T, main term 3 T^2 / pi^2)."""
-    phi = table.values if table is not None and table.limit >= T else _phi_upto(T)
-    exact = int(phi[1 : T + 1].sum())
+    exact = int(_phi_for(T, table)[1 : T + 1].sum())
     return exact, 3.0 * T * T / math.pi**2
 
 
 def sum_phi_over_n(T: int, table: PhiTable | None = None) -> tuple[float, float]:
     """(sum of phi(n)/n for n <= T, main term 6 T / pi^2)."""
-    phi = table.values if table is not None and table.limit >= T else _phi_upto(T)
-    exact = _block_sum(phi, 1, T + 1, lambda v, n: v / n)
+    exact = _block_sum(_phi_for(T, table), 1, T + 1, lambda v, n: v / n)
     return exact, 6.0 * T / math.pi**2
 
 
-def sum_phi_over_n2(
-    T: int, table: PhiTable | None = None, gamma0: float | None = None
-) -> tuple[float, float]:
-    """(sum of phi(n)/n^2 for n <= T, main term (6/pi^2) log T + gamma0).
-
-    gamma0 defaults to the fitted empirical constant (see gamma0_fitted); it
-    is never claimed exact.
-    """
-    phi = table.values if table is not None and table.limit >= T else _phi_upto(T)
-    exact = _block_sum(phi, 1, T + 1, lambda v, n: v / (n * n))
-    if gamma0 is None:
-        gamma0 = gamma0_fitted()
-    return exact, 6.0 / math.pi**2 * math.log(T) + gamma0
+# sum_{n <= T} phi(n)/n^2 = (6/pi^2)(log T + euler_gamma - zeta'(2)/zeta(2)) + O(log T / T),
+# and zeta'(2)/zeta(2) = euler_gamma + log(2 pi) - 12 log A, A the Glaisher-Kinkelin
+# constant.  The same value is sum_d mu(d) (euler_gamma - log d) / d^2, since
+# sum mu(d)/d^2 = 1/zeta(2) and sum mu(d) log d / d^2 = zeta'(2)/zeta(2)^2.
+_GAMMA0 = 6 / math.pi**2 * (12 * math.log(1.2824271291006226) - math.log(2 * math.pi))
 
 
-_gamma0_fit: dict[int, float] = {}
-
-
-def gamma0_fitted(T: int = 10**6) -> float:
-    """Empirical constant: exact sum of phi(n)/n^2 minus (6/pi^2) log T."""
-    if T not in _gamma0_fit:
-        exact, main = sum_phi_over_n2(T, gamma0=0.0)
-        _gamma0_fit[T] = exact - main
-    return _gamma0_fit[T]
-
-
-def gamma0_series(terms: int = 10**6) -> float:
-    """Defining series: sum over d of mu(d) (euler_gamma - log d) / d^2."""
-    mu = _mobius_upto(terms)
-    return _block_sum(mu, 1, terms + 1, lambda m, d: m * (np.euler_gamma - np.log(d)) / (d * d))
+def sum_phi_over_n2(T: int, table: PhiTable | None = None) -> tuple[float, float]:
+    """(sum of phi(n)/n^2 for n <= T, main term (6/pi^2) log T + gamma0),
+    gamma0 = (6/pi^2)(12 log A - log 2 pi) = 0.697399781010136..."""
+    exact = _block_sum(_phi_for(T, table), 1, T + 1, lambda v, n: v / (n * n))
+    return exact, 6.0 / math.pi**2 * math.log(T) + _GAMMA0
 
 
 def weighted_sqrt_sum(
@@ -226,7 +172,7 @@ def weighted_sqrt_sum(
     # rad is monotone in n, so its least value over the range sits at an end
     if min(rad(n_lo + 1.0), rad(float(n_hi))) < -1e-9 * max(1.0, abs(D)):
         raise DomainError("radicand went negative inside the summation range")
-    phi = table.values if table is not None and table.limit >= n_hi else _phi_upto(n_hi)
+    phi = _phi_for(n_hi, table)
     exact = _block_sum(phi, n_lo + 1, n_hi + 1, lambda v, n: v * np.sqrt(np.maximum(rad(n), 0.0)))
 
     def bracket(u: float) -> float:
@@ -301,23 +247,6 @@ def _is_square(n: int) -> bool:
     return r * r == n
 
 
-def _pell_one(D: int) -> tuple[int, int]:
-    """Fundamental solution of x^2 - D y^2 = 1 via the continued fraction of sqrt(D)."""
-    a0 = math.isqrt(D)
-    m, d, a = 0, 1, a0
-    p_prev, p = 1, a0
-    q_prev, q = 0, 1
-    for _ in range(10**7):
-        if p * p - D * q * q == 1:
-            return p, q
-        m = d * a - m
-        d = (D - m * m) // d
-        a = (a0 + m) // d
-        p_prev, p = p, a * p + p_prev
-        q_prev, q = q, a * q + q_prev
-    raise NumericalInstability("continued fraction failed to close")
-
-
 def pell_fundamental(D: int) -> PellSolution:
     """Smallest positive integer solution of t^2 - D u^2 = 4.
 
@@ -377,22 +306,3 @@ def _reduce(z: PointH | complex) -> tuple[complex, tuple[tuple[int, int], tuple[
         else:
             return w, ((a, b), (c, d))
     raise NumericalInstability("fundamental-domain reduction did not terminate")
-
-
-def is_fundamental_discriminant(D: int) -> bool:
-    """Is D < 0 a fundamental discriminant?"""
-    if D >= 0:
-        return False
-    if D % 4 == 1 or D % 4 == -3:
-        return _is_squarefree(-D)
-    if D % 4 == 0:
-        m = D // 4
-        return m % 4 in (-2, -1, 2, 3) and _is_squarefree(-m)
-    return False
-
-
-def _is_squarefree(n: int) -> bool:
-    for p in _prime_factors(n):
-        if n % (p * p) == 0:
-            return False
-    return True

@@ -39,14 +39,13 @@ from linnikgeo.linnik import (
 )
 from linnikgeo.numtheory import (
     PhiTable,
-    _pell_one,
-    is_fundamental_discriminant,
     pell_fundamental,
     phi_sieve,
     sum_phi,
     sum_phi_over_n,
     weighted_sqrt_sum,
 )
+from reference import _pell_one, is_fundamental_discriminant
 
 INF = float("inf")
 

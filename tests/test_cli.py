@@ -175,6 +175,17 @@ def test_cycle_rejects_bad_ladder_delta():
                      "--delta-ladder", ladder]) == 2
 
 
+def test_cycle_expands_the_continued_fraction_once(monkeypatch, capsys):
+    from linnikgeo import cycles
+
+    calls = []
+    real = cycles.pell_fundamental
+    monkeypatch.setattr(cycles, "pell_fundamental", lambda D: calls.append(D) or real(D))
+    assert main(["cycle", "-A", "1", "-B", "1", "-C", "-1", "--delta-ladder", "1e3,1e4"]) == 0
+    assert calls == [5]
+    assert capsys.readouterr().out.startswith("D=5 t0=3 u0=1 ")
+
+
 def test_cycle_json(tmp_path):
     out = tmp_path / "c.json"
     code = main(["cycle", "-A", "1", "-B", "1", "-C", "-1",

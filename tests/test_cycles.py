@@ -1,6 +1,7 @@
 import cmath
 import math
 import random
+import re
 
 import pytest
 
@@ -8,7 +9,6 @@ from linnikgeo.cycles import (
     CONSTANT_ONE,
     J_FUNCTION,
     ModularFunction,
-    apply_mobius,
     closed_geodesic,
     cm_count_closed,
     cm_on_fundamental_arc,
@@ -17,8 +17,9 @@ from linnikgeo.cycles import (
     fundamental_arc,
     j_invariant,
 )
-from linnikgeo.errors import ImprimitiveForm, SquareDiscriminant
+from linnikgeo.errors import DomainError, ImprimitiveForm, SquareDiscriminant
 from linnikgeo.forms import IntForm, cm_on_geodesic, normalize
+from reference import apply_mobius
 
 
 def test_closed_geodesic_examples():
@@ -188,6 +189,15 @@ def test_j_special_values():
     rho = cmath.exp(2j * math.pi / 3)
     assert abs(j_invariant(rho)) < 1e-6
     assert abs(j_invariant(2j) - 287496) < 1e-3
+
+
+def test_j_refuses_points_past_the_float_range():
+    """|j| ~ e^(2 pi y) at the reduced point: above y = log(float max) / 2 pi
+    = 112.97 j is refused, naming the point and its reduced height."""
+    for z, y in ((113j, "113"), (120j, "120"), (1e-3j, "1000"), (0.5 + 1e-3j, "250")):
+        with pytest.raises(DomainError, match=rf"j\({re.escape(str(z))}\).* y = {y} "):
+            j_invariant(z)
+    assert math.isfinite(abs(j_invariant(112j)))
 
 
 def test_j_modular_invariance():

@@ -3,6 +3,7 @@ import math
 import random
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,12 +18,7 @@ from linnikgeo.errors import (
 )
 from linnikgeo.numtheory import (
     PellSolution,
-    _pell_one,
-    count_coprime_upto,
     ext_gcd,
-    gamma0_fitted,
-    gamma0_series,
-    is_fundamental_discriminant,
     pell_fundamental,
     phi_sieve,
     sl2z_reduce,
@@ -31,6 +27,7 @@ from linnikgeo.numtheory import (
     sum_phi_over_n2,
     weighted_sqrt_sum,
 )
+from reference import _pell_one, count_coprime_upto, is_fundamental_discriminant
 
 
 def test_phi_sieve():
@@ -98,11 +95,10 @@ def test_trial_division_reference():
 
 
 def _check_fresh_tables(T: int) -> None:
-    phi, mu = _trial_division_tables()
+    phi, _ = _trial_division_tables()
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(numtheory, "_phi_cache", {})
         assert np.array_equal(numtheory._phi_upto(T), phi[: T + 1]), T
-        assert np.array_equal(numtheory._mobius_upto(T)[1:], mu[1 : T + 1]), T
 
 
 # 257^2 = 66049 is the largest small prime's square, just past the first
@@ -132,10 +128,14 @@ def test_cached_tables_are_read_only(monkeypatch):
     values = phi_sieve(1000).values
     with pytest.raises(ValueError):
         values[7] = 0
-    with pytest.raises(ValueError):
-        numtheory._mobius_upto(100)[7] = 0
     assert sum_phi(10)[0] == 32
     assert not phi_sieve(10**4).values.flags.writeable  # a rebuilt, longer table too
+
+
+def test_phi_over_n2_sieves_only_up_to_its_limit(monkeypatch):
+    monkeypatch.setattr(numtheory, "_phi_cache", {})
+    sum_phi_over_n2(100)
+    assert [len(t) for t in numtheory._phi_cache.values()] == [101]
 
 
 def test_totient_sums_refuse_limits_above_the_sieve():
@@ -144,8 +144,7 @@ def test_totient_sums_refuse_limits_above_the_sieve():
     for call in (
         lambda: sum_phi(huge),
         lambda: sum_phi_over_n(huge),
-        lambda: sum_phi_over_n2(huge, gamma0=0.0),
-        lambda: gamma0_series(huge),
+        lambda: sum_phi_over_n2(huge),
         lambda: weighted_sqrt_sum(1, 5, 0, 4, 1e30),
         lambda: phi_sieve(huge),
     ):
@@ -176,7 +175,7 @@ def test_sieve_and_sums_hold_one_block(monkeypatch):
         for call in (
             lambda: weighted_sqrt_sum(1, 5, 0, 4, T * T / 4, table),
             lambda: sum_phi_over_n(T, table),
-            lambda: sum_phi_over_n2(T, table, gamma0=0.0),
+            lambda: sum_phi_over_n2(T, table),
         ):
             tracemalloc.reset_peak()
             base = tracemalloc.get_traced_memory()[0]
@@ -205,8 +204,16 @@ def test_summatory_main_terms():
 
 
 def test_gamma0_constant():
-    # the fitted constant and the Mobius series agree to high accuracy
-    assert abs(gamma0_fitted(10**6) - gamma0_series(10**6)) < 1e-7
+    # gamma0 = (6/pi^2)(euler_gamma - zeta'(2)/zeta(2)), evaluated at 30 digits
+    with mpmath.workdps(30):
+        ref = 6 / mpmath.pi**2 * (mpmath.euler - mpmath.zeta(2, derivative=1) / mpmath.zeta(2))
+        assert abs(numtheory._GAMMA0 - ref) < 1e-15
+    # the main term's error is O(log T / T): below 0.07 log T / T at these T,
+    # and below 0.19 log T / T for every T from 10 to 10^7 (largest at T = 13)
+    for k in range(1, 7):
+        T = 10**k
+        exact, main = sum_phi_over_n2(T)
+        assert abs(exact - main) <= math.log(T) / T, T
 
 
 def test_weighted_sqrt_sum_small():

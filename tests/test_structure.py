@@ -120,3 +120,25 @@ def test_render_cycles_and_j_read_columns():
     tree = ast.parse((SRC / "cycles.py").read_text(encoding="utf-8"))
     fn = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "cycle_value")
     assert not [n for n in ast.walk(fn) if isinstance(n, ast.GeneratorExp)]
+
+
+def test_library_keeps_only_what_it_calls():
+    """The test-only oracles live in tests/reference.py, gamma0 is a
+    constant, no option is left that no caller sets, and one helper
+    chooses between a caller's phi table and the cache."""
+    callers, defined = _scan_source()
+    gone = ("gamma0_fitted", "gamma0_series", "_mobius_upto", "_pell_one", "_prime_factors",
+            "is_fundamental_discriminant", "_is_squarefree", "count_coprime_upto", "apply_mobius")
+    assert not [name for name in gone if defined[name]]
+    params, bound = set(), set()
+    for path in SRC.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.arg):
+                params.add(node.arg)
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                bound.add(node.id)
+    assert not {"tol", "grid", "gridsize", "gamma0"} & params
+    assert "_GAMMA0" in bound and "_gamma0_fit" not in bound
+    assert callers["_phi_upto"] == {"numtheory:phi_sieve", "numtheory:_phi_for"}
+    for total in ("sum_phi", "sum_phi_over_n", "sum_phi_over_n2", "weighted_sqrt_sum"):
+        assert f"numtheory:{total}" in callers["_phi_for"], total
