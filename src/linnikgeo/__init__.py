@@ -13,7 +13,6 @@ from .forms import (
     RealForm,
     Semicircle,
     cm_on_geodesic,
-    discriminant,
     geodesic_of_form,
     is_normalized,
     normalize,

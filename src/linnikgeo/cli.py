@@ -97,12 +97,11 @@ def cmd_wset(args) -> int:
                 "boundary_ties": report.boundary_ties,
             },
         }
-        if cols[0] and all(map(math.isfinite, cols[3])):
+        # each value passed 0 < v <= delta, delta finite: every row is finite
+        text = json.dumps(doc, indent=1)
+        if cols[0]:
             block = ",\n".join(map(_JSON_ROW, *cols))
-            text = json.dumps(doc, indent=1).replace('"records": []', f'"records": [\n{block}\n ]', 1)
-        else:  # no records, or values json spells as NaN or Infinity
-            doc["records"] = list(map(list, zip(*cols)))
-            text = json.dumps(doc, indent=1)
+            text = text.replace('"records": []', f'"records": [\n{block}\n ]', 1)
         _write(args.out, text + "\n")
     return OK
 
@@ -247,30 +246,24 @@ def cmd_render(args) -> int:
         if doc.get("schema") != 1:
             raise ValueError("unsupported schema")
         cfg = doc["config"]
-        svg = _run_render(
-            cfg["A"], cfg["B"], cfg["C"], cfg["delta"], cfg["mode"],
-            tuple(cfg["arc"]) if cfg.get("arc") else None, cfg.get("fd", False),
-        )
     else:
         if args.A is None or args.B is None or args.C is None or args.delta is None:
             raise ValueError("render needs -A -B -C --delta (or --from-json)")
-        svg = _run_render(
-            args.A, args.B, args.C, args.delta, args.mode,
-            tuple(args.arc) if args.arc else None, args.fd,
-        )
-        if args.dump_json:
-            doc = {
-                "schema": 1,
-                "config": {
-                    "command": "render",
-                    "A": int(args.A), "B": int(args.B), "C": int(args.C),
-                    "delta": args.delta, "mode": args.mode,
-                    "arc": list(args.arc) if args.arc else None,
-                    "fd": args.fd,
-                },
-            }
-            with open(args.dump_json, "w", encoding="utf-8", newline="\n") as fh:
-                fh.write(json.dumps(doc, indent=1) + "\n")
+        cfg = {
+            "command": "render",
+            "A": args.A, "B": args.B, "C": args.C,
+            "delta": args.delta, "mode": args.mode,
+            "arc": list(args.arc) if args.arc else None,
+            "fd": args.fd,
+        }
+    svg = _run_render(
+        cfg["A"], cfg["B"], cfg["C"], cfg["delta"], cfg["mode"],
+        tuple(cfg["arc"]) if cfg.get("arc") else None, cfg.get("fd", False),
+    )
+    if args.dump_json and not args.from_json:
+        cfg.update(A=int(cfg["A"]), B=int(cfg["B"]), C=int(cfg["C"]))  # _run_render checked them
+        with open(args.dump_json, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(json.dumps({"schema": 1, "config": cfg}, indent=1) + "\n")
     _write(args.out, svg)
     return OK
 

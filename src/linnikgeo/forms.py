@@ -107,11 +107,6 @@ def is_normalized(a: int, b: int, c: int) -> bool:
         return False
 
 
-def discriminant(f: IntForm) -> int:
-    """b^2 - 4ac, exact."""
-    return f.discriminant()
-
-
 @dataclass(frozen=True, slots=True)
 class CMPoint:
     """Upper half-plane root of a negative-discriminant form with a >= 1."""

@@ -55,18 +55,19 @@ RM_THROUGH_P = "rm-through-point"
 
 @dataclass(frozen=True)
 class GeodesicParam:
-    """Bezout parametrization of the forms incident to a base form."""
+    """Bezout parametrization of the forms incident to a base form; pqr =
+    (P, Q, R), with R = 0 exactly on a half-line base, where S = Q."""
 
     base: IntForm
     mode: str
-    pqr: tuple[int, ...]  # (P, Q, R), or (P, Q) for a half-line base
+    pqr: tuple[int, int, int]
     S: int
     bezout: tuple[int, int]
     derived: tuple[int, int, int]
 
     @property
     def half_line(self) -> bool:
-        return len(self.pqr) == 2
+        return self.pqr[2] == 0
 
     @property
     def derivedD(self) -> int:
@@ -87,16 +88,11 @@ def build_param(G: IntForm, mode: str) -> GeodesicParam:
     elif D0 <= 0:
         raise WrongDiscriminantSign(f"geodesic mode needs D0 > 0, got {D0}")
     A0, B0, C0 = G.triple()
-    if A0 == 0:
-        # half-line x = -C0/B0
-        g = math.gcd(B0, 2)
-        sg = 1 if B0 > 0 else -1
-        P, Q = sg * 2 * C0 // g, sg * B0 // g
-        derived = (0, 4 * Q, P * P)
-        return GeodesicParam(G, mode, (P, Q), 1, (0, 0), derived)
     g = math.gcd(D0, 2)
-    # all three entries are divisible by g: D0 even forces B0 even
-    P, Q, R = -2 * C0 // g, -B0 // g, 2 * A0 // g
+    # g divides all three (D0 even forces B0 even); a half-line (A0 = 0, B0 > 0)
+    # flips the sign so Q > 0: the map is (nQ, nP, -m), the derived form (0, 4Q, P^2)
+    sign = -1 if A0 else 1
+    P, Q, R = sign * 2 * C0 // g, sign * B0 // g, 2 * A0 // g
     S, b0, c0 = ext_gcd(Q, R)
     A = (R // S) ** 2
     B = 2 * P * b0 * (R // S) + 4 * Q
@@ -134,8 +130,9 @@ def _coord_col(param: GeodesicParam, t: np.ndarray) -> np.ndarray:
         elif param.mode == RM_PERP_G:
             num, den = -math.sqrt(param.derivedD), float(2 * A) * t + float(B)
         else:
-            F = (float(A) * t + float(B)) * t + float(C)
-            num, den = float(B) + float(2 * A) * t, 2 * math.sqrt(A) * np.sqrt(F)
+            # 4 A F(t) = s^2 - D with s = 2At + B: no cancelling F(t), and D < 0
+            num = float(B) + float(2 * A) * t
+            den = np.sqrt(num * num - float(param.derivedD))
         out = np.sqrt(num) if param.half_line else np.arccos(num / den)
     bad = np.flatnonzero(np.isnan(out) & ~np.isnan(t))
     if len(bad):
@@ -245,16 +242,11 @@ def _floor_ints(x: np.ndarray, dt: type) -> np.ndarray:
 
 def _form_cols(param: GeodesicParam, ms: np.ndarray, ns: np.ndarray) -> list[np.ndarray]:
     """Columns (a, b, c) of mn_to_form(param, m, n), exact."""
-    big = _absmax(ms, ns)
-    if param.half_line:
-        P, Q = param.pqr
-        m, n = _ints((abs(P) + abs(Q) + 1) * big, ms, ns)
-        return [n * Q, n * P, -m]
     P, Q, R = param.pqr
     S = param.S
     b0, c0 = param.bezout
     kb, kc, lb, lc = P * b0, P * c0, R // S, Q // S
-    m, n = _ints((S + abs(kb) + abs(kc) + abs(lb) + abs(lc)) * big, ms, ns)
+    m, n = _ints((S + abs(kb) + abs(kc) + abs(lb) + abs(lc)) * _absmax(ms, ns), ms, ns)
     return [n * S, n * kb + m * lb, n * kc - m * lc]
 
 

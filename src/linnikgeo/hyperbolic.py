@@ -119,13 +119,13 @@ def sector_area(z0: PointH, s0: float, theta1: float, theta2: float) -> float:
 def perp_foot(rm: IntForm, G: IntForm) -> PointH:
     """Perpendicular intersection point of an RM curve with a geodesic.
 
-    Closed form: on a semicircle geodesic the foot has
-    Re(z) = (A0*c - C0*a) / u with u = B0*a - A0*b; on a half-line geodesic
-    Re(z) = -C0/B0.  Im(z)^2 is rational and is found exactly: by the
-    incidence relation 2*a*C0 + 2*c*A0 = b*B0 it is
-    D0 * (u^2 - a^2*D0) / (4*A0^2*u^2) on the base's circle, and the RM
-    curve's top D / (4*a^2) on a half-line base.  Im(z) is the square root
-    of the correctly rounded quotient.
+    Closed form on either kind of base: with u = B0*a - A0*b the foot has
+    Re(z) = (A0*c - C0*a) / u (-C0/B0 on a half-line base, where A0 = 0)
+    and Im(z)^2 = D0 * D / (4*u^2), D = b^2 - 4*a*c: by the incidence
+    relation 2*a*C0 + 2*c*A0 = b*B0, u^2 - a^2*D0 = A0^2*D, so this is the
+    height of the base's circle above Re(z), and the RM curve's top
+    D / (4*a^2) on a half-line base.  Im(z) is the square root of the
+    correctly rounded quotient.
     """
     rm_perp_geodesic(rm, G)  # its sign checks; _foot_cols tests the incidence
     x, y = _foot_cols(G, *(np.array([v], dtype=object) for v in rm.triple()))
@@ -137,23 +137,17 @@ def _foot_cols(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Columns (x, y) of the feet of perp_foot for columns (a, b, c) of RM
     forms, in exact integers up to the two rounded quotients; the first row
-    off G's perpendiculars raises NotPerpendicularPair."""
+    off G's perpendiculars raises NotPerpendicularPair.  D0 > 0 and D > 0
+    make y^2 > 0, and u != 0 (u^2 = a^2 D0 + A0^2 D with a != 0)."""
     A0, B0, C0 = G.triple()
     s = max(abs(A0), abs(B0), abs(C0))
-    # the numerator of y^2 is below 45 s^3 m^2, its denominator 16 s^4 m^2
+    # D0 * D is below 25 s^2 m^2 and 4 u^2 below 16 s^2 m^2
     a, b, c = _ints(64 * s**4 * _absmax(a, b, c) ** 2, a, b, c)
     off = np.flatnonzero(2 * a * C0 + 2 * c * A0 != b * B0)
     if len(off):
         rm = IntForm(*(int(v[off[0]]) for v in (a, b, c)))
         raise NotPerpendicularPair(f"{rm} is not perpendicular to {G}")
-    if A0 == 0:
-        x = np.full(len(a), -C0 / B0)
-        num, den = b * b - 4 * a * c, 4 * a * a
-    else:
-        u = B0 * a - A0 * b
-        x = np.asarray((A0 * c - C0 * a) / u, dtype=float)
-        D0 = G.discriminant()
-        num, den = D0 * (u * u - a * a * D0), 4 * A0 * A0 * (u * u)
-    if (num <= 0).any():
-        raise NotPerpendicularPair("curves do not intersect in the half-plane")
-    return x, np.sqrt(np.asarray(num / den, dtype=float))
+    u = B0 * a - A0 * b
+    x = np.asarray((A0 * c - C0 * a) / u, dtype=float)
+    y2 = G.discriminant() * (b * b - 4 * a * c) / (4 * u * u)
+    return x, np.sqrt(np.asarray(y2, dtype=float))

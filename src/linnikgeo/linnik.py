@@ -383,29 +383,6 @@ def _run_scan(
     return np.concatenate(out_m), np.concatenate(out_n), ties
 
 
-def _ranges(lo: np.ndarray, hi: np.ndarray, chunk: int) -> tuple[float, Iterator[tuple[np.ndarray, ...]]]:
-    """The integers v of the ranges [lo[s], hi[s]]: their count (a float sum,
-    which cannot wrap; callers check it) and a lazy generator of them in order,
-    as columns (s, v) in blocks of at most chunk (one empty block if none)."""
-    count = np.maximum(hi - lo + 1, 0)
-    total = count.sum(dtype=float)
-
-    def blocks():
-        n, k = int(total), count.astype(np.int64, copy=False)
-        ends = np.cumsum(k)
-        starts = ends - k
-        if n <= chunk:  # one block with no search: 7 % of a small enumerate_W
-            yield np.repeat(np.arange(len(k)), k), np.repeat(lo - starts, k) + np.arange(n)
-            return
-        for p0 in range(0, n, chunk):
-            p1 = min(p0 + chunk, n)
-            i, j = np.searchsorted(ends, p0, side="right"), np.searchsorted(starts, p1)
-            part = np.minimum(ends[i:j], p1) - np.maximum(starts[i:j], p0)
-            yield np.repeat(np.arange(i, j), part), np.repeat(lo[i:j] - starts[i:j], part) + np.arange(p0, p1)
-
-    return total, blocks()
-
-
 def _upto(top: int) -> Iterator[np.ndarray]:
     """1, ..., top as int64 columns of at most _BLOCK values."""
     for v0 in range(1, top + 1, _BLOCK):
@@ -415,15 +392,29 @@ def _upto(top: int) -> Iterator[np.ndarray]:
 def _expand(blocks: Iterable, start: float, what: str, *args) -> Iterator[tuple[list[np.ndarray], np.ndarray]]:
     """The one blocked loop of every scan.  Each block (rows, lo, hi) holds
     ranges [lo, hi] and columns rows with one entry per range; their integers
-    v come in chunks of at most _BLOCK as ([row[s], ...], v), row[s] the
-    entries of v's range.  Before a block is expanded, start plus the count
-    of integers so far passes _guard, named by what.format(*args, count)."""
+    v come in order, in chunks of at most _BLOCK (one empty chunk if there
+    are none) as ([row[s], ...], v), row[s] the entries of v's range.  Before
+    a block is expanded, start plus the count of integers so far (a float
+    sum, which cannot wrap) passes _guard, named by what.format(*args, count)."""
     count = 0.0
     for rows, lo, hi in blocks:
-        total, chunks = _ranges(lo, hi, _BLOCK)
+        k = np.maximum(hi - lo + 1, 0)
+        total = k.sum(dtype=float)
         count += total
         _guard(start + count, what, *args, count)
-        for s, v in chunks:
+        n, k = int(total), k.astype(np.int64, copy=False)
+        ends = np.cumsum(k)
+        starts = ends - k
+        if n <= _BLOCK:  # one chunk with no search: 7 % of a small enumerate_W
+            s, v = np.repeat(np.arange(len(k)), k), np.repeat(lo - starts, k) + np.arange(n)
+            yield [row[s] for row in rows], v
+            continue
+        for p0 in range(0, n, _BLOCK):
+            p1 = min(p0 + _BLOCK, n)
+            i, j = np.searchsorted(ends, p0, side="right"), np.searchsorted(starts, p1)
+            part = np.minimum(ends[i:j], p1) - np.maximum(starts[i:j], p0)
+            s = np.repeat(np.arange(i, j), part)
+            v = np.repeat(lo[i:j] - starts[i:j], part) + np.arange(p0, p1)
             yield [row[s] for row in rows], v
 
 

@@ -159,9 +159,8 @@ def weighted_sqrt_sum(
         raise DomainError("log branch needs s1 >= max(0, -4A/D)")
     if D < 0 and not (A > 0 and -1e-12 <= s1 and s2 <= 4 * A / (-D) + 1e-12):
         raise DomainError("arctan branch needs A > 0 and 0 <= s1 <= s2 <= 4A/(-D)")
+    # (n_lo + 1)^2 is an integer above floor(s1 delta), so above s1 delta
     n_lo = math.isqrt(max(0, math.floor(s1 * delta)))
-    while (n_lo + 1) ** 2 <= s1 * delta:
-        n_lo += 1
     n_hi = math.isqrt(max(0, math.floor(s2 * delta)))
     if n_hi <= n_lo:
         return 0.0, 0.0
@@ -178,8 +177,6 @@ def weighted_sqrt_sum(
     def bracket(u: float) -> float:
         head = math.sqrt(max(D * u * u + 4 * A * u, 0.0))
         if D > 0:
-            if u == 0:
-                return head + 4 * A / math.sqrt(D) * math.log(math.sqrt(4 * A))
             return head + 4 * A / math.sqrt(D) * math.log(
                 math.sqrt(D * u) + math.sqrt(max(D * u + 4 * A, 0.0))
             )
@@ -199,9 +196,8 @@ def ext_gcd(Q: int, R: int) -> tuple[int, int, int]:
         raise ValueError("gcd(0, 0) undefined")
     if R == 0:
         return abs(Q), 1 if Q > 0 else -1, 0
-    if Q == 0:
-        return abs(R), 0, 1 if R > 0 else -1
-    # plain extended Euclid, then canonicalize b0 modulo R/S
+    # plain extended Euclid, then canonicalize b0 modulo R/S; Q = 0 gives
+    # (|R|, 0, sign R)
     old_r, r = Q, R
     old_s, s = 1, 0
     while r != 0:
@@ -240,13 +236,6 @@ class PellSolution:
         return math.log(self.t0)
 
 
-def _is_square(n: int) -> bool:
-    if n < 0:
-        return False
-    r = math.isqrt(n)
-    return r * r == n
-
-
 def pell_fundamental(D: int) -> PellSolution:
     """Smallest positive integer solution of t^2 - D u^2 = 4.
 
@@ -256,7 +245,7 @@ def pell_fundamental(D: int) -> PellSolution:
     of norm -1 is squared (Cohen, GTM 138, section 5.7).  The norm is +-2 Q
     of the next complete quotient (P + sqrt(D)) / Q.  Refused past _PELL_STEPS.
     """
-    if D <= 0 or _is_square(D):
+    if D <= 0 or math.isqrt(D) ** 2 == D:
         raise SquareDiscriminant(f"D = {D} must be a positive non-square")
     if D % 4 not in (0, 1):
         raise BadResidue(f"D = {D} must be 0 or 1 mod 4")

@@ -4,7 +4,6 @@ import os
 import subprocess
 import sys
 
-import numpy as np
 import pytest
 
 from linnikgeo import linnik
@@ -280,17 +279,6 @@ def test_wset_json_bytes_match_json_dumps(tmp_path, case):
     out = tmp_path / "w.json"
     assert main(_wset_argv(*case, "json", out)) == 0
     assert out.read_text(encoding="utf-8") == _reference_wset_json(*case)
-
-
-def test_wset_json_non_finite_values(tmp_path, monkeypatch):
-    from linnikgeo import cli
-
-    monkeypatch.setattr(cli, "form_values", lambda F, ms, ns: np.full(len(ms), np.inf))
-    out = tmp_path / "w.json"
-    assert main(_wset_argv(*WSET_CASES[2], "json", out)) == 0
-    text = out.read_text(encoding="utf-8")
-    assert text == json.dumps(json.loads(text), indent=1) + "\n"
-    assert '   Infinity\n' in text
 
 
 @pytest.mark.parametrize("case", WSET_CASES)

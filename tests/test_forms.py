@@ -11,7 +11,6 @@ from linnikgeo.forms import (
     RealForm,
     Semicircle,
     cm_on_geodesic,
-    discriminant,
     geodesic_of_form,
     is_normalized,
     normalize,
@@ -37,9 +36,9 @@ def test_is_normalized():
 
 
 def test_discriminant():
-    assert discriminant(IntForm(1, 0, -1)) == 4
-    assert discriminant(IntForm(1, 1, -1)) == 5
-    assert discriminant(IntForm(1, 0, 1)) == -4
+    assert IntForm(1, 0, -1).discriminant() == 4
+    assert IntForm(1, 1, -1).discriminant() == 5
+    assert IntForm(1, 0, 1).discriminant() == -4
     assert IntForm(1, 0, 1).value(2, 3) == 13
 
 

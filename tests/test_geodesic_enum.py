@@ -62,8 +62,14 @@ def test_build_param_examples():
     assert r.pqr == (2, -1, 2) and r.S == 1 and r.bezout == (1, 1)
     assert r.derived == (4, 4, -4) and r.derivedD == 80
 
+    # a half-line's R is 0: S = Q, the Bezout pair is (1, 0) and the
+    # derived form is (0, 4Q, P^2)
     h = build_param(IntForm(0, 1, -2), CM_ON_G)
-    assert h.pqr == (-4, 1) and h.half_line
+    assert h.pqr == (-4, 1, 0) and h.half_line and h.S == 1 and h.bezout == (1, 0)
+    assert h.derived == (0, 4, 16)
+    v = build_param(IntForm(0, 3, -7), RM_PERP_G)
+    assert v.pqr == (-14, 3, 0) and v.S == 3 and v.bezout == (1, 0) and v.derived == (0, 12, 196)
+    assert not r.half_line and not q.half_line
 
     with pytest.raises(WrongDiscriminantSign):
         build_param(IntForm(1, 0, 1), CM_ON_G)
@@ -323,7 +329,7 @@ def _scalar_form(param, m, n):
     """The incident form of (m, n) as a scalar formula: the reference that
     _form_cols and mn_to_form, its one-row call, are pinned to."""
     if param.half_line:
-        P, Q = param.pqr
+        P, Q, _ = param.pqr
         return IntForm(n * Q, n * P, -m)
     P, Q, R = param.pqr
     S = param.S
@@ -374,6 +380,11 @@ def test_column_builders_match_scalar_reference():
         (IntForm(2, 1, -3), RM_PERP_G, 2000, (1.9, 2.9)),
         (IntForm(0, 1, 0), RM_PERP_G, 2000, None),
         (IntForm(0, 3, 1), RM_PERP_G, 2000, (0.2, 3.0)),
+        # half-lines through the one Bezout map and the one foot formula
+        (IntForm(0, 3, -7), CM_ON_G, 2000, None),
+        (IntForm(0, 3, -7), RM_PERP_G, 2000, (0.05, 0.4)),
+        (IntForm(0, 2, 1), CM_ON_G, 2000, (0.2, 3.0)),
+        (IntForm(0, 2, 1), RM_PERP_G, 2000, None),
         (IntForm(1, 0, 1), RM_THROUGH_P, 2000, None),
         (IntForm(2, 1, 3), RM_THROUGH_P, 2000, None),
     ]:
@@ -750,8 +761,8 @@ def _libm_coord(param, t):
         return math.acos((-B - 2 * A * t) / math.sqrt(D))
     if param.mode == RM_PERP_G:
         return math.acos(-math.sqrt(D) / (2 * A * t + B))
-    F = (A * t + B) * t + C
-    return math.acos((B + 2 * A * t) / (2 * math.sqrt(A) * math.sqrt(F)))
+    s = B + 2 * A * t  # 4 A F(t) = s^2 - D
+    return math.acos(s / math.sqrt(s * s - D))
 
 
 def _libm_angle(p, z):
@@ -807,6 +818,35 @@ def test_ufunc_columns_stay_near_per_element_libm():
         assert [r.point.form.triple() for r in recs] == _libm_ball_forms(z0, 1.0, 1500)
         ref = [_libm_angle(z0, PointH(r.point.z.real, r.point.z.imag)) for r in recs]
         assert np.max(np.abs(np.array([r.angle for r in recs]) - ref)) <= 1e-14
+
+
+def test_rm_through_point_angles_stay_close_to_mpmath():
+    """The angle is arccos(s / sqrt(s^2 - D)), s = 2At + B, from 4 A F(t) =
+    s^2 - D.  Against arccos(s / 2 sqrt(A F(t))) at 40 digits and the exact
+    t = m/n, the error on i, rho, i*sqrt(2) and (2, 1, 3) stays <= 1e-14."""
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 40
+    for form in (IntForm(1, 0, 1), IntForm(1, 1, 1), IntForm(1, 0, 2), IntForm(2, 1, 3)):
+        A, B, C = build_param(form, RM_THROUGH_P).derived
+        for r in enum_rm_through_point(form, 20000):
+            t = mpmath.mpf(r.frac.m) / r.frac.n
+            ref = mpmath.acos((B + 2 * A * t) / (2 * mpmath.sqrt(A * ((A * t + B) * t + C))))
+            assert abs(r.angle - ref) <= 1e-14, r
+
+
+@pytest.mark.parametrize("k", [2**20 + 1, 2**26 + 1, 2**29 + 1, 2**31 + 1])
+def test_rm_through_translated_point_keeps_its_curves_and_angles(k):
+    """The point -k + i of (1, 2k, k^2 + 1) is i moved by z -> z - k.  Its
+    RM curves moved back are those of i, at the same angles: F(t) at t near
+    -k cancelled, and gave angles off by 0.48 rad (k = 2^26 + 1) or raised
+    (k = 2^29 + 1, 2^31 + 1)."""
+    ref = {r.curve.form.triple(): r.angle for r in enum_rm_through_point(IntForm(1, 0, 1), 2000)}
+    got = {}
+    for r in enum_rm_through_point(IntForm(1, 2 * k, k * k + 1), 2000):
+        a, b, c = r.curve.form.triple()
+        got[(a, b - 2 * a * k, c - b * k + a * k * k)] = r.angle
+    assert len(ref) == 957 and got.keys() == ref.keys()
+    assert max(abs(got[f] - ref[f]) for f in ref) <= 1e-6
 
 
 def test_im1_filters_its_pairs_block_by_block():

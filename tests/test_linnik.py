@@ -536,18 +536,26 @@ def test_level_set_beyond_int64_is_refused_without_a_warning():
             enumerate_W(RealForm(1e-100, 0, 1), 1e10, ProjInterval(-1e60, 1e60))
 
 
-def test_ranges_split_across_blocks():
+def test_ranges_split_across_blocks(monkeypatch):
+    """_expand yields the integers of its ranges in order, in chunks of at
+    most _BLOCK, each with the row entries of its range."""
     rng = np.random.default_rng(3)
     lo = rng.integers(-50, 50, 300)
     hi = lo + rng.integers(-3, 40, 300)  # some ranges are empty
     want_s = np.concatenate([np.full(max(h - l + 1, 0), i) for i, (l, h) in enumerate(zip(lo, hi))])
     want_v = np.concatenate([np.arange(l, h + 1) for l, h in zip(lo, hi)])
-    for chunk in (1, 7, 64, 10**6):
-        total, blocks = linnik._ranges(lo, hi, chunk)
-        got = list(blocks)
-        assert total == len(want_v) and all(len(v) <= chunk for _, v in got)
-        assert np.array_equal(np.concatenate([s for s, _ in got]), want_s)
+    rows = np.arange(300)
+    for block in (1, 7, 64, 2000, 10**6):
+        monkeypatch.setattr(linnik, "_BLOCK", block)
+        # two blocks of ranges, the rows' entries naming each range
+        blocks = [([rows[:150]], lo[:150], hi[:150]), ([rows[150:]], lo[150:], hi[150:])]
+        got = list(linnik._expand(blocks, 0, "test"))
+        assert all(len(v) <= block for _, v in got)
+        assert np.array_equal(np.concatenate([s for (s,), _ in got]), want_s)
         assert np.array_equal(np.concatenate([v for _, v in got]), want_v)
-    # no integers at all: one empty block
-    total, blocks = linnik._ranges(np.array([3]), np.array([1]), 4)
-    assert total == 0 and [len(v) for _, v in blocks] == [0]
+        # no integers at all: one empty chunk
+        got = list(linnik._expand([([rows[:1]], np.array([3]), np.array([1]))], 0, "test"))
+        assert [len(v) for _, v in got] == [0]
+    monkeypatch.setattr(linnik, "SCAN_GUARD", len(want_v) - 1)
+    with pytest.raises(GuardExceeded, match=f"test {len(want_v):.0f}"):
+        list(linnik._expand([([rows], lo, hi)], 0, "test {:.0f}"))

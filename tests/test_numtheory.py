@@ -228,6 +228,37 @@ def test_weighted_sqrt_sum_small():
     assert math.isclose(exact, direct)
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 300), st.integers(-1, 1), st.integers(1, 1000), st.integers(1, 40))
+def test_weighted_sqrt_sum_starts_after_the_last_square_at_most_s1_delta(k, e, delta, width):
+    """The sum starts at n_lo + 1, n_lo the largest n with n^2 <= s1 delta
+    (the float product), with s1 delta on and next to the square k^2."""
+    s1, s2 = (k * k + e) / delta, (k + width) ** 2 / delta
+    x = s1 * delta
+    n_lo = sum(1 for n in range(1, k + 2) if n * n <= x)
+    n_hi = math.isqrt(math.floor(s2 * delta))
+    phi = phi_sieve(n_hi)
+    direct = math.fsum(phi[n] * math.sqrt(5 + 4 * delta / (n * n)) for n in range(n_lo + 1, n_hi + 1))
+    exact, _ = weighted_sqrt_sum(1.0, 5.0, s1, s2, float(delta))
+    assert math.isclose(exact, direct, rel_tol=1e-12)
+
+
+@pytest.mark.parametrize("A, D", [(1.0, 5.0), (0.3, 13.0), (7.25, 0.5), (2.0, 1e-3)])
+def test_weighted_sqrt_sum_at_s1_zero_is_the_u_zero_expression(A, D):
+    """At u = 0 the log antiderivative's general expression gives the value
+    of the special case head + 4A / sqrt(D) log(sqrt(4A)), bit for bit."""
+
+    def bracket(u):
+        head = math.sqrt(max(D * u * u + 4 * A * u, 0.0))
+        if u == 0:
+            return head + 4 * A / math.sqrt(D) * math.log(math.sqrt(4 * A))
+        return head + 4 * A / math.sqrt(D) * math.log(math.sqrt(D * u) + math.sqrt(max(D * u + 4 * A, 0.0)))
+
+    for s2, delta in [(4.0, 100.0), (1.5, 12345.0), (9.0, 1e5)]:
+        _, main = weighted_sqrt_sum(A, D, 0.0, s2, delta)
+        assert main == 3.0 * delta / math.pi**2 * (bracket(s2) - bracket(0.0))
+
+
 def test_weighted_sqrt_sum_domain():
     from linnikgeo.errors import DomainError
 
@@ -245,6 +276,12 @@ def test_ext_gcd_examples():
     assert ext_gcd(0, 3) == (3, 0, 1)
     assert ext_gcd(3, 0) == (3, 1, 0)
     assert ext_gcd(-3, 0) == (3, -1, 0)
+
+
+def test_ext_gcd_with_q_zero_is_euclid():
+    for R in range(-50, 51):
+        if R:
+            assert ext_gcd(0, R) == (abs(R), 0, 1 if R > 0 else -1)
 
 
 def test_ext_gcd_property():

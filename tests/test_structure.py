@@ -86,10 +86,10 @@ def test_one_implementation_per_formula():
 
 
 def test_one_scan_loop_and_one_n_bound():
-    """The W-set, ball and Im z = 1 scans run in _expand, the one caller of
-    _ranges, with one block size; only linnik bounds n."""
+    """The W-set, ball and Im z = 1 scans run in _expand, which expands the
+    ranges itself (no _ranges), with one block size; only linnik bounds n."""
     callers, defined = _scan_source()
-    assert callers["_ranges"] == {"linnik:_expand"}
+    assert not defined["_ranges"]
     for scan in ("linnik:_run_scan", "geodesic_enum:_pairs", "geodesic_enum:_ball_points",
                  "geodesic_enum:_im1_points"):
         assert scan in callers["_expand"]
@@ -142,3 +142,27 @@ def test_library_keeps_only_what_it_calls():
     assert callers["_phi_upto"] == {"numtheory:phi_sieve", "numtheory:_phi_for"}
     for total in ("sum_phi", "sum_phi_over_n", "sum_phi_over_n2", "weighted_sqrt_sum"):
         assert f"numtheory:{total}" in callers["_phi_for"], total
+
+
+def _nodes(module: str, function: str, kinds) -> list:
+    """The nodes of the given kinds in a module-level function's body."""
+    tree = ast.parse((SRC / f"{module}.py").read_text(encoding="utf-8"))
+    fn = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == function)
+    return [n for n in ast.walk(fn) if isinstance(n, kinds)]
+
+
+def test_half_line_base_is_the_general_case():
+    """One Bezout map, one foot formula: build_param returns once,
+    _form_cols has no branch, and _foot_cols's one branch is the incidence
+    refusal; no loop is left that no input runs, and no duplicate of
+    IntForm.discriminant."""
+    assert len(_nodes("geodesic_enum", "build_param", ast.Return)) == 1
+    assert not _nodes("geodesic_enum", "_form_cols", (ast.If, ast.IfExp))
+    branches = _nodes("hyperbolic", "_foot_cols", (ast.If, ast.IfExp))
+    assert len(branches) == 1 and isinstance(branches[0].body[-1], ast.Raise)
+    assert "NotPerpendicularPair" in ast.unparse(branches[0]) and "A0" not in ast.unparse(branches[0].test)
+    assert not _nodes("numtheory", "weighted_sqrt_sum", ast.While)
+    _, defined = _scan_source()
+    assert not defined["_is_square"]
+    forms = ast.parse((SRC / "forms.py").read_text(encoding="utf-8"))
+    assert "discriminant" not in [n.name for n in forms.body if isinstance(n, ast.FunctionDef)]
