@@ -20,7 +20,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError, ImprimitiveForm, NumericalInstability
-from .forms import IntForm, RealForm, Semicircle, geodesic_of_form, is_normalized
+from .forms import IntForm, Semicircle, geodesic_of_form, is_normalized
 from .geodesic_enum import (
     CM_ON_G,
     CMOnGeodesic,
@@ -246,8 +246,8 @@ def _cycle_value(
     scale_base = 2 * math.pi**2 * math.sqrt(D) / (3 * math.gcd(D, 2))
     param, ms, ns, _ = _arc_pairs(cg, max(deltas, default=0))
     a, b, _ = _form_cols(param, ms, ns)
-    # |D| exactly: the derived form's value is the discriminant
-    absd = -form_values(RealForm(*param.derived), ms, ns)
+    # |D| exactly: the scan form's value is minus the discriminant
+    absd = form_values(param.case.F, ms, ns)
     x, y = _cm_z_cols(a, b, absd)
     vals = list(map(f.evaluator, map(complex, x.tolist(), y.tolist())))
     estimates = []

@@ -75,7 +75,3 @@ class UnboundedDivergence(LinnikError, ValueError):
 
 class GuardExceeded(LinnikError, ValueError):
     """A brute-force guard (or enumeration size guard) was exceeded."""
-
-
-class GridTouchesSingularity(LinnikError, ValueError):
-    """A verification grid includes a singular point of the density."""

@@ -18,18 +18,13 @@ import gc
 import math
 import numbers
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import repeat
 from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .errors import (
-    DomainError,
-    GridTouchesSingularity,
-    IntervalTouchesRoot,
-    WrongDiscriminantSign,
-)
+from .errors import DomainError, IntervalTouchesRoot, WrongDiscriminantSign
 from .forms import CMPoint, IntForm, RMCurve, is_normalized, RealForm
 from .hyperbolic import BallE, PointH, _ball_angles, _foot_cols, ball
 from .linnik import (
@@ -56,7 +51,10 @@ RM_THROUGH_P = "rm-through-point"
 @dataclass(frozen=True)
 class GeodesicParam:
     """Bezout parametrization of the forms incident to a base form; pqr =
-    (P, Q, R), with R = 0 exactly on a half-line base, where S = Q."""
+    (P, Q, R), with R = 0 exactly on a half-line base, where S = Q.  case is
+    the sign case of the scan form, whose values must land in (0, delta]:
+    the derived form for RM families, its negation for CM families (their
+    discriminants are negative)."""
 
     base: IntForm
     mode: str
@@ -64,19 +62,16 @@ class GeodesicParam:
     S: int
     bezout: tuple[int, int]
     derived: tuple[int, int, int]
+    case: QuadCase = field(repr=False, compare=False)
 
     @property
     def half_line(self) -> bool:
         return self.pqr[2] == 0
 
-    @property
-    def derivedD(self) -> int:
-        A, B, C = self.derived
-        return B * B - 4 * A * C
-
 
 def build_param(G: IntForm, mode: str) -> GeodesicParam:
-    """Set up (P, Q, R), the Bezout pair, and the derived (A, B, C)."""
+    """Set up (P, Q, R), the Bezout pair, the derived (A, B, C) and the
+    scan form's case."""
     if mode not in (CM_ON_G, RM_PERP_G, RM_THROUGH_P):
         raise ValueError(f"unknown mode {mode!r}")
     if not is_normalized(*G.triple()):
@@ -98,7 +93,8 @@ def build_param(G: IntForm, mode: str) -> GeodesicParam:
     B = 2 * P * b0 * (R // S) + 4 * Q
     C = P * P * b0 * b0 - 4 * S * P * c0
     assert B * B - 4 * A * C == 16 * D0 // (g * g)
-    return GeodesicParam(G, mode, (P, Q, R), S, (b0, c0), (A, B, C))
+    scan = RealForm(-A, -B, -C) if mode == CM_ON_G else RealForm(A, B, C)
+    return GeodesicParam(G, mode, (P, Q, R), S, (b0, c0), (A, B, C), QuadCase.of(scan))
 
 
 def mn_to_form(param: GeodesicParam, m: int, n: int) -> IntForm:
@@ -120,19 +116,22 @@ def coord_of_t(param: GeodesicParam, t: float) -> float:
 
 def _coord_col(param: GeodesicParam, t: np.ndarray) -> np.ndarray:
     """coord_of_t for a column of t; the first t that is not NaN but gives NaN
-    raises ZeroDivisionError (zero denominator) or ValueError, as floats do."""
-    A, B, C = param.derived
+    raises ZeroDivisionError (zero denominator) or ValueError, as floats do.
+    In the scan form's (A, B, C) and D: y^2 = 4/B t + 4C/B^2 on a half-line,
+    a law in s = 2At + B on a semicircle (through a point, 4A F(t) = s^2 - D
+    with D < 0: no cancelling F(t))."""
+    F, D = param.case.F, param.case.D
     with np.errstate(divide="ignore", invalid="ignore"):
         if param.half_line:
-            num, den = (-1 if param.mode == CM_ON_G else 1) * (4 / B * t + 4 * C / (B * B)), 1.0
-        elif param.mode == CM_ON_G:
-            num, den = float(-B) - float(2 * A) * t, math.sqrt(param.derivedD)
-        elif param.mode == RM_PERP_G:
-            num, den = -math.sqrt(param.derivedD), float(2 * A) * t + float(B)
+            num, den = 4 / F.B * t + 4 * F.C / (F.B * F.B), 1.0
         else:
-            # 4 A F(t) = s^2 - D with s = 2At + B: no cancelling F(t), and D < 0
-            num = float(B) + float(2 * A) * t
-            den = np.sqrt(num * num - float(param.derivedD))
+            s = float(2 * F.A) * t + float(F.B)
+            if param.mode == CM_ON_G:
+                num, den = s, math.sqrt(D)
+            elif param.mode == RM_PERP_G:
+                num, den = -math.sqrt(D), s
+            else:
+                num, den = s, np.sqrt(s * s - float(D))
         out = np.sqrt(num) if param.half_line else np.arccos(num / den)
     bad = np.flatnonzero(np.isnan(out) & ~np.isnan(t))
     if len(bad):
@@ -142,21 +141,21 @@ def _coord_col(param: GeodesicParam, t: np.ndarray) -> np.ndarray:
 
 
 def t_of_coord(param: GeodesicParam, coord: float) -> float:
-    """Inverse of coord_of_t on the admissible range."""
-    A, B, C = param.derived
+    """Inverse of coord_of_t on the admissible range: t = B y^2/4 - C/B on a
+    half-line, t = (s - B) / 2A on a semicircle."""
+    F, D = param.case.F, param.case.D
     if param.half_line:
-        if param.mode == CM_ON_G:
-            return -B * coord * coord / 4 - C / B
-        return B * coord * coord / 4 - C / B
-    D = param.derivedD
+        return F.B * coord * coord / 4 - F.C / F.B
     if param.mode == CM_ON_G:
-        return (-B - math.sqrt(D) * math.cos(coord)) / (2 * A)
-    if param.mode == RM_PERP_G:
+        s = math.sqrt(D) * math.cos(coord)
+    elif param.mode == RM_PERP_G:
         c = math.cos(coord)
         if c == 0:
             raise DomainError("theta = pi/2 maps to t = infinity")
-        return (-B - math.sqrt(D) / c) / (2 * A)
-    return (-B + math.sqrt(-D) / math.tan(coord)) / (2 * A)
+        s = -math.sqrt(D) / c
+    else:
+        s = math.sqrt(-D) / math.tan(coord)
+    return (s - F.B) / (2 * F.A)
 
 
 def _arc_interval(param: GeodesicParam, arc: tuple[float, float] | None) -> ProjInterval | None:
@@ -180,7 +179,7 @@ def _arc_interval(param: GeodesicParam, arc: tuple[float, float] | None) -> Proj
         wraps = c1 < math.pi / 2 < c2
     t1, t2 = t_of_coord(param, c1), t_of_coord(param, c2)
     I = ProjInterval(t2, t1, True) if wraps else ProjInterval(min(t1, t2), max(t1, t2))
-    if _min_on_closure(_scan_form(param), I) <= 0:
+    if _min_on_closure(param.case.F, I) <= 0:
         raise IntervalTouchesRoot(f"arc {arc} reaches the base endpoints")
     return I
 
@@ -213,19 +212,10 @@ class CMInBall(NamedTuple):
     angle: float
 
 
-def _scan_form(param: GeodesicParam) -> RealForm:
-    """Form whose values must land in (0, delta]: the derived form for RM
-    families, its negation for CM families (discriminants are negative)."""
-    A, B, C = param.derived
-    if param.mode == CM_ON_G:
-        return RealForm(-A, -B, -C)
-    return RealForm(A, B, C)
-
-
 def _enum_pairs(param: GeodesicParam, delta: float, I: ProjInterval | None) -> tuple[np.ndarray, ...]:
     """Columns (ms, ns, t = ms / ns) of the incident pairs with t in the
     window I (all of them when I is None), sorted along t."""
-    return _scan_window(QuadCase.of(_scan_form(param)), delta, I)[:3]
+    return _scan_window(param.case, delta, I)[:3]
 
 
 # ---------------------------------------------------------------------------
@@ -532,31 +522,22 @@ def pushforward_check(param: GeodesicParam) -> float:
     """Max relative deviation between the transported measure and its target.
 
     Along the coordinate u (theta or y), d_mu = dt / |F(t)| should become
-    (2/sqrt(|D|)) du / sin(u) for CM points on a semicircle, the constant
-    (2/sqrt(-D)) du for RM curves through a point, and (2/B) du / u in the
-    half-line cases.  The derivative du/dt is taken by central differences
-    on a grid of 201 points: u in [0.2, 5] (y) or [0.1, pi - 0.1] (theta).
+    |dG(u)| with G = (2/sqrt(D)) log tan(u/2) on a semicircle, (2/sqrt(-D)) u
+    for RM curves through a point, and (2/B) log u on a half-line.  With H the
+    scan form's antiderivative of 1/F, |H(t(u1)) - H(t(u0))| = |G(u1) - G(u0)|
+    is checked on the cells of a grid of 201 points: u in [0.2, 5] (y) or
+    [0.1, pi - 0.1] (theta).
     """
-    A, B, C = param.derived
-    D = param.derivedD
+    case = param.case
     if param.half_line:
         us = np.linspace(0.2, 5.0, 201)
+        g = 2 / case.F.B * np.log(us)
     else:
         us = np.linspace(0.1, math.pi - 0.1, 201)
-        if param.mode == RM_PERP_G:
-            # keep away from the t = infinity seam at pi/2
-            us = us[np.abs(us - math.pi / 2) > 0.05]
-    t = np.array([t_of_coord(param, u) for u in us.tolist()], dtype=float)
-    ft = np.abs((A * t + B) * t + C)
-    if (ft < 1e-12).any():
-        raise GridTouchesSingularity(f"grid point {us[ft < 1e-12][0]} hits a root")
-    h = 1e-6 * np.maximum(1.0, np.abs(t))
-    du_dt = (_coord_col(param, t + h) - _coord_col(param, t - h)) / (2 * h)
-    got = 1.0 / (ft * np.abs(du_dt))
-    if param.half_line:
-        target = 2.0 / (4 * param.pqr[1]) / us  # 2/B with B = 4Q
-    elif param.mode == RM_THROUGH_P:
-        target = 2.0 / math.sqrt(-D)
-    else:
-        target = 2.0 / math.sqrt(D) / np.sin(us)
-    return float(np.max(np.abs(got - target) / target, initial=0.0))
+        if param.mode == RM_THROUGH_P:
+            g = 2 / math.sqrt(-case.D) * us
+        else:
+            g = 2 / math.sqrt(case.D) * np.log(np.tan(us / 2))
+    h = np.array([case.H(t_of_coord(param, u)) for u in us.tolist()])
+    dg = np.abs(np.diff(g))
+    return float(np.max(np.abs(np.abs(np.diff(h)) - dg) / dg))

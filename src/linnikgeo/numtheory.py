@@ -155,9 +155,9 @@ def weighted_sqrt_sum(
         raise DomainError("A must be nonzero")
     if s1 > s2:
         raise DomainError("need s1 <= s2")
-    if D > 0 and s1 < max(0.0, -4 * A / D) - 1e-12:
+    if D > 0 and s1 < max(0.0, -4 * A / D):
         raise DomainError("log branch needs s1 >= max(0, -4A/D)")
-    if D < 0 and not (A > 0 and -1e-12 <= s1 and s2 <= 4 * A / (-D) + 1e-12):
+    if D < 0 and not (A > 0 and 0 <= s1 and s2 <= 4 * A / (-D) + 1e-12):
         raise DomainError("arctan branch needs A > 0 and 0 <= s1 <= s2 <= 4A/(-D)")
     # (n_lo + 1)^2 is an integer above floor(s1 delta), so above s1 delta
     n_lo = math.isqrt(max(0, math.floor(s1 * delta)))

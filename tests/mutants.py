@@ -1,0 +1,103 @@
+"""Mutation checks that can be rerun: each row breaks one spot of src/ and
+names the test that must catch it.
+
+    python tests/mutants.py
+
+For each row the runner copies src/ to a temporary directory, replaces the
+row's old text in the module (it must occur there exactly once) with the
+new text, and runs the named test against the copy, where it must fail.  A
+row whose old text no longer occurs exactly once is reported as stale: a
+change that rewrites a mutated spot updates its row.  Each named test is
+also run against src/ itself, where it must pass.  The exit status is 0
+when every row is caught, none is stale and every test passes at src/.
+pytest does not collect this file (its name does not start with test_).
+"""
+
+from __future__ import annotations
+
+import pathlib
+import shutil
+import subprocess
+import sys
+import tempfile
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+
+# (module, old text, new text, test id)
+ROWS = [
+    # the transport check: the half-line law, the CM sign, a semicircle law
+    ("geodesic_enum", "g = 2 / case.F.B * np.log(us)", "g = 1 / case.F.B * np.log(us)",
+     "tests/test_geodesic_enum.py::test_pushforward"),
+    ("geodesic_enum", "scan = RealForm(-A, -B, -C) if mode == CM_ON_G else RealForm(A, B, C)",
+     "scan = RealForm(A, B, C)", "tests/test_geodesic_enum.py::test_enum_cm_examples"),
+    ("geodesic_enum", "s = math.sqrt(D) * math.cos(coord)", "s = -math.sqrt(D) * math.cos(coord)",
+     "tests/test_geodesic_enum.py::test_coord_roundtrip"),
+    ("geodesic_enum", "num, den = -math.sqrt(D), s", "num, den = math.sqrt(D), s",
+     "tests/test_geodesic_enum.py::test_ufunc_columns_stay_near_per_element_libm"),
+    # weighted_sqrt_sum: no slack below either branch's lower bound on s1
+    ("numtheory", "s1 < max(0.0, -4 * A / D):", "s1 < max(0.0, -4 * A / D) - 1e-12:",
+     "tests/test_numtheory.py::test_weighted_sqrt_sum_domain"),
+    ("numtheory", "(A > 0 and 0 <= s1 and", "(A > 0 and -1e-12 <= s1 and",
+     "tests/test_numtheory.py::test_weighted_sqrt_sum_domain"),
+    # the half-line base as the general case (Bezout sign, foot, Euclid)
+    ("geodesic_enum", "sign = -1 if A0 else 1", "sign = -1",
+     "tests/test_geodesic_enum.py::test_build_param_examples"),
+    ("hyperbolic", "/ (4 * u * u)", "/ (2 * u * u)",
+     "tests/test_geodesic_enum.py::test_column_builders_match_scalar_reference"),
+    ("hyperbolic", "(A0 * c - C0 * a) / u", "(A0 * c + C0 * a) / u",
+     "tests/test_geodesic_enum.py::test_column_builders_match_scalar_reference"),
+    ("numtheory", "    if S < 0:\n        S, b = -S, -b\n", "",
+     "tests/test_numtheory.py::test_ext_gcd_with_q_zero_is_euclid"),
+    # weighted_sqrt_sum's first n and its u = 0 log term
+    ("numtheory", "n_lo = math.isqrt(max(0, math.floor(s1 * delta)))",
+     "n_lo = math.isqrt(max(0, math.ceil(s1 * delta)))",
+     "tests/test_numtheory.py::test_weighted_sqrt_sum_starts_after_the_last_square_at_most_s1_delta"),
+    ("numtheory", "n_lo = math.isqrt(max(0, math.floor(s1 * delta)))",
+     "n_lo = math.isqrt(max(0, math.floor(s1 * delta) - 1))",
+     "tests/test_numtheory.py::test_weighted_sqrt_sum_starts_after_the_last_square_at_most_s1_delta"),
+    ("numtheory", "        if D > 0:\n            return head",
+     "        if D > 0 and u == 0:\n            return head + 4 * A / math.sqrt(D) * math.log(math.sqrt(4 * A) * (1 + 2**-50))\n"
+     "        if D > 0:\n            return head",
+     "tests/test_numtheory.py::test_weighted_sqrt_sum_at_s1_zero_is_the_u_zero_expression"),
+    # RM curves through a point: the angle from F(t), which cancels
+    ("geodesic_enum", "num, den = s, np.sqrt(s * s - float(D))",
+     "num, den = s, np.sqrt(4 * float(F.A) * ((float(F.A) * t + float(F.B)) * t + float(F.C)))",
+     "tests/test_geodesic_enum.py::test_rm_through_translated_point_keeps_its_curves_and_angles"),
+    # the scan loop's one-chunk path
+    ("linnik", "if n <= _BLOCK:", "if n <= 2 * _BLOCK:", "tests/test_linnik.py::test_ranges_split_across_blocks"),
+]
+
+
+def _passes(src: pathlib.Path, test: str) -> bool:
+    """Does the test pass with the package imported from src?"""
+    cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", "-o", f"pythonpath={src}", test]
+    return subprocess.run(cmd, cwd=ROOT, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL).returncode == 0
+
+
+def main() -> int:
+    bad = 0
+    for test in dict.fromkeys(row[3] for row in ROWS):
+        if not _passes(ROOT / "src", test):
+            print(f"FAILS AT src/: {test}")
+            bad += 1
+    for module, old, new, test in ROWS:
+        label = f"{module}: {old.strip()[:60]!r} -> {new.strip()[:60]!r}"
+        with tempfile.TemporaryDirectory() as tmp:
+            src = pathlib.Path(tmp) / "src"
+            shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
+            path = src / "linnikgeo" / f"{module}.py"
+            text = path.read_text(encoding="utf-8")
+            if text.count(old) != 1:
+                print(f"STALE   {label}")
+                bad += 1
+                continue
+            path.write_text(text.replace(old, new), encoding="utf-8")
+            caught = not _passes(src, test)
+        print(f"{'caught ' if caught else 'MISSED '} {label}  [{test}]")
+        bad += not caught
+    print(f"{len(ROWS)} rows, {bad} problems")
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -53,14 +53,14 @@ from linnikgeo.numtheory import sum_phi
 def test_build_param_examples():
     p = build_param(IntForm(1, 0, -1), CM_ON_G)
     assert p.pqr == (1, 0, 1) and p.S == 1 and p.bezout == (0, 1)
-    assert p.derived == (1, 0, -4) and p.derivedD == 16
+    assert p.derived == (1, 0, -4) and p.case.D == 16
 
     q = build_param(IntForm(1, 0, 1), RM_THROUGH_P)
-    assert q.pqr == (-1, 0, 1) and q.derived == (1, 0, 4) and q.derivedD == -16
+    assert q.pqr == (-1, 0, 1) and q.derived == (1, 0, 4) and q.case.D == -16
 
     r = build_param(IntForm(1, 1, -1), CM_ON_G)
     assert r.pqr == (2, -1, 2) and r.S == 1 and r.bezout == (1, 1)
-    assert r.derived == (4, 4, -4) and r.derivedD == 80
+    assert r.derived == (4, 4, -4) and r.case.D == 80
 
     # a half-line's R is 0: S = Q, the Bezout pair is (1, 0) and the
     # derived form is (0, 4Q, P^2)
@@ -93,7 +93,7 @@ def test_derived_discriminant_identity():
         mode = CM_ON_G if D0 > 0 else RM_THROUGH_P
         p = build_param(G, mode)
         g = math.gcd(D0, 2)
-        assert p.derivedD == 16 * D0 // (g * g)
+        assert p.case.D == 16 * D0 // (g * g)
         count += 1
 
 
@@ -229,10 +229,26 @@ def test_halfline_transport():
 
 
 def test_pushforward():
-    assert pushforward_check(build_param(IntForm(1, 0, -1), CM_ON_G)) < 1e-8
-    assert pushforward_check(build_param(IntForm(1, 0, 1), RM_THROUGH_P)) < 1e-8
-    assert pushforward_check(build_param(IntForm(0, 1, 0), CM_ON_G)) < 1e-8
-    assert pushforward_check(build_param(IntForm(1, 0, -1), RM_PERP_G)) < 1e-8
+    """dt/|F(t)| along t(u) is the closed-form measure in u, up to rounding,
+    on semicircles and half-lines in both geodesic modes and about points."""
+    bases = [(IntForm(*G), mode) for G in [(1, 0, -1), (0, 1, 0), (0, 3, -7), (2, 1, -3)]
+             for mode in (CM_ON_G, RM_PERP_G)]
+    bases += [(IntForm(1, 1, -1), CM_ON_G), (IntForm(1, 0, 1), RM_THROUGH_P), (IntForm(2, 1, 3), RM_THROUGH_P)]
+    for G, mode in bases:
+        assert pushforward_check(build_param(G, mode)) < 1e-10, (G, mode)
+
+
+def test_pushforward_sees_a_wrong_half_line_map(monkeypatch):
+    """A half-line map t(y) that drops a factor y transports dt/|F| to
+    (1/B) dy/y, half the target (2/B) dy/y."""
+
+    def wrong(param, y):
+        F = param.case.F
+        return F.B * y / 4 - F.C / F.B if param.half_line else t_of_coord(param, y)
+
+    monkeypatch.setattr(geodesic_enum, "t_of_coord", wrong)
+    for mode in (CM_ON_G, RM_PERP_G):
+        assert pushforward_check(build_param(IntForm(0, 3, -7), mode)) > 0.1
 
 
 def test_enum_cm_in_ball():
@@ -756,7 +772,7 @@ def _libm_coord(param, t):
         if param.mode == CM_ON_G:
             return math.sqrt(-4 / B * t - 4 * C / (B * B))
         return math.sqrt(4 / B * t + 4 * C / (B * B))
-    D = param.derivedD
+    D = param.case.D
     if param.mode == CM_ON_G:
         return math.acos((-B - 2 * A * t) / math.sqrt(D))
     if param.mode == RM_PERP_G:

@@ -268,6 +268,11 @@ def test_weighted_sqrt_sum_domain():
         weighted_sqrt_sum(0, 5, 1, 2, 100.0)
     with pytest.raises(DomainError):
         weighted_sqrt_sum(-1, 5, 0.0, 1.0, 100.0)  # log branch needs s1 >= -4A/D
+    # no slack below either branch's lower bound on s1: each of these would
+    # take the square root of a negative or log(0.0) in the main term
+    for args in [(1.0, 5.0, -1e-13, 1.0, 100.0), (-1e-20, 1.0, 0.0, 1.0, 100.0), (1.0, -4.0, -1e-13, 0.5, 100.0)]:
+        with pytest.raises(DomainError):
+            weighted_sqrt_sum(*args)
 
 
 def test_ext_gcd_examples():

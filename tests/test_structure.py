@@ -5,7 +5,8 @@ import ast
 import pathlib
 from collections import defaultdict
 
-SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "linnikgeo"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "linnikgeo"
 
 
 class _Calls(ast.NodeVisitor):
@@ -166,3 +167,34 @@ def test_half_line_base_is_the_general_case():
     assert not defined["_is_square"]
     forms = ast.parse((SRC / "forms.py").read_text(encoding="utf-8"))
     assert "discriminant" not in [n.name for n in forms.body if isinstance(n, ast.FunctionDef)]
+
+
+def test_a_geodesic_family_is_worked_out_once():
+    """build_param makes the scan form's QuadCase, the one QuadCase.of in
+    geodesic_enum; the half-line maps apply no CM sign; the transport
+    check is an identity in the case's antiderivative, with no finite
+    differences of _coord_col and no grid refusal."""
+    callers, defined = _scan_source()
+    assert not defined["_scan_form"]
+    classes = {n.name for path in SRC.glob("*.py") for n in ast.parse(path.read_text(encoding="utf-8")).body
+               if isinstance(n, ast.ClassDef)}
+    assert "QuadCase" in classes and "GridTouchesSingularity" not in classes
+    assert {c for c in callers["of"] if c.startswith("geodesic_enum:")} == {"geodesic_enum:build_param"}
+    assert "geodesic_enum:pushforward_check" not in callers["_coord_col"]
+    for fn in ("_coord_col", "t_of_coord"):
+        half = [n for n in _nodes("geodesic_enum", fn, ast.If) if ast.unparse(n.test) == "param.half_line"]
+        assert len(half) == 1, fn
+        assert "CM_ON_G" not in {n.id for b in half[0].body for n in ast.walk(b) if isinstance(n, ast.Name)}, fn
+
+
+def test_benchmark_tracer_still_finds_its_functions():
+    """bench/tracing.py wraps, by name, each module-level function named in
+    its SPANS, and reads _run_scan's fifth positional argument as n_max; a
+    renamed function or argument would drop a layer metric silently."""
+    tree = ast.parse((ROOT / "bench" / "tracing.py").read_text(encoding="utf-8"))
+    spans = next(ast.literal_eval(n.value) for n in tree.body
+                 if isinstance(n, ast.Assign) and [ast.unparse(t) for t in n.targets] == ["SPANS"])
+    functions = {n.name for path in SRC.glob("*.py") for n in ast.parse(path.read_text(encoding="utf-8")).body
+                 if isinstance(n, ast.FunctionDef)}
+    assert spans and not [name for name in spans if name not in functions]
+    assert _nodes("linnik", "_run_scan", ast.FunctionDef)[0].args.args[4].arg == "n_max"
