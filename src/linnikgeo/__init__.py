@@ -17,9 +17,8 @@ from .forms import (
     is_normalized,
     normalize,
     rm_perp_geodesic,
-    rm_through_cm,
 )
-from .hyperbolic import PointH, ang_p, ball, dist, geodesic_through, perp_foot, sector_area
+from .hyperbolic import PointH, ang_p, ball, perp_foot, sector_area
 from .linnik import (
     EnumReport,
     Frac,
@@ -49,7 +48,6 @@ from .cycles import (
     closed_geodesic,
     cm_count_closed,
     cycle_value,
-    fundamental_arc,
     j_invariant,
 )
 from .numtheory import (

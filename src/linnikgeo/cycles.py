@@ -30,6 +30,7 @@ from .geodesic_enum import (
     _enum_pairs,
     _form_cols,
     _record_cols,
+    _t_of_x,
     build_param,
 )
 from .linnik import ProjInterval, _absmax, _at_most, _ints, form_values
@@ -69,33 +70,14 @@ def closed_geodesic(f: IntForm) -> ClosedGeodesic:
     return ClosedGeodesic(f, pell, gamma, 2 * pell.log_eps)
 
 
-def fundamental_arc(cg: ClosedGeodesic) -> tuple[float, float]:
-    """Angles theta0 < theta1 of the fundamental arc: the arc of length
-    cg.length centred on the top of the semicircle.
-
-    Its ends have cos theta = -+u0 sqrt(D) / t0 and sin theta = 2 / t0, and
-    gamma maps one to the other, so traversing the arc once covers the
-    closed geodesic exactly once.  The end at theta1 (the smaller real part)
-    belongs to the arc, the end at theta0 does not.
-    """
-    w = cg.pell.u0 * math.sqrt(cg.pell.D)
-    return math.atan2(2, w), math.atan2(2, -w)
-
-
 def _arc_ends(cg: ClosedGeodesic, param: GeodesicParam) -> tuple[Fraction, Fraction]:
-    """t = m/n of the fundamental arc's ends, the one of smaller real part
-    first.
-
-    The ends lie at distance L/2 from the top q + i r, at x = q -+ r tanh(L/2),
-    and tanh(L/2) = u0 sqrt(D) / t0 makes them rational (a > 0, since the
-    form is normalized).  Along the geodesic
-    the incident CM point of t has real part x = -(P b0 + t R/S) / (2S).
-    """
+    """t = m/n of the ends of the fundamental arc (of length L = cg.length,
+    centred on the top q + i r), the one of smaller real part first.  They
+    lie at x = q -+ r tanh(L/2), rational since tanh(L/2) = u0 sqrt(D) / t0
+    (a > 0, since the form is normalized), and _t_of_x inverts x exactly."""
     a, b, _ = cg.form.triple()
     q, h = Fraction(-b, 2 * a), Fraction(cg.pell.D * cg.pell.u0, 2 * a * cg.pell.t0)
-    P, _, R = param.pqr
-    S, b0 = param.S, param.bezout[0]
-    return tuple(-(2 * S * x + P * b0) * S / R for x in (q - h, q + h))
+    return _t_of_x(param, q - h), _t_of_x(param, q + h)
 
 
 def _arc_pairs(

@@ -182,11 +182,3 @@ def rm_perp_geodesic(rm: IntForm, G: IntForm) -> bool:
         raise WrongDiscriminantSign("G must have positive discriminant")
     return _incidence(rm, G)
 
-
-def rm_through_cm(rm: IntForm, p: IntForm) -> bool:
-    """Does the RM curve of `rm` pass through the CM point of `p`?"""
-    if rm.a == 0 or rm.discriminant() <= 0:
-        raise WrongDiscriminantSign("rm must be indefinite with a != 0")
-    if p.discriminant() >= 0:
-        raise WrongDiscriminantSign("p must have negative discriminant")
-    return _incidence(rm, p)

@@ -3,11 +3,11 @@
 A normalized form G = (A0, B0, C0) with D0 > 0 fixes a geodesic; a form with
 D0 < 0 fixes a CM point.  The incident objects (CM points on the geodesic,
 RM curves hitting it perpendicularly, RM curves through the point) are the
-integer solutions of 2aC0 + 2cA0 = bB0, which are parametrized by coprime
-pairs (m, n) through a Bezout choice.  The derived real form (A, B, C) below
-turns each family into an aggregate-Linnik set in t = m/n, so the linnik
-engine does the heavy lifting.  Records are built from columns (forms,
-coordinates, feet and ball points as numpy arrays), in blocks of rows, by
+integer solutions of 2aC0 + 2cA0 = bB0: through a Bezout choice, the forms
+n u + m v of coprime pairs (m, n), for two integer rows u, v.  Their
+discriminant, the derived form (A, B, C) in t = m/n, turns each family into
+an aggregate-Linnik set, so the linnik engine does the heavy lifting.
+Records are built from columns (forms, coordinates, feet and ball points as numpy arrays), in blocks of rows, by
 one builder that checks the columns and then fills the slots of the value
 objects directly.
 """
@@ -19,6 +19,7 @@ import math
 import numbers
 from collections import deque
 from dataclasses import dataclass, field
+from fractions import Fraction
 from itertools import repeat
 from typing import Iterator, NamedTuple
 
@@ -50,28 +51,24 @@ RM_THROUGH_P = "rm-through-point"
 
 @dataclass(frozen=True)
 class GeodesicParam:
-    """Bezout parametrization of the forms incident to a base form; pqr =
-    (P, Q, R), with R = 0 exactly on a half-line base, where S = Q.  case is
-    the sign case of the scan form, whose values must land in (0, delta]:
-    the derived form for RM families, its negation for CM families (their
-    discriminants are negative)."""
+    """The incident forms n u + m v, u = (S, P b0, P c0), v = (0, R/S, -Q/S),
+    of coprime (m, n), from build_param's Bezout map.  case is the sign case
+    of the scan form, whose values must land in (0, delta]: the derived form
+    for RM families, its negation for CM families (their D are negative)."""
 
     base: IntForm
     mode: str
-    pqr: tuple[int, int, int]
-    S: int
-    bezout: tuple[int, int]
-    derived: tuple[int, int, int]
+    u: tuple[int, int, int]
+    v: tuple[int, int, int]
     case: QuadCase = field(repr=False, compare=False)
 
     @property
     def half_line(self) -> bool:
-        return self.pqr[2] == 0
+        return self.base.a == 0
 
 
 def build_param(G: IntForm, mode: str) -> GeodesicParam:
-    """Set up (P, Q, R), the Bezout pair, the derived (A, B, C) and the
-    scan form's case."""
+    """Set up the rows u, v of the Bezout map and the scan form's case."""
     if mode not in (CM_ON_G, RM_PERP_G, RM_THROUGH_P):
         raise ValueError(f"unknown mode {mode!r}")
     if not is_normalized(*G.triple()):
@@ -89,19 +86,24 @@ def build_param(G: IntForm, mode: str) -> GeodesicParam:
     sign = -1 if A0 else 1
     P, Q, R = sign * 2 * C0 // g, sign * B0 // g, 2 * A0 // g
     S, b0, c0 = ext_gcd(Q, R)
-    A = (R // S) ** 2
-    B = 2 * P * b0 * (R // S) + 4 * Q
-    C = P * P * b0 * b0 - 4 * S * P * c0
+    u, v = (S, P * b0, P * c0), (0, R // S, -Q // S)
+    # the derived form: b^2 - 4ac of n u + m v, in t = m / n
+    A, B, C = v[1] ** 2, 2 * u[1] * v[1] - 4 * u[0] * v[2], u[1] ** 2 - 4 * u[0] * u[2]
     assert B * B - 4 * A * C == 16 * D0 // (g * g)
     scan = RealForm(-A, -B, -C) if mode == CM_ON_G else RealForm(A, B, C)
-    return GeodesicParam(G, mode, (P, Q, R), S, (b0, c0), (A, B, C), QuadCase.of(scan))
+    return GeodesicParam(G, mode, u, v, QuadCase.of(scan))
 
 
 def mn_to_form(param: GeodesicParam, m: int, n: int) -> IntForm:
-    """The incident form for the pair (m, n); its discriminant is F(m, n)
-    with F the derived form.  Exact for any ints m, n."""
+    """The incident form n u + m v of the pair (m, n); its discriminant is
+    F(m, n) with F the derived form.  Exact for any ints m, n."""
     row = (np.array([v], dtype=object) for v in (m, n))
     return IntForm(*(int(col[0]) for col in _form_cols(param, *row)))
+
+
+def _t_of_x(param: GeodesicParam, x: Fraction) -> Fraction:
+    """The exact t of the incident form with -b / 2a = -(u1 + t v1) / (2 u0) = x."""
+    return -(2 * param.u[0] * x + param.u[1]) / param.v[1]
 
 
 # ---------------------------------------------------------------------------
@@ -231,13 +233,10 @@ def _floor_ints(x: np.ndarray, dt: type) -> np.ndarray:
 
 
 def _form_cols(param: GeodesicParam, ms: np.ndarray, ns: np.ndarray) -> list[np.ndarray]:
-    """Columns (a, b, c) of mn_to_form(param, m, n), exact."""
-    P, Q, R = param.pqr
-    S = param.S
-    b0, c0 = param.bezout
-    kb, kc, lb, lc = P * b0, P * c0, R // S, Q // S
-    m, n = _ints((S + abs(kb) + abs(kc) + abs(lb) + abs(lc)) * _absmax(ms, ns), ms, ns)
-    return [n * S, n * kb + m * lb, n * kc - m * lc]
+    """Columns (a, b, c) = n u + m v of mn_to_form(param, m, n), exact."""
+    u, v = param.u, param.v
+    m, n = _ints(sum(map(abs, u + v)) * _absmax(ms, ns), ms, ns)
+    return [n * x + m * y for x, y in zip(u, v)]
 
 
 def _cm_z_cols(a: np.ndarray, b: np.ndarray, absd: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

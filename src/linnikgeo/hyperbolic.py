@@ -1,5 +1,5 @@
-"""Upper half-plane geometry: distance, angles, balls, sector areas, and
-the feet of RM curves perpendicular to a geodesic.
+"""Upper half-plane geometry: angles, balls, sector areas, and the feet of
+RM curves perpendicular to a geodesic.
 
 Everything here is 64-bit floating point except the foot (perp_foot, and
 _foot_cols for columns): that is exact integer arithmetic on the forms up to
@@ -21,7 +21,7 @@ from .errors import (
     CoincidentPoints,
     NotPerpendicularPair,
 )
-from .forms import Geodesic, HalfLine, IntForm, Semicircle, rm_perp_geodesic
+from .forms import IntForm, rm_perp_geodesic
 from .linnik import _absmax, _ints
 
 
@@ -56,24 +56,6 @@ class BallE:
     def contains_cols(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """contains for columns of points (x, y)."""
         return np.hypot(x - self.center.x, y - self.center.y) <= self.radius_euclid
-
-
-def dist(z1: PointH, z2: PointH) -> float:
-    """Hyperbolic distance arccosh(((x-x0)^2 + y^2 + y0^2) / (2 y y0))."""
-    arg = ((z1.x - z2.x) ** 2 + z1.y**2 + z2.y**2) / (2 * z1.y * z2.y)
-    # rounding can push the argument a hair below 1 for equal points
-    return math.acosh(max(arg, 1.0))
-
-
-def geodesic_through(p: PointH, z: PointH) -> Geodesic:
-    """Unique geodesic through two distinct points."""
-    if p == z:
-        raise CoincidentPoints("geodesic through coincident points")
-    if p.x == z.x:
-        return HalfLine(x=p.x)
-    q = (z.x + p.x) / 2 + (z.y**2 - p.y**2) / (2 * (z.x - p.x))
-    r = math.hypot(p.x - q, p.y)
-    return Semicircle(q=q, r=r)
 
 
 def ang_p(p: PointH, z: PointH) -> float:

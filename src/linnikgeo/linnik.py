@@ -272,10 +272,10 @@ def _mu(case: QuadCase, I: ProjInterval) -> float:
 
 
 def predicted_count(F: RealForm, delta: float, I: ProjInterval) -> float:
-    """Main term (3 delta / pi^2) mu(I) of #W_delta restricted to I."""
-    if delta == 0:
+    """Main term (3 delta / pi^2) mu(I) of #W_delta on I; 0.0 for delta <= 0."""
+    if delta <= 0:
         return 0.0
-    return 3.0 * delta / math.pi**2 * mu_integral(F, I)
+    return count_residual(0, delta, mu_integral(F, I))[0]
 
 
 # ---------------------------------------------------------------------------

@@ -65,6 +65,11 @@ ROWS = [
      "tests/test_geodesic_enum.py::test_rm_through_translated_point_keeps_its_curves_and_angles"),
     # the scan loop's one-chunk path
     ("linnik", "if n <= _BLOCK:", "if n <= 2 * _BLOCK:", "tests/test_linnik.py::test_ranges_split_across_blocks"),
+    # the rows of the Bezout map and the exact x -> t inverse of the arc ends
+    ("geodesic_enum", "(0, R // S, -Q // S)", "(0, R // S, Q // S)",
+     "tests/test_geodesic_enum.py::test_build_param_examples"),
+    ("geodesic_enum", "-(2 * param.u[0] * x + param.u[1])", "-(2 * param.u[0] * x - param.u[1])",
+     "tests/test_cycles.py::test_fundamental_arc_length"),
 ]
 
 

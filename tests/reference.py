@@ -1,13 +1,16 @@
 """Reference computations that the tests check the library against.
 
 Plain scalar arithmetic, written independently of the library's column
-code: continued fractions for x^2 - D y^2 = 1, trial division, and a
-Mobius count of the integers coprime to n.
+code: continued fractions for x^2 - D y^2 = 1, trial division, a Mobius
+count of the integers coprime to n, hyperbolic distance, the geodesic
+through two points and the incidence of an RM curve with a CM point.
 """
 
 import math
 
-from linnikgeo.errors import NumericalInstability
+from linnikgeo.errors import CoincidentPoints, NumericalInstability, WrongDiscriminantSign
+from linnikgeo.forms import HalfLine, IntForm, Semicircle
+from linnikgeo.hyperbolic import PointH
 
 
 def _pell_one(D: int) -> tuple[int, int]:
@@ -73,3 +76,32 @@ def count_coprime_upto(T: float, n: int) -> int:
 def apply_mobius(gamma, z: complex) -> complex:
     (a, b), (c, d) = gamma
     return (a * z + b) / (c * z + d)
+
+
+def dist(z1: PointH, z2: PointH) -> float:
+    """Hyperbolic distance arccosh(((x-x0)^2 + y^2 + y0^2) / (2 y y0))."""
+    arg = ((z1.x - z2.x) ** 2 + z1.y**2 + z2.y**2) / (2 * z1.y * z2.y)
+    # rounding can push the argument a hair below 1 for equal points
+    return math.acosh(max(arg, 1.0))
+
+
+def geodesic_through(p: PointH, z: PointH):
+    """Unique geodesic through two distinct points."""
+    if p == z:
+        raise CoincidentPoints("geodesic through coincident points")
+    if p.x == z.x:
+        return HalfLine(x=p.x)
+    q = (z.x + p.x) / 2 + (z.y**2 - p.y**2) / (2 * (z.x - p.x))
+    r = math.hypot(p.x - q, p.y)
+    return Semicircle(q=q, r=r)
+
+
+def rm_through_cm(rm: IntForm, p: IntForm) -> bool:
+    """Does the RM curve of rm pass through the CM point of p?  The
+    incidence 2aC + 2cA = bB, tested exactly."""
+    if rm.a == 0 or rm.discriminant() <= 0:
+        raise WrongDiscriminantSign("rm must be indefinite with a != 0")
+    if p.discriminant() >= 0:
+        raise WrongDiscriminantSign("p must have negative discriminant")
+    (a, b, c), (A, B, C) = rm.triple(), p.triple()
+    return 2 * a * C + 2 * c * A == b * B

@@ -28,7 +28,7 @@ from linnikgeo.geodesic_enum import (
     enum_cm_on_im1,
     enum_rm_through_point,
 )
-from linnikgeo.hyperbolic import PointH, ang_p, ball, dist, sector_area
+from linnikgeo.hyperbolic import PointH, ang_p, ball, sector_area
 from linnikgeo.linnik import (
     ProjInterval,
     RealForm,
@@ -45,7 +45,7 @@ from linnikgeo.numtheory import (
     sum_phi_over_n,
     weighted_sqrt_sum,
 )
-from reference import _pell_one, is_fundamental_discriminant
+from reference import _pell_one, dist, is_fundamental_discriminant
 
 INF = float("inf")
 

@@ -2,6 +2,7 @@ import cmath
 import math
 import random
 import re
+from fractions import Fraction
 
 import pytest
 
@@ -9,16 +10,17 @@ from linnikgeo.cycles import (
     CONSTANT_ONE,
     J_FUNCTION,
     ModularFunction,
+    _arc_ends,
     closed_geodesic,
     cm_count_closed,
     cm_on_fundamental_arc,
     cycle_quadrature,
     cycle_value,
-    fundamental_arc,
     j_invariant,
 )
 from linnikgeo.errors import DomainError, ImprimitiveForm, SquareDiscriminant
 from linnikgeo.forms import IntForm, cm_on_geodesic, normalize
+from linnikgeo.geodesic_enum import CM_ON_G, build_param, mn_to_form
 from reference import apply_mobius
 
 
@@ -77,24 +79,35 @@ def test_gamma_preserves_geodesic_and_form():
 
 
 def test_fundamental_arc_length():
+    """The fundamental arc's ends x + i y, with x the real part of the
+    incident form at each t of _arc_ends and y^2 = D / 4a^2 - (x - q)^2:
+    gamma sends the end of smaller real part exactly to the other (Re and
+    Im^2 equal as Fractions), and where the angles are representable the
+    arc between them has length cg.length."""
     rng = random.Random(3)
-    done = 0
-    while done < 20:
+    for _ in range(200):
         cg = closed_geodesic(_random_primitive_indefinite(rng))
-        if cg.length > 16:
-            # the ends sit within exp(-length/2) of the real axis, where the
-            # angle loses float precision; skip the extreme Pell solutions
-            continue
-        done += 1
-        th0, th1 = fundamental_arc(cg)
-        u = lambda th: math.log(math.tan(th / 2))
-        assert math.isclose(u(th1) - u(th0), cg.length, rel_tol=1e-9)
-        assert math.isclose(u(th0), -cg.length / 2, rel_tol=1e-9)
-        # gamma maps one end to the other
-        sc = cg.semicircle
-        z0, z1 = (complex(sc.q + sc.r * math.cos(th), sc.r * math.sin(th)) for th in (th0, th1))
-        moved = min(abs(apply_mobius(cg.gamma, z0) - z1), abs(apply_mobius(cg.gamma, z1) - z0))
-        assert moved < 1e-9 * sc.r * math.sin(th0), cg.form
+        param = build_param(cg.form, CM_ON_G)
+        a, b, _ = cg.form.triple()
+        q = Fraction(-b, 2 * a)
+        ends = []
+        for t in _arc_ends(cg, param):
+            f = mn_to_form(param, t.numerator, t.denominator)
+            x = Fraction(-f.b, 2 * f.a)
+            ends.append((x, Fraction(cg.pell.D, 4 * a * a) - (x - q) ** 2))
+        (x0, yy0), (x1, yy1) = ends
+        assert x0 < x1 and yy0 > 0, cg.form
+        # gamma = ((p, r), (s, w)) sends x + i y to (Re, Im) over |s z + w|^2
+        (p, r), (s, w) = cg.gamma
+        den = (s * x0 + w) ** 2 + s * s * yy0
+        assert ((p * x0 + r) * (s * x0 + w) + p * s * yy0) / den == x1, cg.form
+        assert yy0 / den**2 == yy1, cg.form
+        if cg.length <= 16:
+            # beyond, the ends' angles lie within e^-8 of 0 and pi
+            th0, th1 = (math.atan2(math.sqrt(yy), x - q) for x, yy in ends)
+            u = lambda th: math.log(math.tan(th / 2))
+            assert math.isclose(u(th0) - u(th1), cg.length, rel_tol=1e-9)
+            assert math.isclose(u(th1), -cg.length / 2, rel_tol=1e-9)
 
 
 def test_cm_on_fundamental_arc_small():

@@ -15,8 +15,8 @@ from linnikgeo.forms import (
     is_normalized,
     normalize,
     rm_perp_geodesic,
-    rm_through_cm,
 )
+from reference import rm_through_cm
 
 
 def test_normalize():

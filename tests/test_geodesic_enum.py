@@ -48,27 +48,35 @@ from linnikgeo.geodesic_enum import (
 from linnikgeo.hyperbolic import PointH, ang_p, ball, perp_foot
 from linnikgeo.linnik import Frac
 from linnikgeo.numtheory import sum_phi
+from reference import dist
+
+
+def _derived(param):
+    """The derived form (A, B, C), whose value at (m, n) is the discriminant
+    of mn_to_form(param, m, n): the scan form, negated back for CM points."""
+    F, sign = param.case.F, -1 if param.mode == CM_ON_G else 1
+    return sign * F.A, sign * F.B, sign * F.C
 
 
 def test_build_param_examples():
     p = build_param(IntForm(1, 0, -1), CM_ON_G)
-    assert p.pqr == (1, 0, 1) and p.S == 1 and p.bezout == (0, 1)
-    assert p.derived == (1, 0, -4) and p.case.D == 16
+    assert p.u == (1, 0, 1) and p.v == (0, 1, 0)
+    assert _derived(p) == (1, 0, -4) and p.case.D == 16
 
     q = build_param(IntForm(1, 0, 1), RM_THROUGH_P)
-    assert q.pqr == (-1, 0, 1) and q.derived == (1, 0, 4) and q.case.D == -16
+    assert q.u == (1, 0, -1) and q.v == (0, 1, 0) and _derived(q) == (1, 0, 4) and q.case.D == -16
 
     r = build_param(IntForm(1, 1, -1), CM_ON_G)
-    assert r.pqr == (2, -1, 2) and r.S == 1 and r.bezout == (1, 1)
-    assert r.derived == (4, 4, -4) and r.case.D == 80
+    assert r.u == (1, 2, 2) and r.v == (0, 2, 1)
+    assert _derived(r) == (4, 4, -4) and r.case.D == 80
 
-    # a half-line's R is 0: S = Q, the Bezout pair is (1, 0) and the
-    # derived form is (0, 4Q, P^2)
+    # on a half-line (R = 0) the rows are u = (Q, P, 0) and v = (0, 0, -1),
+    # and the derived form is (0, 4Q, P^2)
     h = build_param(IntForm(0, 1, -2), CM_ON_G)
-    assert h.pqr == (-4, 1, 0) and h.half_line and h.S == 1 and h.bezout == (1, 0)
-    assert h.derived == (0, 4, 16)
+    assert h.u == (1, -4, 0) and h.v == (0, 0, -1) and h.half_line
+    assert _derived(h) == (0, 4, 16)
     v = build_param(IntForm(0, 3, -7), RM_PERP_G)
-    assert v.pqr == (-14, 3, 0) and v.S == 3 and v.bezout == (1, 0) and v.derived == (0, 12, 196)
+    assert v.u == (3, -14, 0) and v.v == (0, 0, -1) and _derived(v) == (0, 12, 196)
     assert not r.half_line and not q.half_line
 
     with pytest.raises(WrongDiscriminantSign):
@@ -112,7 +120,7 @@ def test_mn_to_form():
             m, n = rng.randint(-30, 30), rng.randint(1, 30)
             f = mn_to_form(par, m, n)
             assert 2 * f.a * C0 + 2 * f.c * A0 == f.b * B0
-            A, B, C = par.derived
+            A, B, C = _derived(par)
             assert f.discriminant() == A * m * m + B * m * n + C * n * n
     # exact past int64, as a one-row call of the form columns
     for G, m, n in [(IntForm(1, 1, -1), 2**70, 3), (IntForm(0, 3, 1), -(2**70), 2**65 + 1)]:
@@ -256,8 +264,6 @@ def test_enum_cm_in_ball():
     assert [r.point.form.triple() for r in got] == [(1, 0, 1)]
     assert enum_cm_in_ball(PointH(0, 1), 0.1, D=-3) == []
     # the nearest D=-3 points are (+-1 + sqrt(3) i) / 2
-    from linnikgeo.hyperbolic import dist
-
     s = dist(PointH(0, 1), PointH(-0.5, math.sqrt(3) / 2))
     assert enum_cm_in_ball(PointH(0, 1), s + 1e-9, D=-3) != []
     assert enum_cm_in_ball(PointH(0, 1), s - 1e-9, D=-3) == []
@@ -267,8 +273,6 @@ def test_enum_cm_in_ball():
 
 
 def test_enum_cm_in_ball_membership():
-    from linnikgeo.hyperbolic import dist
-
     z0 = PointH(0.25, 1.5)
     for r in enum_cm_in_ball(z0, 0.9, delta=400):
         z = r.point.z
@@ -327,7 +331,7 @@ SHIFTED = IntForm(1, 2 * _K + 1, _K * _K + _K - 1)
 def _random_pairs(rng, param, count, sign, center=0):
     """count random coprime (m, n), n <= 2^10 and |m - center * n| <= 2^10,
     with sign * F(m, n) > 0 for F the derived form, as int64 columns."""
-    A, B, C = param.derived
+    A, B, C = _derived(param)
     pairs = []
     while len(pairs) < count:
         n = rng.randint(1, 2**10)
@@ -342,15 +346,9 @@ def _bits(xs):
 
 
 def _scalar_form(param, m, n):
-    """The incident form of (m, n) as a scalar formula: the reference that
-    _form_cols and mn_to_form, its one-row call, are pinned to."""
-    if param.half_line:
-        P, Q, _ = param.pqr
-        return IntForm(n * Q, n * P, -m)
-    P, Q, R = param.pqr
-    S = param.S
-    b0, c0 = param.bezout
-    return IntForm(n * S, n * P * b0 + m * (R // S), n * P * c0 - m * (Q // S))
+    """The incident form n u + m v of (m, n) in Python ints: the reference
+    that _form_cols and mn_to_form, its one-row call, are pinned to."""
+    return IntForm(*(n * x + m * y for x, y in zip(param.u, param.v)))
 
 
 def _scalar_foot(rm, G):
@@ -511,7 +509,7 @@ def test_builder_matches_public_constructors():
         (point, RM_THROUGH_P, RMThroughPoint, True),
     ]:
         param = build_param(G, mode)
-        A, B, _ = param.derived
+        A, B, _ = _derived(param)
         # CM pairs lie between the roots of F, around t = -B / 2A
         center = Fraction(-B, 2 * A) if mode == CM_ON_G and A else 0
         ms, ns = _random_pairs(rng, param, 300, -1 if mode == CM_ON_G else 1, center)
@@ -767,7 +765,7 @@ _COLUMN_CASES = [
 def _libm_coord(param, t):
     """coord_of_t as per-element libm calls (math.sqrt, math.acos): the
     reference the coordinate ufuncs are pinned to."""
-    A, B, C = param.derived
+    A, B, C = _derived(param)
     if param.half_line:
         if param.mode == CM_ON_G:
             return math.sqrt(-4 / B * t - 4 * C / (B * B))
@@ -843,7 +841,7 @@ def test_rm_through_point_angles_stay_close_to_mpmath():
     mpmath = pytest.importorskip("mpmath")
     mpmath.mp.dps = 40
     for form in (IntForm(1, 0, 1), IntForm(1, 1, 1), IntForm(1, 0, 2), IntForm(2, 1, 3)):
-        A, B, C = build_param(form, RM_THROUGH_P).derived
+        A, B, C = _derived(build_param(form, RM_THROUGH_P))
         for r in enum_rm_through_point(form, 20000):
             t = mpmath.mpf(r.frac.m) / r.frac.n
             ref = mpmath.acos((B + 2 * A * t) / (2 * mpmath.sqrt(A * ((A * t + B) * t + C))))

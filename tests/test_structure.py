@@ -3,6 +3,7 @@ policy and one implementation of each float formula."""
 
 import ast
 import pathlib
+import re
 from collections import defaultdict
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -185,6 +186,47 @@ def test_a_geodesic_family_is_worked_out_once():
         half = [n for n in _nodes("geodesic_enum", fn, ast.If) if ast.unparse(n.test) == "param.half_line"]
         assert len(half) == 1, fn
         assert "CM_ON_G" not in {n.id for b in half[0].body for n in ast.walk(b) if isinstance(n, ast.Name)}, fn
+
+
+def test_one_integer_map_per_geodesic_family():
+    """GeodesicParam holds the two rows of (m, n) -> (a, b, c) and no
+    second copy of the map; cycles reads only its case, and the float
+    fundamental_arc is gone."""
+    tree = ast.parse((SRC / "geodesic_enum.py").read_text(encoding="utf-8"))
+    cls = next(n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "GeodesicParam")
+    fields = {n.target.id for n in cls.body if isinstance(n, ast.AnnAssign)}
+    assert {"u", "v", "case"} <= fields and not {"pqr", "S", "bezout", "derived"} & fields
+    cycles = ast.parse((SRC / "cycles.py").read_text(encoding="utf-8"))
+    read = {n.attr for n in ast.walk(cycles)
+            if isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name) and n.value.id == "param"}
+    assert read == {"case"}
+    _, defined = _scan_source()
+    assert not defined["fundamental_arc"]
+
+
+def test_every_export_is_called_used_by_the_benchmark_or_listed():
+    """Each name that linnikgeo/__init__.py imports is called in src/
+    outside its own definition, or used by bench/, or listed in the
+    README's Public API section (which lists only exports)."""
+    init = ast.parse((SRC / "__init__.py").read_text(encoding="utf-8"))
+    exports = [a.asname or a.name for n in init.body if isinstance(n, ast.ImportFrom) for a in n.names]
+    callers, _ = _scan_source()
+    bench = set()
+    for path in (ROOT / "bench").glob("*.py"):
+        for n in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(n, ast.Name):
+                bench.add(n.id)
+            elif isinstance(n, ast.Attribute):
+                bench.add(n.attr)
+            elif isinstance(n, ast.ImportFrom):
+                bench |= {a.name for a in n.names}
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    api = readme.split("\n## Public API\n", 1)[1].split("\n## ", 1)[0]
+    listed = set(re.findall(r"^- `(\w+)`", api, re.M))
+    assert listed and listed <= set(exports)
+    for name in exports:
+        called = {c for c in callers[name] if c.split(":")[1] != name}
+        assert called or name in bench or name in listed, name
 
 
 def test_benchmark_tracer_still_finds_its_functions():
