@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from functools import partial
+from itertools import repeat
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
@@ -96,7 +96,7 @@ class Frac(NamedTuple):
 def _tuples(cls: type, *cols: list) -> list:
     """cls (a NamedTuple) records of the columns, made by tuple's C-level
     constructor rather than the namedtuple's Python-level __new__."""
-    return list(map(partial(tuple.__new__, cls), zip(*cols)))
+    return list(map(tuple.__new__, repeat(cls), zip(*cols)))
 
 
 def _fracs(ms: np.ndarray, ns: np.ndarray, t: np.ndarray) -> list[Frac]:
@@ -213,11 +213,13 @@ def _check_interval(case: QuadCase, I: ProjInterval) -> None:
 
 
 def _level_spans(
-    case: QuadCase, n: np.ndarray, delta: float, ipieces: list[tuple[float, float]]
-) -> tuple[list[np.ndarray], np.ndarray, np.ndarray]:
+    case: QuadCase, n: np.ndarray, delta: float, pieces: np.ndarray
+) -> tuple[list[np.ndarray], np.ndarray, np.ndarray, int]:
     """Integer m-ranges [L, H] covering {m : m/n in I, F(m/n) <= delta/n^2}
-    for a block of n, as _expand's block ([n], L, H): a range per piece of
-    the level set and n, merged so that no m is in two.
+    for a block of n, as _expand's block ([n], L, H, bound): a range per
+    piece of the level set, of I (pieces, their ends as a (2, 1, P) array,
+    met by broadcasting; the level set has two only where A < 0 and I does
+    not wrap) and n, merged so that no m is in two; bound >= max(|m|, n).
 
     Once _check_interval has passed, I lies in the closure of {F > 0}, so
     these cover {t in I : 0 < F(t) <= K}, and every piece is bounded.  The
@@ -225,36 +227,33 @@ def _level_spans(
     each range is padded by 1 against rounding, an empty piece is [1, 0].
     """
     A, B, C = case.F.A, case.F.B, case.F.C
-    nf = n.astype(float)
+    nf = n.astype(float)[:, None]
     K = delta / (nf * nf)
     if A == 0:
         top = (K - C) / B
-        below = [(-INF, top)] if B > 0 else [(top, INF)]
+        a, b = (-INF, top) if B > 0 else (top, INF)
     else:
         disc = case.D + 4 * A * K
         real = disc >= 0
         sd = np.sqrt(np.where(real, disc, 0.0))
         r1, r2 = (-B - sd) / (2 * A), (-B + sd) / (2 * A)
         if A > 0:
-            below = [(np.where(real, r1, INF), np.where(real, r2, -INF))]
-        else:
-            below = [(-INF, np.where(real, r2, INF)), (np.where(real, r1, INF), INF)]
-    L, H = [], []
-    for a, b in below:
-        for lo, hi in ipieces:
-            lo, hi = np.maximum(a, lo), np.minimum(b, hi)
-            hit = lo <= hi
-            L.append(np.where(hit, nf * lo, 2.0))
-            H.append(np.where(hit, nf * hi, -1.0))
-    L, H = np.floor(np.stack(L, 1)), np.ceil(np.stack(H, 1))
+            a, b = np.where(real, r1, INF), np.where(real, r2, -INF)
+        else:  # the pieces (-inf, r2] and [r1, inf), as columns
+            r = np.where(real, np.hstack((r2, r1)), INF)
+            a, b = np.where([True, False], -INF, r), np.where([False, True], INF, r)
+    lo, hi = np.maximum(a, pieces[0]), np.minimum(b, pieces[1])
+    hit = lo <= hi
+    L, H = np.floor(np.where(hit, nf * lo, 2.0)), np.ceil(np.where(hit, nf * hi, -1.0))
     reach = max(-L.min(), H.max())  # L <= H in a non-empty piece; past 2^62 int64 wraps
     if not reach < 2**62:
         raise GuardExceeded(f"the level set of {case.F} at delta = {delta} reaches |m| = {reach:.3g} > 2^62")
-    L, H = np.sort(L.astype(np.int64) - 1, axis=1), np.sort(H.astype(np.int64) + 1, axis=1)
-    # sorting starts and ends separately keeps how often each m is covered,
-    # so it keeps the union; then every range begins after the end before it
-    L[:, 1:] = np.maximum(L[:, 1:], H[:, :-1] + 1)
-    return [n.repeat(L.shape[1])], L.ravel(), H.ravel()
+    L, H = L.astype(np.int64) - 1, H.astype(np.int64) + 1
+    if L.shape[1] > 1:  # sorting starts and ends apart keeps how often each m
+        # is covered, so the union; then each range begins after the one before
+        L, H = np.sort(L, 1), np.sort(H, 1)
+        L[:, 1:] = np.maximum(L[:, 1:], H[:, :-1] + 1)
+    return [n.repeat(L.shape[1])], L.ravel(), H.ravel(), max(int(reach) + 1, int(n[-1]))
 
 
 def mu_integral(F: RealForm, I: ProjInterval) -> float:
@@ -271,8 +270,15 @@ def _mu(case: QuadCase, I: ProjInterval) -> float:
     return case.at(I.hi) - case.at(I.lo)
 
 
+def _check_delta(delta: float) -> None:
+    """Refuse a delta that is nan or infinite, as every W-set entry does."""
+    if not math.isfinite(delta):
+        raise DomainError(f"delta must be finite, got {delta}")
+
+
 def predicted_count(F: RealForm, delta: float, I: ProjInterval) -> float:
     """Main term (3 delta / pi^2) mu(I) of #W_delta on I; 0.0 for delta <= 0."""
+    _check_delta(delta)
     if delta <= 0:
         return 0.0
     return count_residual(0, delta, mu_integral(F, I))[0]
@@ -298,20 +304,22 @@ def _min_on_closure(F: RealForm, I: ProjInterval) -> float:
     return min(vals)
 
 
-def form_values(F: RealForm, ms: np.ndarray, ns: np.ndarray) -> np.ndarray:
+def form_values(F: RealForm, ms: np.ndarray, ns: np.ndarray, bound: int | None = None) -> np.ndarray:
     """F(m, n) = A m^2 + B m n + C n^2 for int64 columns ms, ns, equal to
     the scalar expression element by element: the one evaluation of F(m, n)
     that the scan, ladder_counts and the CLI's value column share.
 
-    Integral F is exact: int64 while coeff * max(|m|, n)^2 < 2^63 (no value
-    becomes a float here), Python ints in an object array beyond.  Real
-    (float) coefficients multiply the float-cast columns in the scalar
+    Integral F is exact: int64 while coeff * bound^2 < 2^63 (no value
+    becomes a float here), Python ints in an object array beyond; bound >=
+    max(|m|, n, 1) is the scan's level-set bound, or else that maximum.
+    Real (float) coefficients multiply the float-cast columns in the scalar
     expression's order, so every value is bit-identical to it (and to
     brute_force_W's), and no int64 square wraps.
     """
     if F.is_integral():
         A, B, C = int(F.A), int(F.B), int(F.C)
-        m, n = _ints((abs(A) + abs(B) + abs(C)) * _absmax(ms, ns) ** 2, ms, ns, floats=False)
+        bound = bound or _absmax(ms, ns)
+        m, n = _ints((abs(A) + abs(B) + abs(C)) * bound**2, ms, ns, floats=False)
         return A * m * m + B * m * n + C * (n * n)
     m, n = ms.astype(float), ns.astype(float)
     return F.A * m * m + F.B * m * n + F.C * n * n
@@ -357,30 +365,31 @@ def _run_scan(
     delta: float,
     I: ProjInterval,
     n_max: int,
-) -> tuple[np.ndarray, np.ndarray, int]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
     """All reduced (m, n) with 1 <= n <= n_max, m/n in I and
-    0 < F(m, n) <= delta, as int64 columns (ms, ns) ordered by n, then m;
-    plus the count of float values within TIE_REL of delta (boundary ties;
-    integral forms have none).
+    0 < F(m, n) <= delta, as int64 columns (ms, ns) ordered by n, then m,
+    and their column t = ms / ns; plus the count of float values within
+    TIE_REL of delta (boundary ties; integral forms have none).
 
-    The m-ranges of each block of n come from one vectorised pass
-    (_level_spans), and _expand tests their candidates chunk by chunk.
+    The m-ranges of each block of n and the bound form_values takes come
+    from one vectorised pass (_level_spans), and _expand tests their
+    candidates chunk by chunk; t, divided once there, goes to _sort_along.
     """
     F = case.F
-    ipieces = I.pieces()
-    out_m, out_n = [_NO_INTS], [_NO_INTS]
+    pieces = np.array(I.pieces()).T[:, None, :]
+    out = []
     ties = 0
-    blocks = (_level_spans(case, n, delta, ipieces) for n in _upto(n_max))
-    for (ns,), ms in _expand(blocks, n_max, _SCAN_WORK, F, I, delta, n_max):
-        vals = form_values(F, ms, ns)
+    blocks = (_level_spans(case, n, delta, pieces) for n in _upto(n_max))
+    for (ns,), ms, bound in _expand(blocks, n_max, _SCAN_WORK, F, I, delta, n_max):
+        vals = form_values(F, ms, ns, bound)
         ok = (vals > 0) & _at_most(vals, delta)
         if not integral:
             ties += int((np.abs(vals - delta) < TIE_REL * delta).sum())
-        # m / n rounds as the scalar's does for |m|, n < 2^53
-        ok &= (np.gcd(ms, ns) == 1) & I.contains(ms / ns)
-        out_m.append(ms[ok])
-        out_n.append(ns[ok])
-    return np.concatenate(out_m), np.concatenate(out_n), ties
+        t = ms / ns  # rounds as the scalar m / n does for |m|, n < 2^53
+        ok &= (np.gcd(ms, ns) == 1) & I.contains(t)
+        out.append((ms[ok], ns[ok], t[ok]))
+    ms, ns, t = out[0] if len(out) == 1 else map(np.concatenate, zip(*out))
+    return ms, ns, t, ties
 
 
 def _upto(top: int) -> Iterator[np.ndarray]:
@@ -389,25 +398,25 @@ def _upto(top: int) -> Iterator[np.ndarray]:
         yield np.arange(v0, min(v0 + _BLOCK, top + 1), dtype=np.int64)
 
 
-def _expand(blocks: Iterable, start: float, what: str, *args) -> Iterator[tuple[list[np.ndarray], np.ndarray]]:
-    """The one blocked loop of every scan.  Each block (rows, lo, hi) holds
-    ranges [lo, hi] and columns rows with one entry per range; their integers
-    v come in order, in chunks of at most _BLOCK (one empty chunk if there
-    are none) as ([row[s], ...], v), row[s] the entries of v's range.  Before
-    a block is expanded, start plus the count of integers so far (a float
-    sum, which cannot wrap) passes _guard, named by what.format(*args, count)."""
+def _expand(blocks: Iterable, start: float, what: str, *args) -> Iterator[tuple]:
+    """The one blocked loop of every scan.  Each block (rows, lo, hi, *rest)
+    holds ranges [lo, hi] and columns rows with one entry per range; their
+    integers v come in order, in chunks of at most _BLOCK (one empty chunk if
+    there are none) as ([row[s], ...], v, *rest), row[s] the entries of v's
+    range.  Before a block is expanded, start plus the count of integers so
+    far (a float sum, which cannot wrap) passes _guard, named by
+    what.format(*args, count)."""
     count = 0.0
-    for rows, lo, hi in blocks:
+    for rows, lo, hi, *rest in blocks:
         k = np.maximum(hi - lo + 1, 0)
         total = k.sum(dtype=float)
         count += total
         _guard(start + count, what, *args, count)
         n, k = int(total), k.astype(np.int64, copy=False)
-        ends = np.cumsum(k)
+        ends = k.cumsum()
         starts = ends - k
-        if n <= _BLOCK:  # one chunk with no search: 7 % of a small enumerate_W
-            s, v = np.repeat(np.arange(len(k)), k), np.repeat(lo - starts, k) + np.arange(n)
-            yield [row[s] for row in rows], v
+        if n <= _BLOCK:  # one chunk, repeated by k with no search
+            yield [row.repeat(k) for row in rows], (lo - starts).repeat(k) + np.arange(n), *rest
             continue
         for p0 in range(0, n, _BLOCK):
             p1 = min(p0 + _BLOCK, n)
@@ -415,7 +424,7 @@ def _expand(blocks: Iterable, start: float, what: str, *args) -> Iterator[tuple[
             part = np.minimum(ends[i:j], p1) - np.maximum(starts[i:j], p0)
             s = np.repeat(np.arange(i, j), part)
             v = np.repeat(lo[i:j] - starts[i:j], part) + np.arange(p0, p1)
-            yield [row[s] for row in rows], v
+            yield [row[s] for row in rows], v, *rest
 
 
 def _guard(count: float, what: str, *args) -> None:
@@ -425,11 +434,10 @@ def _guard(count: float, what: str, *args) -> None:
 
 
 def _sort_along(
-    I: ProjInterval, ms: np.ndarray, ns: np.ndarray
+    I: ProjInterval, ms: np.ndarray, ns: np.ndarray, t: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Columns (ms, ns, t = ms / ns) stably sorted by t along I: a wrapping
-    interval runs lo -> +inf first, then -inf -> hi."""
-    t = ms / ns
+    """_run_scan's columns (ms, ns, t = ms / ns) stably sorted by t along I:
+    a wrapping interval runs lo -> +inf first, then -inf -> hi."""
     order = np.lexsort((t, t < I.lo)) if I.wraps else np.argsort(t, kind="stable")
     return ms[order], ns[order], t[order]
 
@@ -461,8 +469,7 @@ def _scan_window(
     gives it, with n bounded by the minimum of F on the closure of I, which
     must be positive.  I = None is the whole positivity region of an integral
     F, roots included, where _region_n_max bounds n."""
-    if not math.isfinite(delta):
-        raise DomainError(f"delta must be finite, got {delta}")
+    _check_delta(delta)
     F, n_max = case.F, 0
     if I is None:
         pos = case.pos
@@ -478,8 +485,8 @@ def _scan_window(
     if n_max < 1:
         return _NO_INTS, _NO_INTS, _NO_FLOATS, 0
     _guard(n_max, _SCAN_WORK, F, I, delta, n_max, 0)
-    ms, ns, ties = _run_scan(case, F.is_integral(), delta, I, n_max)
-    return (*_sort_along(I, ms, ns), ties)
+    ms, ns, t, ties = _run_scan(case, F.is_integral(), delta, I, n_max)
+    return (*_sort_along(I, ms, ns, t), ties)
 
 
 def _region_n_max(case: QuadCase, delta: float) -> int:
@@ -507,6 +514,7 @@ def _region_n_max(case: QuadCase, delta: float) -> int:
 
 def brute_force_W(F: RealForm, delta: float, I: ProjInterval) -> list[Frac]:
     """Naive double-loop oracle for enumerate_W.  Guarded to delta <= 10^6."""
+    _check_delta(delta)
     if delta > BRUTE_GUARD:
         raise GuardExceeded(f"brute force refuses delta > {BRUTE_GUARD}")
     if delta <= 0:
@@ -590,6 +598,7 @@ def equid_report(
         raise ValueError("need at least 2 buckets")
     if buckets > BUCKET_GUARD:
         raise GuardExceeded(f"{buckets} buckets requested; at most {BUCKET_GUARD}")
+    _check_delta(delta)
     if delta <= 0:
         return EnumReport(0, 0.0, 0.0, 0.0, [(0, 0.0)] * buckets, 0.0, 0,
                           _NO_INTS, _NO_INTS, _NO_FLOATS)

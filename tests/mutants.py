@@ -63,8 +63,15 @@ ROWS = [
     ("geodesic_enum", "num, den = s, np.sqrt(s * s - float(D))",
      "num, den = s, np.sqrt(4 * float(F.A) * ((float(F.A) * t + float(F.B)) * t + float(F.C)))",
      "tests/test_geodesic_enum.py::test_rm_through_translated_point_keeps_its_curves_and_angles"),
-    # the scan loop's one-chunk path
+    # the scan loop's one-chunk path, the scan's bound on |m| and n without
+    # the pad's +1, the merge of two ranges per n skipped, and the columns
+    # of the first chunk returned as the whole scan
     ("linnik", "if n <= _BLOCK:", "if n <= 2 * _BLOCK:", "tests/test_linnik.py::test_ranges_split_across_blocks"),
+    ("linnik", "max(int(reach) + 1, int(n[-1]))", "max(int(reach), int(n[-1]))",
+     "tests/test_linnik.py::test_form_values_with_the_scans_bound_are_exact_past_2_63"),
+    ("linnik", "if L.shape[1] > 1:", "if L.shape[1] > 2:", "tests/test_linnik.py::test_overlapping_pieces_counted_once"),
+    ("linnik", "if len(out) == 1", "if len(out) >= 1",
+     "tests/test_linnik.py::test_enumerate_matches_brute_force_across_blocks"),
     # the rows of the Bezout map and the exact x -> t inverse of the arc ends
     ("geodesic_enum", "(0, R // S, -Q // S)", "(0, R // S, Q // S)",
      "tests/test_geodesic_enum.py::test_build_param_examples"),

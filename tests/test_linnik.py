@@ -250,11 +250,14 @@ def test_residual_normalization_bound():
 
 
 def test_non_finite_delta_rejected():
-    for delta in (INF, math.nan):
-        with pytest.raises(DomainError):
-            enumerate_W(RealForm(1, 0, 1), delta, ProjInterval(0, 1))
-        with pytest.raises(DomainError):
-            equid_report(RealForm(1, 0, 1), delta, ProjInterval(0, 1), 4)
+    # predicted_count returned nan and inf, equid_report at -inf an empty
+    # report and brute_force_W at nan a ValueError, before they refused a
+    # non-finite delta as the scan does
+    F, I = RealForm(1, 0, 1), ProjInterval(0, 1)
+    for delta in (INF, -INF, math.nan):
+        for call in (enumerate_W, predicted_count, brute_force_W, lambda F, d, I: equid_report(F, d, I, 4)):
+            with pytest.raises(DomainError, match=f"delta must be finite, got {delta}"):
+                call(F, delta, I)
 
 
 def test_boundary_tie_flagging():
@@ -299,6 +302,44 @@ def test_form_values_match_scalar_expression(A, B, C, big, dtype):
     want = [A * m * m + B * m * n + C * n * n for m, n in zip(ms.tolist(), ns.tolist())]
     assert got.tolist() == want
     assert [type(v) for v in got.tolist()] == [type(v) for v in want]
+
+
+@st.composite
+def _scan_past_int64(draw):
+    """A definite integral form A t^2 + C and a window of width at most 8
+    ending at +-m0, 2^11 <= m0 <= 2^12, where the scan's values pass 2^63.
+    Either A and C are anywhere up to 2^50, or A is the least (or nearly)
+    with A (m0 + 1)^2 >= 2^63 and C is small: then coeff * m0^2 < 2^63, and
+    only the pad m0 + 1 of the level set's range passes 2^63."""
+    m0 = draw(st.integers(2**11, 2**12))
+    if draw(st.booleans()):
+        A, C = -(-(2**63) // (m0 + 1) ** 2) + draw(st.integers(0, 3)), draw(st.integers(1, 2**20))
+    else:
+        A, C = draw(st.integers(2**41, 2**50)), draw(st.integers(1, 2**50))
+    sign, width = draw(st.sampled_from([1, -1])), draw(st.integers(1, 8))
+    ends = sorted((sign * m0, sign * (m0 - width)))
+    return RealForm(A, 0, C), ProjInterval(*ends)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_form_values_with_the_scans_bound_are_exact_past_2_63(data):
+    """form_values with the bound that _level_spans gives the scan equals
+    the Python-int value of every candidate, the padded ends included, and
+    the scan finds what it finds with form_values's own bound."""
+    F, I = data.draw(_scan_past_int64())
+    A, C, m0 = int(F.A), int(F.C), int(max(-I.lo, I.hi))
+    delta = 2.0 * A * m0**2 + C  # the level set covers I at n = 1 only
+    pieces = np.array(I.pieces()).T[:, None, :]
+    spans = linnik._level_spans(linnik.QuadCase.of(F), np.arange(1, 4), delta, pieces)
+    assert spans[-1] == m0 + 1  # the reach m0, +1 for the pad
+    for (ns,), ms, bound in linnik._expand([spans], 0, "test"):
+        got = form_values(F, ms, ns, bound)
+        want = [A * m * m + C * n * n for m, n in zip(ms.tolist(), ns.tolist())]
+        assert max(want) >= 2**63 and got.tolist() == want
+    got = enumerate_W(F, delta, I)
+    with mock.patch.object(linnik, "form_values", lambda F, ms, ns, bound: form_values(F, ms, ns)):
+        assert got and enumerate_W(F, delta, I) == got
 
 
 # offsets from a root or a finite endpoint, in eighths

@@ -204,6 +204,15 @@ def test_one_integer_map_per_geodesic_family():
     assert not defined["fundamental_arc"]
 
 
+def test_a_small_scan_pays_its_fixed_cost_once():
+    """_level_spans meets the level set and I's pieces by broadcasting, with
+    no loop over piece pairs; _sort_along sorts the t that _run_scan
+    divided for its window test, and divides nothing itself."""
+    assert not _nodes("linnik", "_level_spans", (ast.For, ast.While, ast.comprehension))
+    divisions = [n for n in _nodes("linnik", "_sort_along", ast.BinOp) if isinstance(n.op, (ast.Div, ast.FloorDiv))]
+    assert not divisions
+
+
 def test_every_export_is_called_used_by_the_benchmark_or_listed():
     """Each name that linnikgeo/__init__.py imports is called in src/
     outside its own definition, or used by bench/, or listed in the
