@@ -42,14 +42,6 @@ def _fmt(x: float) -> str:
     return f"{x:.9g}"
 
 
-def _interval(args) -> ProjInterval:
-    if args.wrap:
-        if not args.lo > args.hi:
-            raise ValueError("--wrap expects lo > hi")
-        return ProjInterval(args.lo, args.hi, True)
-    return ProjInterval(args.lo, args.hi)
-
-
 def _write(path: str | None, text: str) -> None:
     if path is None:
         sys.stdout.write(text)
@@ -64,7 +56,7 @@ def _write(path: str | None, text: str) -> None:
 
 def cmd_wset(args) -> int:
     F = RealForm(args.A, args.B, args.C)
-    I = _interval(args)
+    I = ProjInterval(args.lo, args.hi, args.wrap)
     report = equid_report(F, args.delta, I, args.buckets)
     cols = (report.ms.tolist(), report.ns.tolist(), report.t.tolist(),
             form_values(F, report.ms, report.ns).tolist())
@@ -119,7 +111,7 @@ def cmd_verify(args) -> int:
         raise ValueError("--delta-ladder values must exceed 1")
     if math.isnan(args.tol):
         raise ValueError("--tol must be a number, got nan")
-    I = _interval(args)
+    I = ProjInterval(args.lo, args.hi, args.wrap)
     mu = mu_integral(F, I)
     failures = 0
     for delta, empirical in zip(args.delta_ladder, ladder_counts(F, args.delta_ladder, I)):

@@ -33,6 +33,7 @@ from .linnik import (
     ProjInterval,
     QuadCase,
     _absmax,
+    _check_delta,
     _expand,
     _guard,
     _int_dtype,
@@ -151,10 +152,7 @@ def t_of_coord(param: GeodesicParam, coord: float) -> float:
     if param.mode == CM_ON_G:
         s = math.sqrt(D) * math.cos(coord)
     elif param.mode == RM_PERP_G:
-        c = math.cos(coord)
-        if c == 0:
-            raise DomainError("theta = pi/2 maps to t = infinity")
-        s = -math.sqrt(D) / c
+        s = -math.sqrt(D) / math.cos(coord)  # cos of a double is never 0
     else:
         s = math.sqrt(-D) / math.tan(coord)
     return (s - F.B) / (2 * F.A)
@@ -287,7 +285,7 @@ def _check_cols(record: type, cols: list[np.ndarray]) -> np.ndarray:
     d = b * b - 4 * a * c
     bad = ((a < 1) | (d >= 0)) if cm else ((a == 0) | (d <= 0))
     if record is RMPerpGeodesic:
-        bad |= ~(cols[7] > 0)
+        bad |= ~(np.isfinite(cols[6]) & np.isfinite(cols[7]) & (cols[7] > 0))
     rows = np.flatnonzero(bad)
     if len(rows):
         # the first failing row's constructors raise their own error
@@ -404,8 +402,6 @@ def enum_cm_in_ball(
     One column pass in blocks (_pairs, _ball_points), then the angles
     (ang_p's) of the points, sorted by (a, b, c).
     """
-    if not s0 > 0:
-        raise ValueError("need s0 > 0")
     if (D is None) == (delta is None):
         raise ValueError("give exactly one of D, delta")
     if D is not None:
@@ -414,8 +410,8 @@ def enum_cm_in_ball(
         D = int(D)
         if D >= 0:
             raise WrongDiscriminantSign("need D < 0")
-    if delta is not None and not math.isfinite(delta):
-        raise DomainError(f"delta must be finite, got {delta}")
+    if delta is not None:
+        _check_delta(delta)
     be: BallE = ball(z0, s0)
     x0, y0, re = be.center.x, be.center.y, be.radius_euclid
     d_max = -D if D is not None else math.floor(delta)
@@ -474,8 +470,7 @@ def enum_cm_on_im1(delta: float, x_lo: float, x_hi: float) -> list[CMPoint]:
     in blocks of n (_im1_points) and sorted by Re z = -b / 2a, ties in
     (a, b) order.
     """
-    if not math.isfinite(delta):
-        raise DomainError(f"delta must be finite, got {delta}")
+    _check_delta(delta)
     if not (math.isfinite(x_lo) and math.isfinite(x_hi)):
         raise DomainError(f"the window [{x_lo}, {x_hi}] is not a pair of numbers with finite ends")
     if delta < 4:  # |D| = 4 n^4 >= 4

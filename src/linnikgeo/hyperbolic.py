@@ -31,8 +31,8 @@ class PointH:
     y: float
 
     def __post_init__(self):
-        if not self.y > 0:
-            raise ValueError(f"point must have y > 0, got y={self.y}")
+        if not (math.isfinite(self.x) and 0 < self.y < math.inf):
+            raise ValueError(f"point must have a finite x and a finite y > 0, got ({self.x}, {self.y})")
 
     def as_complex(self) -> complex:
         return complex(self.x, self.y)
@@ -78,9 +78,11 @@ def _ball_angles(p: PointH, zx: np.ndarray, zy: np.ndarray) -> np.ndarray:
 
 
 def ball(z0: PointH, s0: float) -> BallE:
-    """Hyperbolic ball of radius s0 about z0, as a Euclidean disk."""
-    if not s0 > 0:
-        raise ValueError("ball radius must be positive")
+    """Hyperbolic ball of radius s0 about z0, as a Euclidean disk.  The radius
+    needs 0 < tanh s0 < 1 in floats (s0 < 19.06), checked before cosh, which
+    overflows past s0 = 710; BallE refuses s0 from 18.7 at z0.y = 1."""
+    if not 0 < math.tanh(s0) < 1:
+        raise ValueError(f"ball radius must be in (0, 19.06), where tanh rounds below 1, got {s0}")
     return BallE(
         center=PointH(z0.x, z0.y * math.cosh(s0)),
         radius_euclid=z0.y * math.sinh(s0),
@@ -90,11 +92,12 @@ def ball(z0: PointH, s0: float) -> BallE:
 def sector_area(z0: PointH, s0: float, theta1: float, theta2: float) -> float:
     """Hyperbolic area of the angular sector of a ball: (th2-th1)(cosh s0 - 1).
 
-    Independent of the center z0 (kept in the signature for symmetry with the
-    sector definition).
+    Independent of the center z0, which with s0 must make a ball that ball()
+    accepts: its check refuses the radius.
     """
     if not (0 <= theta1 <= theta2 <= 2 * math.pi + 1e-12):
         raise BadAngleOrder(f"need 0 <= {theta1} <= {theta2} <= 2*pi")
+    ball(z0, s0)
     return (theta2 - theta1) * (math.cosh(s0) - 1.0)
 
 

@@ -54,7 +54,8 @@ class ProjInterval:
     """Subinterval of the projectively extended real line.
 
     wraps=True means the interval runs lo -> +inf, then continues from
-    -inf -> hi.  Endpoints may be +-inf only in the non-wrapping case.
+    -inf -> hi, with finite ends lo > hi so that the pieces do not overlap.
+    Endpoints may be +-inf only in the non-wrapping case, and never nan.
     """
 
     lo: float
@@ -63,10 +64,10 @@ class ProjInterval:
 
     def __post_init__(self):
         if self.wraps:
-            if math.isinf(self.lo) or math.isinf(self.hi):
-                raise ValueError("wrapping interval needs finite endpoints")
-        elif self.lo > self.hi:
-            raise ValueError("need lo <= hi (pass wraps=True to go through inf)")
+            if not INF > self.lo > self.hi > -INF:
+                raise ValueError(f"a wrapping interval needs finite ends with lo > hi, got {self.lo}, {self.hi}")
+        elif not self.lo <= self.hi:
+            raise ValueError(f"need lo <= hi, got {self.lo}, {self.hi} (pass wraps=True to go through inf)")
 
     def contains(self, t: float | np.ndarray) -> bool | np.ndarray:
         """t in I, for a float t or elementwise for a column of them."""
@@ -289,18 +290,13 @@ def predicted_count(F: RealForm, delta: float, I: ProjInterval) -> float:
 
 
 def _min_on_closure(F: RealForm, I: ProjInterval) -> float:
-    """min of F over the closure of I (inf at infinite endpoints when A > 0)."""
-    vals = []
-    for e in (I.lo, I.hi):
-        v = F.value(e)
-        if not math.isinf(v):
-            vals.append(v)
+    """min of F over the closure of I, at an end or the vertex: +inf at an
+    infinite end of an I that _check_interval passes, and where F overflows."""
+    vals = [F.value(I.lo), F.value(I.hi)]
     if F.A != 0:
         vtx = -F.B / (2 * F.A)
         if I.contains(vtx):
             vals.append(F.value(vtx))
-    if not vals:
-        raise UnboundedDivergence(f"no finite minimum of {F} on {I}")
     return min(vals)
 
 
@@ -352,8 +348,8 @@ def _at_most(vals: np.ndarray, delta: float) -> np.ndarray:
 def ladder_counts(F: RealForm, deltas: list[float], I: ProjInterval) -> list[int]:
     """len(W_delta) on I for each delta, from one enumeration at the largest:
     a rung counts the pairs whose value the scan's test puts at most delta."""
-    if not all(map(math.isfinite, deltas)):
-        raise DomainError(f"deltas must be finite, got {deltas}")
+    for delta in deltas:
+        _check_delta(delta)
     ms, ns, _, _ = _enumerate_with_ties(F, max(deltas, default=0), I)
     vals = form_values(F, ms, ns)
     return [int(_at_most(vals, delta).sum()) for delta in deltas]
@@ -471,10 +467,10 @@ def _scan_window(
     F, roots included, where _region_n_max bounds n."""
     _check_delta(delta)
     F, n_max = case.F, 0
-    if I is None:
+    if I is None:  # n_max first: _region_n_max refuses a double root, where I could not wrap
+        n_max = _region_n_max(case, delta) if delta >= 1 else 0
         pos = case.pos
         I = ProjInterval(*pos[0]) if len(pos) == 1 else ProjInterval(pos[1][0], pos[0][1], True)
-        n_max = _region_n_max(case, delta) if delta >= 1 else 0
     elif delta > 0:
         minF = _min_on_closure(F, I)
         if minF <= 0:

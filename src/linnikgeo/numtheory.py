@@ -45,9 +45,7 @@ def phi_sieve(T: int) -> PhiTable:
     The int32 table is built block by block, so the working memory is the
     table (4 bytes per entry) plus one block of _SEG entries.
     """
-    if T < 1:
-        raise LimitTooLarge(f"sieve limit must be in [1, {SIEVE_LIMIT}]")
-    return PhiTable(T, _phi_upto(T))
+    return PhiTable(T, _phi_for(T, None))
 
 
 def _sieved(name: str, T: int, dtype, fill) -> np.ndarray:
@@ -105,7 +103,9 @@ def _block_sum(values: np.ndarray, lo: int, hi: int, term) -> float:
 
 
 def _phi_for(T: int, table: PhiTable | None) -> np.ndarray:
-    """phi of 0..T or more: the table's values if it reaches T, else the cache's."""
+    """phi of 0..T or more, T >= 1: the table's values if it reaches T, else the cache's."""
+    if T < 1:
+        raise LimitTooLarge(f"totient limit must be in [1, {SIEVE_LIMIT}], got {T}")
     return table.values if table is not None and table.limit >= T else _phi_upto(T)
 
 
@@ -285,7 +285,10 @@ def _reduce(z: PointH | complex) -> tuple[complex, tuple[tuple[int, int], tuple[
         raise ValueError("point must be in the upper half-plane")
     a, b, c, d = 1, 0, 0, 1
     for _ in range(10**4):
-        n = round(w.real)
+        try:
+            n = round(w.real)
+        except (ValueError, OverflowError):  # nan, +-inf
+            raise DomainError(f"point must be finite, got {z}") from None
         if n != 0:
             w -= n
             a, b = a - n * c, b - n * d

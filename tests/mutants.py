@@ -77,6 +77,35 @@ ROWS = [
      "tests/test_geodesic_enum.py::test_build_param_examples"),
     ("geodesic_enum", "-(2 * param.u[0] * x + param.u[1])", "-(2 * param.u[0] * x - param.u[1])",
      "tests/test_cycles.py::test_fundamental_arc_length"),
+    # the scan's level-set roots from B^2 - 4A(C - K), which cancels; a guard
+    # that lets a nan count through; one 2^53 limit for every use of
+    # _int_dtype; the chunks of a block expanded last to first
+    ("linnik", "disc = case.D + 4 * A * K", "disc = B * B - 4 * A * (C - K)",
+     "tests/test_geodesic_enum.py::test_level_set_roots_from_the_exact_discriminant"),
+    ("linnik", "if not count <= SCAN_GUARD:", "if count > SCAN_GUARD:",
+     "tests/test_linnik.py::test_guard_refuses_a_nan_count"),
+    ("linnik", "(2**53 if floats else 2**63)", "2**53",
+     "tests/test_linnik.py::test_int_policy_switches_to_python_ints_at_2_53"),
+    ("linnik", "for p0 in range(0, n, _BLOCK):", "for p0 in reversed(range(0, n, _BLOCK)):",
+     "tests/test_geodesic_enum.py::test_ball_im1_and_geodesic_scans_cross_block_cuts"),
+    # each input checked by what owns it: a wrap that may overlap, the
+    # totient entry letting T = 0 through, the region's interval built before
+    # _region_n_max refuses a double root, a foot with an infinite x, and
+    # _min_on_closure dropping the ends whose value overflows
+    ("linnik", "if not INF > self.lo > self.hi > -INF:", "if not (INF > self.lo and self.hi > -INF):",
+     "tests/test_linnik.py::test_wrapping_interval_needs_finite_ends_with_lo_above_hi"),
+    ("numtheory", "    if T < 1:\n", "    if T < 0:\n",
+     "tests/test_numtheory.py::test_totient_limit_below_one_is_refused_at_the_one_entry"),
+    ("linnik", "        n_max = _region_n_max(case, delta) if delta >= 1 else 0\n"
+     "        pos = case.pos\n        I = ProjInterval(*pos[0]) if len(pos) == 1 else ProjInterval(pos[1][0], pos[0][1], True)\n",
+     "        pos = case.pos\n        I = ProjInterval(*pos[0]) if len(pos) == 1 else ProjInterval(pos[1][0], pos[0][1], True)\n"
+     "        n_max = _region_n_max(case, delta) if delta >= 1 else 0\n",
+     "tests/test_linnik.py::test_whole_positivity_region_needs_an_integral_form_and_rational_roots"),
+    ("geodesic_enum", "~(np.isfinite(cols[6]) & np.isfinite(cols[7]) & (cols[7] > 0))", "~(cols[7] > 0)",
+     "tests/test_geodesic_enum.py::test_builder_rejects_rows_as_the_constructors_do"),
+    ("linnik", "vals = [F.value(I.lo), F.value(I.hi)]",
+     "vals = [v for v in (F.value(I.lo), F.value(I.hi)) if not math.isinf(v)]",
+     "tests/test_linnik.py::test_window_whose_ends_overflow_F_is_empty"),
 ]
 
 

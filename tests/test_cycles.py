@@ -477,3 +477,17 @@ def test_cycle_value_enumerates_once(monkeypatch):
         assert len(calls) == 1 and calls[0][1] == max(ladder)
         assert estimates == singles
         assert [v for _, v in estimates] == by_records
+
+
+def test_j_refuses_non_finite_points():
+    """Re z = +-inf raised a bare OverflowError and nan "cannot convert float
+    NaN to integer"; the reduction refuses both."""
+    for z in (complex(math.inf, 1), complex(-math.inf, 1), complex(math.nan, 1)):
+        with pytest.raises(DomainError, match="point must be finite"):
+            j_invariant(z)
+
+
+def test_cm_count_below_delta_one_is_empty():
+    cg = closed_geodesic(IntForm(1, 1, -1))
+    assert cm_count_closed(cg, 0.5) == (0, 0.0)
+    assert cm_on_fundamental_arc(cg, 0.5) == []

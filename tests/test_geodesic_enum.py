@@ -434,14 +434,15 @@ def test_column_builders_match_scalar_reference():
 
 
 def test_non_finite_delta_rejected():
-    for delta in (math.inf, math.nan):
+    for delta in (math.inf, -math.inf, math.nan):
         with pytest.raises(DomainError):
             enum_cm_on_geodesic(IntForm(1, 1, -1), delta, arc=(0.5, 2.0))
         with pytest.raises(DomainError):
             enum_rm_through_point(IntForm(1, 0, 1), delta)
-        with pytest.raises(DomainError):
+        # the ball and Im z = 1 refuse through the scan's own _check_delta
+        with pytest.raises(DomainError, match=f"^delta must be finite, got {delta}$"):
             enum_cm_in_ball(PointH(0.0, 1.0), 0.5, delta=delta)
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match=f"^delta must be finite, got {delta}$"):
             enum_cm_on_im1(delta, -1, 1)
 
 
@@ -547,6 +548,8 @@ def test_builder_rejects_rows_as_the_constructors_do():
         (RMThroughPoint, ok_rm + frac + (1.0,), (0, 1, 1) + frac + (1.0,), lambda: RMCurve(IntForm(0, 1, 1))),
         (RMPerpGeodesic, ok_rm + frac + foot + (1.0,), ok_rm + frac + (0.0, 0.0, 1.0), lambda: PointH(0.0, 0.0)),
         (RMPerpGeodesic, ok_rm + frac + foot + (1.0,), ok_rm + frac + (0.0, math.nan, 1.0), lambda: PointH(0.0, math.nan)),
+        (RMPerpGeodesic, ok_rm + frac + foot + (1.0,), ok_rm + frac + (math.inf, 1.0, 1.0), lambda: PointH(math.inf, 1.0)),
+        (RMPerpGeodesic, ok_rm + frac + foot + (1.0,), ok_rm + frac + (0.0, math.inf, 1.0), lambda: PointH(0.0, math.inf)),
     ]:
         with pytest.raises(Exception) as ref:
             ctor()
@@ -914,3 +917,14 @@ def test_level_set_roots_from_the_exact_discriminant():
     which cancels for large k: 877 curves at k = 2^26 + 1."""
     for k in (0, 2**20 + 1, 2**26 + 1):
         assert len(enum_rm_through_point(IntForm(1, 2 * k, k * k + 1), 2000)) == 957
+
+
+def test_ball_enumerator_refuses_through_point_and_ball():
+    """enum_cm_in_ball keeps no check of its own on s0: a nan centre (it
+    reported "up to nan (a, b) pairs"), a radius whose cosh overflows (a
+    bare OverflowError) and a non-positive one are refused by PointH and ball."""
+    with pytest.raises(ValueError, match="point must have a finite x"):
+        enum_cm_in_ball(PointH(math.nan, 1), 1.0, delta=100)
+    for s0 in (800, -1, 0, math.nan):
+        with pytest.raises(ValueError, match="ball radius must be in"):
+            enum_cm_in_ball(PointH(0, 1), s0, delta=10)

@@ -95,3 +95,22 @@ def test_perp_foot():
     assert math.isclose(f.x**2 + f.y**2, 1, rel_tol=1e-12)
     q, r = -2.0, math.sqrt(12) / 2
     assert math.isclose((f.x - q) ** 2 + f.y**2, r * r, rel_tol=1e-12)
+
+
+def test_point_refuses_non_finite_coordinates():
+    for x, y in ((math.nan, 1), (math.inf, 1), (-math.inf, 1), (0, math.inf), (0, math.nan), (0, 0), (0, -1)):
+        with pytest.raises(ValueError, match="point must have a finite x and a finite y > 0"):
+            PointH(x, y)
+
+
+def test_ball_and_sector_refuse_the_same_radii():
+    """ball checks 0 < tanh s0 < 1 before cosh, which overflowed past 710;
+    sector_area goes through that check (it returned 0.543 at s0 = -1)."""
+    for s0 in (-1, 0, 800, 19.1, math.inf, math.nan):
+        for call in (lambda: ball(PointH(0, 1), s0), lambda: sector_area(PointH(0, 1), s0, 0, 1)):
+            with pytest.raises(ValueError, match="ball radius must be in"):
+                call()
+    # at y0 = 1 sinh and cosh round equal from s0 = 18.7: BallE refuses
+    with pytest.raises(ValueError, match="euclidean radius"):
+        ball(PointH(0, 1), 18.8)
+    assert sector_area(PointH(0, 1), 18.6, 0, 1) == math.cosh(18.6) - 1

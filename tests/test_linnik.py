@@ -255,7 +255,8 @@ def test_non_finite_delta_rejected():
     # non-finite delta as the scan does
     F, I = RealForm(1, 0, 1), ProjInterval(0, 1)
     for delta in (INF, -INF, math.nan):
-        for call in (enumerate_W, predicted_count, brute_force_W, lambda F, d, I: equid_report(F, d, I, 4)):
+        for call in (enumerate_W, predicted_count, brute_force_W, lambda F, d, I: equid_report(F, d, I, 4),
+                     lambda F, d, I: linnik.ladder_counts(F, [100, d], I)):
             with pytest.raises(DomainError, match=f"delta must be finite, got {delta}"):
                 call(F, delta, I)
 
@@ -600,3 +601,27 @@ def test_ranges_split_across_blocks(monkeypatch):
     monkeypatch.setattr(linnik, "SCAN_GUARD", len(want_v) - 1)
     with pytest.raises(GuardExceeded, match=f"test {len(want_v):.0f}"):
         list(linnik._expand([([rows], lo, hi)], 0, "test {:.0f}"))
+
+
+def test_wrapping_interval_needs_finite_ends_with_lo_above_hi():
+    """ProjInterval refuses for every caller what only the CLI refused: a
+    wrap whose pieces overlap (predicted_count counted [0, 1] twice, mu =
+    3.927, for (0, 1, wraps=True)), and a nan end on either kind."""
+    for lo, hi in ((0, 1), (1, 1), (INF, 0), (1, -INF), (math.nan, 0), (0, math.nan)):
+        with pytest.raises(ValueError, match="wrapping interval needs finite ends with lo > hi"):
+            ProjInterval(lo, hi, True)
+    for lo, hi in ((math.nan, 1), (0, math.nan), (math.nan, math.nan), (1, 0)):
+        with pytest.raises(ValueError, match="need lo <= hi"):
+            ProjInterval(lo, hi)
+    assert ProjInterval(1, 0.5, True).pieces() == [(1, INF), (-INF, 0.5)]
+
+
+def test_window_whose_ends_overflow_F_is_empty():
+    """F(1e200) overflows to inf at both ends of a window inside {F > 0}:
+    no m/n there has F(m, n) <= delta, so the set is empty (the minimum
+    over the closure is +inf), not refused for want of a finite minimum."""
+    F, I = RealForm(1, 0, 1), ProjInterval(1e200, 1e201)
+    assert enumerate_W(F, 10, I) == []
+    assert brute_force_W(F, 10, I) == []
+    assert linnik._min_on_closure(F, I) == INF
+    assert linnik._min_on_closure(F, ProjInterval(-1e200, 1e200)) == 1

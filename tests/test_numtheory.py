@@ -382,3 +382,49 @@ def test_is_fundamental_discriminant():
         assert is_fundamental_discriminant(D)
     for D in (-12, -9, -16, -25, -27, -28, 5, 0):
         assert not is_fundamental_discriminant(D)
+
+
+def test_totient_limit_below_one_is_refused_at_the_one_entry():
+    """_phi_for refuses T < 1 for phi_sieve and every sum: sum_phi(-5, table)
+    summed values[1:-4], phi(1..96) = 2806, and sum_phi_over_n2(0) raised a
+    bare math domain error."""
+    table = phi_sieve(100)
+    for call in (
+        lambda: sum_phi(-5, table),
+        lambda: sum_phi(0),
+        lambda: sum_phi_over_n(0, table),
+        lambda: sum_phi_over_n2(0),
+        lambda: phi_sieve(0),
+        lambda: phi_sieve(-3),
+    ):
+        with pytest.raises(LimitTooLarge, match=r"totient limit must be in \[1, "):
+            call()
+    assert sum_phi(1, table) == (1, 3 / math.pi**2)
+
+
+def test_sl2z_reduce_refuses_non_finite_points():
+    for z in (complex(math.inf, 1), complex(-math.inf, 1), complex(math.nan, 1), complex(math.inf, math.inf)):
+        with pytest.raises(DomainError, match="point must be finite"):
+            sl2z_reduce(z)
+
+
+def test_pell_log_eps_past_512_bits():
+    """D = 979,969 has t0 of 7,806 bits: log_eps takes log(t0), within
+    1e-15 of log((t0 + u0 sqrt D) / 2) in 100-digit arithmetic."""
+    p = pell_fundamental(979969)
+    assert p.t0.bit_length() == 7806
+    with mpmath.workdps(100):
+        ref = mpmath.log((p.t0 + p.u0 * mpmath.sqrt(p.D)) / 2)
+        assert abs((p.log_eps - ref) / ref) <= 1e-15
+
+
+def test_weighted_sqrt_sum_arctan_bracket_at_s1_zero():
+    """At u = 0 the arctan antiderivative takes its limit pi/2: s1 = 0
+    matches the closed form, and s1 = 1e-18 (the general expression,
+    arctan(1e9)) within the 4e-9 the bracket moves there."""
+    delta = 100
+    exact0, main0 = weighted_sqrt_sum(1, -4, 0, 0.5, delta)
+    exact1, main1 = weighted_sqrt_sum(1, -4, 1e-18, 0.5, delta)
+    # bracket(0.5) = 1 - 2 atan(1), bracket(0) = -pi
+    assert math.isclose(main0, 3 * delta / math.pi**2 * (1 + math.pi / 2), rel_tol=1e-14)
+    assert exact0 == exact1 and 0 < main0 - main1 < 3 * delta / math.pi**2 * 5e-9

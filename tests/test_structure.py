@@ -141,7 +141,7 @@ def test_library_keeps_only_what_it_calls():
                 bound.add(node.id)
     assert not {"tol", "grid", "gridsize", "gamma0"} & params
     assert "_GAMMA0" in bound and "_gamma0_fit" not in bound
-    assert callers["_phi_upto"] == {"numtheory:phi_sieve", "numtheory:_phi_for"}
+    assert callers["_phi_upto"] == {"numtheory:_phi_for"}
     for total in ("sum_phi", "sum_phi_over_n", "sum_phi_over_n2", "weighted_sqrt_sum"):
         assert f"numtheory:{total}" in callers["_phi_for"], total
 
@@ -249,3 +249,27 @@ def test_benchmark_tracer_still_finds_its_functions():
                  if isinstance(n, ast.FunctionDef)}
     assert spans and not [name for name in spans if name not in functions]
     assert _nodes("linnik", "_run_scan", ast.FunctionDef)[0].args.args[4].arg == "n_max"
+
+
+def test_each_input_is_checked_by_what_owns_it():
+    """The finite-delta refusal lives in _check_delta alone; the CLI builds
+    its interval with ProjInterval, which refuses overlapping wraps itself;
+    _min_on_closure and t_of_coord raise nothing; enum_cm_in_ball leaves
+    its radius to ball, and sector_area checks it through ball; phi_sieve
+    and the sums enter the totients through _phi_for."""
+    callers, defined = _scan_source()
+    raises = [(path.stem, m.start()) for path in SRC.glob("*.py")
+              for m in re.finditer(re.escape('DomainError(f"delta must be finite'), path.read_text(encoding="utf-8"))]
+    assert [module for module, _ in raises] == ["linnik"]
+    check = _nodes("linnik", "_check_delta", ast.FunctionDef)[0]
+    assert 'DomainError(f"delta must be finite' in ast.get_source_segment((SRC / "linnik.py").read_text(encoding="utf-8"), check)
+    assert not defined["_interval"]
+    assert {"cli:cmd_wset", "cli:cmd_verify"} <= callers["ProjInterval"]
+    assert not _nodes("linnik", "_min_on_closure", ast.Raise)
+    assert not _nodes("geodesic_enum", "t_of_coord", ast.Raise)
+    s0 = [n for n in _nodes("geodesic_enum", "enum_cm_in_ball", ast.Compare)
+          if "s0" in {m.id for m in ast.walk(n) if isinstance(m, ast.Name)}]
+    assert not s0
+    assert "hyperbolic:sector_area" in callers["ball"] and not defined["_cosh_radius"]
+    assert "numtheory:phi_sieve" in callers["_phi_for"]
+    assert not _nodes("numtheory", "phi_sieve", ast.Raise)
