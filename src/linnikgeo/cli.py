@@ -19,7 +19,7 @@ import numpy as np
 from .errors import GuardExceeded, LimitTooLarge, LinnikError
 from .forms import HalfLine, IntForm, RealForm, Semicircle, geodesic_of_form, normalize
 from .geodesic_enum import CM_ON_G, RM_PERP_G, RM_THROUGH_P, _check_cols, _cm_z_cols, _incident_cols
-from .linnik import ProjInterval, case_tag, count_residual, equid_report, form_values
+from .linnik import ProjInterval, case_tag, count_residual, equid_report
 from .linnik import ladder_counts, mu_integral
 from .cycles import CONSTANT_ONE, J_FUNCTION, _cycle_value, closed_geodesic
 
@@ -58,8 +58,7 @@ def cmd_wset(args) -> int:
     F = RealForm(args.A, args.B, args.C)
     I = ProjInterval(args.lo, args.hi, args.wrap)
     report = equid_report(F, args.delta, I, args.buckets)
-    cols = (report.ms.tolist(), report.ns.tolist(), report.t.tolist(),
-            form_values(F, report.ms, report.ns).tolist())
+    cols = (report.ms.tolist(), report.ns.tolist(), report.t.tolist(), report.values.tolist())
     config = {
         "command": "wset",
         "A": args.A, "B": args.B, "C": args.C,

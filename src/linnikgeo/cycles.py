@@ -33,7 +33,7 @@ from .geodesic_enum import (
     _t_of_x,
     build_param,
 )
-from .linnik import ProjInterval, _absmax, _at_most, _ints, form_values
+from .linnik import ProjInterval, _absmax, _at_most, _ints
 from .hyperbolic import PointH
 from .numtheory import PellSolution, _reduce, pell_fundamental
 
@@ -82,8 +82,8 @@ def _arc_ends(cg: ClosedGeodesic, param: GeodesicParam) -> tuple[Fraction, Fract
 
 def _arc_pairs(
     cg: ClosedGeodesic, delta: float
-) -> tuple[GeodesicParam, np.ndarray, np.ndarray, np.ndarray]:
-    """Columns (ms, ns, ts) of the CM points of |D| <= delta on the
+) -> tuple[GeodesicParam, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Columns (ms, ns, ts, |D|) of the CM points of |D| <= delta on the
     fundamental arc, sorted along the geodesic.
 
     The scan covers the t-window between the ends rounded to floats; correct
@@ -94,13 +94,13 @@ def _arc_pairs(
     param = build_param(cg.form, CM_ON_G)
     e0, e1 = _arc_ends(cg, param)
     lo, hi = sorted((e0, e1))
-    ms, ns, ts = _enum_pairs(param, delta, ProjInterval(float(lo), float(hi)))
+    ms, ns, ts, absd, _ = _enum_pairs(param, delta, ProjInterval(float(lo), float(hi)))
     k = max(abs(e.numerator) + e.denominator for e in (e0, e1))
     m, n = _ints(k * _absmax(ms, ns), ms, ns, floats=False)
     # the sign of m/n - e, by cross-multiplication (n > 0)
     s0, s1 = (m * e.denominator - n * e.numerator for e in (e0, e1))
     keep = (s0 == 0) | ((s0 < 0) & (s1 > 0)) | ((s0 > 0) & (s1 < 0))
-    return param, ms[keep], ns[keep], ts[keep]
+    return param, ms[keep], ns[keep], ts[keep], absd[keep]
 
 
 def cm_on_fundamental_arc(cg: ClosedGeodesic, delta: float) -> list[CMOnGeodesic]:
@@ -111,7 +111,8 @@ def cm_on_fundamental_arc(cg: ClosedGeodesic, delta: float) -> list[CMOnGeodesic
     """
     if delta < 1:
         return []
-    return _build(*_record_cols(*_arc_pairs(cg, delta)))
+    param, ms, ns, ts, _ = _arc_pairs(cg, delta)
+    return _build(*_record_cols(param, ms, ns, ts))
 
 
 def cm_count_closed(cg: ClosedGeodesic, delta: float) -> tuple[int, float]:
@@ -226,10 +227,8 @@ def _cycle_value(
     quadrature = cycle_quadrature(cg, f)
     D = cg.pell.D
     scale_base = 2 * math.pi**2 * math.sqrt(D) / (3 * math.gcd(D, 2))
-    param, ms, ns, _ = _arc_pairs(cg, max(deltas, default=0))
+    param, ms, ns, _, absd = _arc_pairs(cg, max(deltas, default=0))
     a, b, _ = _form_cols(param, ms, ns)
-    # |D| exactly: the scan form's value is minus the discriminant
-    absd = form_values(param.case.F, ms, ns)
     x, y = _cm_z_cols(a, b, absd)
     vals = list(map(f.evaluator, map(complex, x.tolist(), y.tolist())))
     estimates = []

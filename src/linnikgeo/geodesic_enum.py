@@ -212,10 +212,11 @@ class CMInBall(NamedTuple):
     angle: float
 
 
-def _enum_pairs(param: GeodesicParam, delta: float, I: ProjInterval | None) -> tuple[np.ndarray, ...]:
-    """Columns (ms, ns, t = ms / ns) of the incident pairs with t in the
-    window I (all of them when I is None), sorted along t."""
-    return _scan_window(param.case, delta, I)[:3]
+def _enum_pairs(param: GeodesicParam, delta: float, I: ProjInterval | None) -> tuple:
+    """_scan_window's columns (ms, ns, t = ms / ns, |D|) of the incident pairs
+    with t in the window I (all of them when I is None), sorted along t,
+    and its tie count, 0 as the scan form is integral."""
+    return _scan_window(param.case, delta, I)
 
 
 # ---------------------------------------------------------------------------
@@ -332,7 +333,8 @@ def _incident_cols(
     """_record_cols of the forms incident to G in mode with |D| <= delta
     (in the coordinate window arc, if one is given), sorted along t."""
     param = build_param(G, mode)
-    return _record_cols(param, *_enum_pairs(param, delta, _arc_interval(param, arc)))
+    ms, ns, ts, _, _ = _enum_pairs(param, delta, _arc_interval(param, arc))
+    return _record_cols(param, ms, ns, ts)
 
 
 def enum_cm_on_geodesic(
@@ -482,30 +484,31 @@ def enum_cm_on_im1(delta: float, x_lo: float, x_hi: float) -> list[CMPoint]:
     # each n has at most n (x_hi - x_lo) + 1 values of m
     bound = n_max * (n_max + 1) / 2 * (x_hi - x_lo) + n_max
     _guard(bound, "{} has up to {:.0f} (m, n) pairs", what, bound)
-    a, b, c = _im1_points(n_max, x_lo, x_hi, d_max, what)
+    a, b, c = _im1_points(n_max, x_lo, x_hi, what)
     order = np.lexsort((b, a, np.asarray(-b / (2 * a), dtype=float)))
     return _build(CMPoint, [a[order], b[order], c[order]])
 
 
-def _im1_points(n_max: int, lo: float, hi: float, d_max: int, what: str) -> list[np.ndarray]:
+def _im1_points(n_max: int, lo: float, hi: float, what: str) -> list[np.ndarray]:
     """Columns (a, b, c) = (n^2, -2mn, n^2 + m^2) of the coprime (m, n),
-    1 <= n <= n_max, with -b / 2a in [lo, hi], a block of values of n at a
-    time.  The window is the ball's float test on b (_b_ranges), turned into
-    a range of m by exact floor division by 2n; the pairs so far pass _guard
-    before each block of them is tested."""
-
-    def m_ranges():
-        for n in _upto(n_max):
-            b_lo, b_hi = _b_ranges(n * n, lo, hi, d_max)
-            n = n.astype(b_lo.dtype)
-            yield [n], -(b_hi // (2 * n)), -b_lo // (2 * n)
-
+    1 <= n <= n_max, with lo <= m/n <= hi exactly, a block of values of n
+    at a time: m runs from ceil(n lo) to floor(n hi) (_floor_times).  The
+    pairs so far pass _guard before each block of them is tested."""
+    top = n_max * (1 + max(abs(lo), abs(hi))) + 1
+    dt = _int_dtype(top * top)  # bounds n^2, 2 |m| n and n^2 + m^2
+    m_ranges = (([n.astype(dt)], -_floor_times(n, -lo, dt), _floor_times(n, hi, dt)) for n in _upto(n_max))
     out = []
-    for (n,), m in _expand(m_ranges(), 0, "{} has {:.0f} (m, n) candidates", what):
+    for (n,), m in _expand(m_ranges, 0, "{} has {:.0f} (m, n) candidates", what):
         keep = np.gcd(m, n) == 1
         m, n = m[keep], n[keep]
         out.append([n * n, -2 * m * n, n * n + m * m])
     return [np.concatenate(col) for col in zip(*out)]
+
+
+def _floor_times(n: np.ndarray, x: float, dt: type) -> np.ndarray:
+    """floor(n x) in exact integers, x taken as the rational it is, as a dt column."""
+    num, den = x.as_integer_ratio()
+    return (n.astype(object) * num // den).astype(dt)
 
 
 # ---------------------------------------------------------------------------

@@ -111,7 +111,8 @@ class EnumReport:
 
     normalized_residual is residual / (sqrt(delta) log^2 delta), nan at
     delta = 1.  The enumerated fractions, sorted along I, are kept as the
-    columns ms, ns (int64) and t = ms / ns; fracs builds their records.
+    columns ms, ns (int64), t = ms / ns and values, F(m, n) of each row as
+    the scan tested it; fracs builds their records.
     """
 
     empirical: int
@@ -124,6 +125,7 @@ class EnumReport:
     ms: np.ndarray
     ns: np.ndarray
     t: np.ndarray
+    values: np.ndarray
 
     @property
     def fracs(self) -> list[Frac]:
@@ -202,7 +204,8 @@ def case_tag(F: RealForm) -> str:
 
 
 def _check_interval(case: QuadCase, I: ProjInterval) -> None:
-    """Closure of I must stay inside {F > 0} and off the roots of F (so a wrapping I needs A > 0)."""
+    """Closure of I must stay inside {F > 0} and off the roots of F (so a
+    wrapping I needs A > 0), and F must be > 0 in floats on it, as the scan tests."""
     for e in (I.lo, I.hi):
         if e in case.roots:
             raise IntervalTouchesRoot(f"endpoint {e} is a root of {case.F}")
@@ -211,6 +214,8 @@ def _check_interval(case: QuadCase, I: ProjInterval) -> None:
             raise IntervalOutsidePositivityRegion(
                 f"{I} leaves {{F > 0}} = {case.pos} for {case.F}"
             )
+    if _min_on_closure(case.F, I) <= 0:
+        raise IntervalTouchesRoot(f"{case.F} rounds to <= 0 on the closure of {I}")
 
 
 def _level_spans(
@@ -302,8 +307,8 @@ def _min_on_closure(F: RealForm, I: ProjInterval) -> float:
 
 def form_values(F: RealForm, ms: np.ndarray, ns: np.ndarray, bound: int | None = None) -> np.ndarray:
     """F(m, n) = A m^2 + B m n + C n^2 for int64 columns ms, ns, equal to
-    the scalar expression element by element: the one evaluation of F(m, n)
-    that the scan, ladder_counts and the CLI's value column share.
+    the scalar expression element by element: the one evaluation of F(m, n),
+    made by the scan, whose values column every consumer reads.
 
     Integral F is exact: int64 while coeff * bound^2 < 2^63 (no value
     becomes a float here), Python ints in an object array beyond; bound >=
@@ -350,8 +355,7 @@ def ladder_counts(F: RealForm, deltas: list[float], I: ProjInterval) -> list[int
     a rung counts the pairs whose value the scan's test puts at most delta."""
     for delta in deltas:
         _check_delta(delta)
-    ms, ns, _, _ = _enumerate_with_ties(F, max(deltas, default=0), I)
-    vals = form_values(F, ms, ns)
+    _, _, _, vals, _ = _enumerate_with_ties(F, max(deltas, default=0), I)
     return [int(_at_most(vals, delta).sum()) for delta in deltas]
 
 
@@ -361,11 +365,11 @@ def _run_scan(
     delta: float,
     I: ProjInterval,
     n_max: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int]:
     """All reduced (m, n) with 1 <= n <= n_max, m/n in I and
     0 < F(m, n) <= delta, as int64 columns (ms, ns) ordered by n, then m,
-    and their column t = ms / ns; plus the count of float values within
-    TIE_REL of delta (boundary ties; integral forms have none).
+    t = ms / ns and vals, the F(m, n) tested; plus the count of float values
+    within TIE_REL of delta (boundary ties; integral forms have none).
 
     The m-ranges of each block of n and the bound form_values takes come
     from one vectorised pass (_level_spans), and _expand tests their
@@ -383,9 +387,9 @@ def _run_scan(
             ties += int((np.abs(vals - delta) < TIE_REL * delta).sum())
         t = ms / ns  # rounds as the scalar m / n does for |m|, n < 2^53
         ok &= (np.gcd(ms, ns) == 1) & I.contains(t)
-        out.append((ms[ok], ns[ok], t[ok]))
-    ms, ns, t = out[0] if len(out) == 1 else map(np.concatenate, zip(*out))
-    return ms, ns, t, ties
+        out.append((ms[ok], ns[ok], t[ok], vals[ok]))
+    ms, ns, t, vals = out[0] if len(out) == 1 else map(np.concatenate, zip(*out))
+    return ms, ns, t, vals, ties
 
 
 def _upto(top: int) -> Iterator[np.ndarray]:
@@ -430,12 +434,12 @@ def _guard(count: float, what: str, *args) -> None:
 
 
 def _sort_along(
-    I: ProjInterval, ms: np.ndarray, ns: np.ndarray, t: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """_run_scan's columns (ms, ns, t = ms / ns) stably sorted by t along I:
-    a wrapping interval runs lo -> +inf first, then -inf -> hi."""
+    I: ProjInterval, ms: np.ndarray, ns: np.ndarray, t: np.ndarray, vals: np.ndarray
+) -> list[np.ndarray]:
+    """_run_scan's columns (ms, ns, t = ms / ns, vals) stably sorted by t
+    along I: a wrapping interval runs lo -> +inf first, then -inf -> hi."""
     order = np.lexsort((t, t < I.lo)) if I.wraps else np.argsort(t, kind="stable")
-    return ms[order], ns[order], t[order]
+    return [ms[order], ns[order], t[order], vals[order]]
 
 
 def enumerate_W(F: RealForm, delta: float, I: ProjInterval) -> list[Frac]:
@@ -444,15 +448,15 @@ def enumerate_W(F: RealForm, delta: float, I: ProjInterval) -> list[Frac]:
     Membership is exact integer arithmetic when F has integer coefficients.
     Wrapping intervals sort lo -> +inf first, then -inf -> hi.
     """
-    ms, ns, t, _ = _enumerate_with_ties(F, delta, I)
+    ms, ns, t, _, _ = _enumerate_with_ties(F, delta, I)
     return _fracs(ms, ns, t)
 
 
 def _enumerate_with_ties(
     F: RealForm, delta: float, I: ProjInterval, case: QuadCase | None = None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-    """W_delta on I as columns (ms, ns, t) sorted along I, and the number
-    of boundary ties.  case is QuadCase.of(F), if the caller has it."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int]:
+    """W_delta on I as columns (ms, ns, t, values) sorted along I, and the
+    number of boundary ties.  case is QuadCase.of(F), if the caller has it."""
     case = case or QuadCase.of(F)
     _check_interval(case, I)
     return _scan_window(case, delta, I)
@@ -460,7 +464,7 @@ def _enumerate_with_ties(
 
 def _scan_window(
     case: QuadCase, delta: float, I: ProjInterval | None = None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int]:
     """The one way into the scan: W_delta of case.F on I as _enumerate_with_ties
     gives it, with n bounded by the minimum of F on the closure of I, which
     must be positive.  I = None is the whole positivity region of an integral
@@ -479,10 +483,10 @@ def _scan_window(
             )
         n_max = math.isqrt(math.floor(delta / minF))
     if n_max < 1:
-        return _NO_INTS, _NO_INTS, _NO_FLOATS, 0
+        return _NO_INTS, _NO_INTS, _NO_FLOATS, _NO_INTS, 0
     _guard(n_max, _SCAN_WORK, F, I, delta, n_max, 0)
-    ms, ns, t, ties = _run_scan(case, F.is_integral(), delta, I, n_max)
-    return (*_sort_along(I, ms, ns, t), ties)
+    *cols, ties = _run_scan(case, F.is_integral(), delta, I, n_max)
+    return (*_sort_along(I, *cols), ties)
 
 
 def _region_n_max(case: QuadCase, delta: float) -> int:
@@ -517,8 +521,6 @@ def brute_force_W(F: RealForm, delta: float, I: ProjInterval) -> list[Frac]:
         return []
     _check_interval(QuadCase.of(F), I)
     minF = _min_on_closure(F, I)
-    if minF <= 0:
-        raise IntervalTouchesRoot(f"min of {F} on closure of {I} is {minF}")
     n_max = math.isqrt(math.floor(delta / minF))
     # widest conceivable |t|: the interval itself when finite, otherwise the
     # extent of the level set F <= delta (I is then unbounded, so A >= 0)
@@ -597,9 +599,9 @@ def equid_report(
     _check_delta(delta)
     if delta <= 0:
         return EnumReport(0, 0.0, 0.0, 0.0, [(0, 0.0)] * buckets, 0.0, 0,
-                          _NO_INTS, _NO_INTS, _NO_FLOATS)
+                          _NO_INTS, _NO_INTS, _NO_FLOATS, _NO_INTS)
     case = QuadCase.of(F)
-    ms, ns, t, ties = _enumerate_with_ties(F, delta, I, case)
+    ms, ns, t, values, ties = _enumerate_with_ties(F, delta, I, case)
     mu_tot = _mu(case, I)
     empirical = len(t)
     predicted, residual, normalized = count_residual(empirical, delta, mu_tot)
@@ -623,4 +625,5 @@ def equid_report(
         ms=ms,
         ns=ns,
         t=t,
+        values=values,
     )

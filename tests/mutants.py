@@ -106,6 +106,48 @@ ROWS = [
     ("linnik", "vals = [F.value(I.lo), F.value(I.hi)]",
      "vals = [v for v in (F.value(I.lo), F.value(I.hi)) if not math.isinf(v)]",
      "tests/test_linnik.py::test_window_whose_ends_overflow_F_is_empty"),
+    # renders, reduction and cycle values from columns: rounded hues,
+    # unsorted semicircles, a missing extent, no rm-point refusal, two wrong
+    # gamma updates, reversed Horner pairs, a shifted reduced point, the
+    # wrong exception caught and a reordered rung sum
+    ("cli", "hue.astype(np.int64).tolist()", "np.rint(hue).astype(np.int64).tolist()",
+     "tests/test_cli.py::test_render_bytes_equal_the_records_drawing"),
+    ("cli", "arcs = sorted(set(zip(qs.tolist(), rs.tolist())))", "arcs = list(dict.fromkeys(zip(qs.tolist(), rs.tolist())))",
+     "tests/test_cli.py::test_render_bytes_equal_the_records_drawing"),
+    ("cli", "xs = [px if len(px) else [0.0], qs - rs, qs + rs]", "xs = [px if len(px) else [0.0], qs - rs]",
+     "tests/test_cli.py::test_render_bytes_equal_the_records_drawing"),
+    ("cli", '    if mode == "rm-point" and arc is not None:\n', '    if False:\n',
+     "tests/test_cli.py::test_render_rm_point_refuses_an_arc"),
+    ("numtheory", "a, b = a - n * c, b - n * d", "a, b = a + n * c, b - n * d",
+     "tests/test_cycles.py::test_reduction_and_j_match_the_matrix_products_bit_for_bit"),
+    ("numtheory", "a, b, c, d = -c, -d, a, b", "a, b, c, d = c, -d, a, b",
+     "tests/test_cycles.py::test_reduction_and_j_match_the_matrix_products_bit_for_bit"),
+    ("cycles", "_HORNER = tuple(zip(_SIGMA3[::-1], _TAU[::-1]))", "_HORNER = tuple(zip(_SIGMA3, _TAU))",
+     "tests/test_cycles.py::test_reduction_and_j_match_the_matrix_products_bit_for_bit"),
+    ("numtheory", "return w, ((a, b), (c, d))", "return w + 2**-40, ((a, b), (c, d))",
+     "tests/test_cycles.py::test_reduction_and_j_match_the_matrix_products_bit_for_bit"),
+    ("linnik", "        except OverflowError:\n", "        except ValueError:\n",
+     "tests/test_linnik.py::test_coefficients_past_the_float_range_are_a_domain_error"),
+    ("cycles", "total = sum(compress(vals, _at_most(absd, delta).tolist()), 0j)",
+     "total = sum(reversed(list(compress(vals, _at_most(absd, delta).tolist()))), 0j)",
+     "tests/test_cycles.py::test_cycle_value_enumerates_once"),
+    # F(m, n) evaluated once: the scan's value column unmasked or left
+    # unsorted, the arc's |D| column unfiltered, the closure test of
+    # _check_interval dropped or made at the ends alone, and Im z = 1
+    # windows decided by the float products alone
+    ("linnik", "out.append((ms[ok], ns[ok], t[ok], vals[ok]))", "out.append((ms[ok], ns[ok], t[ok], vals))",
+     "tests/test_linnik.py::test_report_values_are_the_scans_values"),
+    ("linnik", "t[order], vals[order]]", "t[order], vals]",
+     "tests/test_linnik.py::test_report_values_are_the_scans_values"),
+    ("cycles", "ts[keep], absd[keep]", "ts[keep], absd",
+     "tests/test_cycles.py::test_cycle_value_enumerates_once"),
+    ("linnik", "    if _min_on_closure(case.F, I) <= 0:\n", "    if False:\n",
+     "tests/test_linnik.py::test_an_end_where_F_rounds_to_zero_is_refused_by_every_entry"),
+    ("linnik", "    if _min_on_closure(case.F, I) <= 0:\n", "    if min(case.F.value(I.lo), case.F.value(I.hi)) <= 0:\n",
+     "tests/test_linnik.py::test_an_end_where_F_rounds_to_zero_is_refused_by_every_entry"),
+    ("geodesic_enum", "return (n.astype(object) * num // den).astype(dt)",
+     "return _floor_ints(np.floor(n * float(x)), dt)",
+     "tests/test_geodesic_enum.py::test_im1_narrow_windows_match_the_exact_reference"),
 ]
 
 

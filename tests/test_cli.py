@@ -573,3 +573,33 @@ def test_render_rm_point_refuses_an_arc(tmp_path, capsys):
     assert main(["render", "--from-json", str(cfg), "--out", str(out)]) == 2
     assert not out.exists()
     assert capsys.readouterr().err.count("does not apply to mode rm-point") == 2
+
+
+def test_window_with_an_end_where_F_rounds_to_zero_is_bad_input(capsys):
+    """F = t^2 + 4t - 2 is -8.9e-16 at the float end, one ulp above its root:
+    verify measured mu(I) = 7.61 there while the scan refused the window."""
+    ends = ["--lo", "0.44948974278317794", "--hi", "1.5"]
+    assert main(["wset", "-A", "1", "-B", "4", "-C", "-2", "--delta", "100", *ends]) == 2
+    assert main(["verify", "-A", "1", "-B", "4", "-C", "-2", "--case", "indefinite", *ends]) == 2
+    assert capsys.readouterr().err.count("rounds to <= 0 on the closure of ProjInterval(lo=0.4494897427") == 2
+
+
+def test_refusals_of_bucket_counts_json_configs_and_arcs(tmp_path, capsys):
+    """wset needs two buckets; render refuses a config of another schema
+    or mode, and --arc needs two numbers, which argparse refuses before main
+    runs the command."""
+    assert main(["wset", "-A", "1", "-B", "0", "-C", "1", "--delta", "10",
+                 "--lo", "-1", "--hi", "1", "--buckets", "1"]) == 2
+    assert "need at least 2 buckets" in capsys.readouterr().err
+    cfg, out = tmp_path / "cfg.json", tmp_path / "a.svg"
+    config = {"A": 1, "B": 0, "C": 1, "delta": 20, "mode": "cm"}
+    for doc, message in [({"schema": 2, "config": config}, "unsupported schema"),
+                         ({"schema": 1, "config": {**config, "mode": "x"}}, "unknown render mode 'x'")]:
+        cfg.write_text(json.dumps(doc))
+        assert main(["render", "--from-json", str(cfg), "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+    assert not out.exists()
+    with pytest.raises(SystemExit) as exc:
+        main(["render", "-A", "1", "-B", "0", "-C", "-1", "--delta", "20", "--arc", "0.5,1,2"])
+    assert exc.value.code == 2
+    assert "arc needs two comma-separated numbers" in capsys.readouterr().err

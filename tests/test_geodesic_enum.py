@@ -403,7 +403,7 @@ def test_column_builders_match_scalar_reference():
         (IntForm(2, 1, 3), RM_THROUGH_P, 2000, None),
     ]:
         param = build_param(G, mode)
-        ms, ns, ts = _enum_pairs(param, delta, _arc_interval(param, arc))
+        ms, ns, ts, _, _ = _enum_pairs(param, delta, _arc_interval(param, arc))
         assert len(ms) > 20
         _check_columns(param, ms, ns, ts)
     # coefficients near 2^41 overflow int64 in the form columns, which then
@@ -450,6 +450,20 @@ def test_root_touching_arc_names_the_arc():
     # cos(1e-10) rounds to 1, so the arc's t-end is a root of the scan form
     with pytest.raises(IntervalTouchesRoot, match=r"arc \(1e-10, 1.0\)"):
         enum_cm_on_geodesic(IntForm(1, 0, -1), 100, arc=(1e-10, 1.0))
+
+
+def test_arc_windows_are_refused_by_their_shape():
+    """An arc needs c1 < c2, y > 0 on a half-line base, 0 < theta1 <
+    theta2 < pi on a semicircle, and for RM curves no end at theta = pi/2,
+    the point at infinity of the t-line."""
+    half, semi = build_param(IntForm(0, 1, 0), CM_ON_G), build_param(IntForm(1, 0, -1), CM_ON_G)
+    for param, arc, message in [(semi, (1.0, 0.5), "c1 < c2"), (half, (0.0, 2.0), "y > 0"),
+                                (semi, (0.0, 1.0), "0 < theta1 < theta2 < pi"),
+                                (semi, (1.0, 3.5), "0 < theta1 < theta2 < pi")]:
+        with pytest.raises(DomainError, match=message):
+            _arc_interval(param, arc)
+    with pytest.raises(DomainError, match="maps to infinity"):
+        enum_rm_perp_geodesic(IntForm(1, 0, -1), 100, arc=(0.5, math.pi / 2))
 
 
 def test_enum_cm_on_im1():
@@ -561,7 +575,7 @@ def test_builder_rejects_rows_as_the_constructors_do():
 
 def test_build_restores_gc_state(monkeypatch):
     param = build_param(IntForm(1, 0, 1), RM_THROUGH_P)
-    pairs = _enum_pairs(param, 2000, None)
+    ms, ns, ts, _, _ = _enum_pairs(param, 2000, None)
     monkeypatch.setattr(geodesic_enum, "_ROWS", 16)
     seen = []
     block = geodesic_enum._block
@@ -581,9 +595,9 @@ def test_build_restores_gc_state(monkeypatch):
                 seen.clear()
                 if fail:
                     with pytest.raises(RuntimeError, match="part-way"):
-                        _build(*_record_cols(param, *pairs))
+                        _build(*_record_cols(param, ms, ns, ts))
                 else:
-                    assert len(_build(*_record_cols(param, *pairs))) > 3 * 16
+                    assert len(_build(*_record_cols(param, ms, ns, ts))) > 3 * 16
                 assert seen and not any(seen)  # paused while the list fills
                 assert gc.isenabled() == enabled
     finally:
@@ -617,8 +631,10 @@ def test_records_retain_under_400_bytes_each():
 
 
 def _cm_on_im1_loop(delta, x_lo, x_hi):
-    """enum_cm_on_im1 as a loop over (a, b) with the validating constructors."""
+    """enum_cm_on_im1 as a loop over (a, b) with the validating constructors,
+    the window ends taken as the rationals they are."""
     out = []
+    x_lo, x_hi = Fraction(x_lo), Fraction(x_hi)
     a_max = math.isqrt(math.floor(delta)) // 2 + 1
     for a in range(1, a_max + 1):
         if 4 * a * a > delta:
@@ -651,6 +667,44 @@ def test_enum_cm_on_im1_matches_loop():
         assert got == ref and [type(p) for p in got] == [type(p) for p in ref]
         assert all(type(v) is int for p in got for v in p.form.triple())
     assert len(enum_cm_on_im1(10**5, -0.3, 2.7)) > 100
+
+
+def test_im1_window_is_exact():
+    """m/n + i is kept when x_lo <= m/n <= x_hi, the float ends taken as the
+    rationals they are.  The floats 284.4, 251.33333333333331 and 0.1 lie
+    below 1422/5, 754/3 and 1/10, and -0.3 above -3/10, so none of these
+    points is kept.  The float products n x decided them wrongly (all but
+    -3/10 from 2n^2 x); at 1e30 (n_max = 2.2e7) the call took 15 s on a
+    2-core host, all of its columns Python ints."""
+    cases = [(1e5, 282.9, 284.4, (1422, 5)), (1e6, 248.16666666666666, 251.33333333333331, (754, 3)),
+             (10**5, -0.3, 2.7, (-3, 10))]
+    for delta, x_lo, x_hi, (m, n) in cases:
+        got = enum_cm_on_im1(delta, x_lo, x_hi)
+        assert got == _cm_on_im1_loop(delta, x_lo, x_hi)
+        assert CMPoint(IntForm(n * n, -2 * m * n, n * n + m * m)) not in got
+        assert CMPoint(IntForm(n * n, -2 * m * n, n * n + m * m)) in enum_cm_on_im1(delta, x_lo - 1, x_hi + 1)
+    assert len(enum_cm_on_im1(10**5, -0.3, 2.7)) == 138
+    # any m/n other than 1/10 with n <= 2.2e7 is 4.5e-9 or more from 0.1
+    assert enum_cm_on_im1(1e30, 0.1, 0.1 + 1e-9) == []
+
+
+def test_im1_narrow_windows_match_the_exact_reference():
+    """Windows from an ulp to 1e-3 wide whose ends lie within two ulps of a
+    rational of small denominator, so that n x is within an ulp of an
+    integer for some n <= n_max, where the float products cannot decide."""
+    rng = random.Random(17)
+    for _ in range(300):
+        q = rng.randint(1, 40)
+        x_lo = float(Fraction(rng.randint(-5 * q, 5 * q), q))
+        for _ in range(rng.randint(0, 2)):
+            x_lo = math.nextafter(x_lo, rng.choice((-math.inf, math.inf)))
+        x_hi = x_lo + rng.choice((0.0, math.ulp(x_lo), 1e-12, 1e-6, 1e-3))
+        if rng.random() < 0.5:  # the upper end near a rational instead
+            q = rng.randint(1, 40)
+            x_hi = max(x_lo, float(Fraction(math.floor(x_lo * q) + rng.randint(0, 2), q)))
+            x_hi = math.nextafter(x_hi, rng.choice((-math.inf, x_hi, math.inf)))
+        delta = rng.choice((4, 10**4, 10**6, 10**7))
+        assert enum_cm_on_im1(delta, x_lo, x_hi) == _cm_on_im1_loop(delta, x_lo, x_hi), (delta, x_lo, x_hi)
 
 
 def test_im1_scans_coprime_pairs_by_n():
@@ -815,7 +869,7 @@ def test_ufunc_columns_stay_near_per_element_libm():
     unchanged on the benchmark's balls."""
     for G, mode, delta, arc in _COLUMN_CASES:
         param = build_param(G, mode)
-        _, _, ts = _enum_pairs(param, delta, _arc_interval(param, arc))
+        _, _, ts, _, _ = _enum_pairs(param, delta, _arc_interval(param, arc))
         ref = np.array([_libm_coord(param, t) for t in ts.tolist()])
         assert np.all(np.abs(_coord_col(param, ts) - ref) <= 2 * np.spacing(ref))
     rng = random.Random(5)

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 import warnings
 from unittest import mock
 
@@ -545,7 +546,7 @@ def test_whole_positivity_region_needs_an_integral_form_and_rational_roots():
         with pytest.raises(UnboundedDivergence, match="not a nonzero square"):
             linnik._scan_window(linnik.QuadCase.of(F), 10)
     # t^2 - 1 on its two half-lines: t = m/n with 0 < m^2 - n^2 <= 8
-    ms, ns, _, _ = linnik._scan_window(linnik.QuadCase.of(RealForm(1, 0, -1)), 8)
+    ms, ns, _, _, _ = linnik._scan_window(linnik.QuadCase.of(RealForm(1, 0, -1)), 8)
     assert sorted(zip(ms.tolist(), ns.tolist())) == [(-4, 3), (-3, 1), (-3, 2), (-2, 1), (2, 1), (3, 1), (3, 2), (4, 3)]
 
 
@@ -625,3 +626,54 @@ def test_window_whose_ends_overflow_F_is_empty():
     assert brute_force_W(F, 10, I) == []
     assert linnik._min_on_closure(F, I) == INF
     assert linnik._min_on_closure(F, ProjInterval(-1e200, 1e200)) == 1
+
+
+@pytest.mark.parametrize("F, I, at", [
+    # the end is one ulp above the float root sqrt(6) - 2 of t^2 + 4t - 2,
+    # where F is -8.9e-16 in floats (-7.9e-16 exactly)
+    (RealForm(1, 4, -2), ProjInterval(0.44948974278317794, 1.5), 0.44948974278317794),
+    # D = -3: F is 1.0 at both ends, but (A t + B) t rounds so that F is
+    # 0.0 at the vertex
+    (RealForm(3, 300000003, 7500000150000001), ProjInterval(-50000001.0, -50000000.0), -50000000.5),
+])
+def test_an_end_where_F_rounds_to_zero_is_refused_by_every_entry(F, I, at):
+    """The scan refused these windows for the minimum of F on their closure,
+    but mu_integral measured them (7.61 and 2.42), and so did predicted_count."""
+    assert F.value(at) <= 0 < F.value(I.hi)
+    assert not {I.lo, I.hi} & set(linnik.QuadCase.of(F).roots)
+    for call in (lambda: enumerate_W(F, 100, I), lambda: linnik.ladder_counts(F, [100], I),
+                 lambda: equid_report(F, 100, I, 4), lambda: brute_force_W(F, 100, I),
+                 lambda: mu_integral(F, I), lambda: predicted_count(F, 100, I)):
+        with pytest.raises(IntervalTouchesRoot, match=re.escape(f"rounds to <= 0 on the closure of {I}")):
+            call()
+
+
+def _values_are_re_evaluated(F, delta, I):
+    """equid_report's values column is form_values of its (ms, ns), row by
+    row as Python numbers, and each passed the scan's test."""
+    r = equid_report(F, delta, I, 2)
+    got, want = r.values.tolist(), form_values(F, r.ms, r.ns).tolist()
+    assert len(got) == r.empirical and got == want
+    assert [type(v) for v in got] == [type(v) for v in want]
+    assert all(0 < v <= delta for v in got)
+    return r
+
+
+# mu diverges on an unbounded linear window, so equid_report refuses it
+@pytest.mark.parametrize("case, shape", [c for c in _CASES if c != ("linear", "unbounded")])
+@settings(max_examples=15, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_report_values_are_the_scans_values(case, shape, data):
+    F, I = data.draw(_form_and_interval(case, shape))
+    _values_are_re_evaluated(F, data.draw(st.integers(1, 400)), I)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_report_values_past_2_63_are_exact_python_ints(data):
+    F, I = data.draw(_scan_past_int64())
+    A, C, m0 = int(F.A), int(F.C), int(max(-I.lo, I.hi))
+    r = _values_are_re_evaluated(F, 2.0 * A * m0**2 + C, I)
+    assert r.values.dtype == object and r.empirical
+    assert r.values.tolist() == [A * m * m + C * n * n for m, n in zip(r.ms.tolist(), r.ns.tolist())]
+    assert equid_report(F, 0, I, 2).values.tolist() == []

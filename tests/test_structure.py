@@ -75,12 +75,11 @@ def test_ball_and_im1_enumerators_have_no_python_loops():
 
 
 def test_one_implementation_per_formula():
-    """One float evaluation of F(m, n); the incident form, the foot and
+    """One evaluation of F(m, n), by the scan; the incident form, the foot and
     interval membership are each a row of one column function."""
     callers, defined = _scan_source()
     assert not defined["_scan_values"]
-    assert "linnik:_run_scan" in callers["form_values"]
-    assert "linnik:ladder_counts" in callers["form_values"]
+    assert callers["form_values"] == {"linnik:_run_scan"}
     assert "linnik:_run_scan" in callers["contains"]
     assert defined["_foot_cols"] == ["hyperbolic:_foot_cols"]
     assert "geodesic_enum:mn_to_form" in callers["_form_cols"]
@@ -190,7 +189,7 @@ def test_a_geodesic_family_is_worked_out_once():
 
 def test_one_integer_map_per_geodesic_family():
     """GeodesicParam holds the two rows of (m, n) -> (a, b, c) and no
-    second copy of the map; cycles reads only its case, and the float
+    second copy of the map; cycles reads none of its fields, and the float
     fundamental_arc is gone."""
     tree = ast.parse((SRC / "geodesic_enum.py").read_text(encoding="utf-8"))
     cls = next(n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "GeodesicParam")
@@ -199,7 +198,7 @@ def test_one_integer_map_per_geodesic_family():
     cycles = ast.parse((SRC / "cycles.py").read_text(encoding="utf-8"))
     read = {n.attr for n in ast.walk(cycles)
             if isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name) and n.value.id == "param"}
-    assert read == {"case"}
+    assert read == set()
     _, defined = _scan_source()
     assert not defined["fundamental_arc"]
 
