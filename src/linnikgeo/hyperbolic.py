@@ -3,10 +3,10 @@ RM curves perpendicular to a geodesic.
 
 Everything here is 64-bit floating point except the foot (perp_foot, and
 _foot_cols for columns): that is exact integer arithmetic on the forms up to
-two correctly rounded quotients.  The angle convention: ang_p(z) = 0 points
-straight down at the real axis, angles grow counterclockwise through the
-half-plane to the right of p (values in [0, pi]), and points strictly to the
-left of p get the antipodal value in (pi, 2*pi).
+two correctly rounded quotients.  The angle convention: ang_p(p, z) is the
+direction at p of the geodesic from p to z, in [0, 2*pi): 0 points straight
+up, angles grow clockwise through pi/2 to the right of p and pi straight down
+at the real axis, and points strictly to the left of p get (pi, 2*pi).
 """
 
 from __future__ import annotations
@@ -67,14 +67,12 @@ def ang_p(p: PointH, z: PointH) -> float:
 
 
 def _ball_angles(p: PointH, zx: np.ndarray, zy: np.ndarray) -> np.ndarray:
-    """ang_p(p, z) for columns of points z; p itself gets 0 by convention."""
-    px, py = p.x, p.y
-    # the centre q of the geodesic through p and z, then the clipped cosine's
-    # arccos; z straight below p (or p itself) gets 0, straight above it pi
-    with np.errstate(divide="ignore", invalid="ignore"):
-        q = (zx + px) / 2 + (zy * zy - py * py) / (2 * (zx - px))
-        base = np.arccos(np.clip((q - px) / np.hypot(px - q, py), -1.0, 1.0))
-    return np.where(zx == px, np.where(zy <= py, 0.0, math.pi), np.where(zx > px, base, base + math.pi))
+    """ang_p(p, z) for columns of points z (p itself gets 0): minus the arg
+    of the Cayley image (z - p) / (z - conj p), which sends geodesics through
+    p to diameters, so one formula holds on the vertical line through p too."""
+    z = zx + 1j * zy
+    w = p.as_complex()
+    return -np.angle((z - w) / (z - w.conjugate())) % (2 * math.pi)
 
 
 def ball(z0: PointH, s0: float) -> BallE:

@@ -203,9 +203,10 @@ def case_tag(F: RealForm) -> str:
     return QuadCase.of(F).tag
 
 
-def _check_interval(case: QuadCase, I: ProjInterval) -> None:
-    """Closure of I must stay inside {F > 0} and off the roots of F (so a
-    wrapping I needs A > 0), and F must be > 0 in floats on it, as the scan tests."""
+def _check_interval(case: QuadCase, I: ProjInterval) -> float:
+    """The one refusal of a window, by _scan_window for every scan and by
+    mu_integral: I's closure must stay inside {F > 0}, off the roots of F (so
+    a wrapping I needs A > 0), with F > 0 in floats there; returns that minimum."""
     for e in (I.lo, I.hi):
         if e in case.roots:
             raise IntervalTouchesRoot(f"endpoint {e} is a root of {case.F}")
@@ -214,8 +215,10 @@ def _check_interval(case: QuadCase, I: ProjInterval) -> None:
             raise IntervalOutsidePositivityRegion(
                 f"{I} leaves {{F > 0}} = {case.pos} for {case.F}"
             )
-    if _min_on_closure(case.F, I) <= 0:
+    minF = _min_on_closure(case.F, I)
+    if minF <= 0:
         raise IntervalTouchesRoot(f"{case.F} rounds to <= 0 on the closure of {I}")
+    return minF
 
 
 def _level_spans(
@@ -283,11 +286,11 @@ def _check_delta(delta: float) -> None:
 
 
 def predicted_count(F: RealForm, delta: float, I: ProjInterval) -> float:
-    """Main term (3 delta / pi^2) mu(I) of #W_delta on I; 0.0 for delta <= 0."""
+    """Main term (3 delta / pi^2) mu(I) of #W_delta on I; 0.0 for delta <= 0, on a checked I."""
     _check_delta(delta)
-    if delta <= 0:
-        return 0.0
-    return count_residual(0, delta, mu_integral(F, I))[0]
+    case = QuadCase.of(F)
+    _check_interval(case, I)
+    return count_residual(0, delta, _mu(case, I))[0] if delta > 0 else 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -457,35 +460,28 @@ def _enumerate_with_ties(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int]:
     """W_delta on I as columns (ms, ns, t, values) sorted along I, and the
     number of boundary ties.  case is QuadCase.of(F), if the caller has it."""
-    case = case or QuadCase.of(F)
-    _check_interval(case, I)
-    return _scan_window(case, delta, I)
+    return _scan_window(case or QuadCase.of(F), delta, I)
 
 
 def _scan_window(
     case: QuadCase, delta: float, I: ProjInterval | None = None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int]:
     """The one way into the scan: W_delta of case.F on I as _enumerate_with_ties
-    gives it, with n bounded by the minimum of F on the closure of I, which
-    must be positive.  I = None is the whole positivity region of an integral
-    F, roots included, where _region_n_max bounds n."""
+    gives it.  Each window (a W-set's, an arc's) passes _check_interval here, at
+    every delta, and n is bounded by the minimum of F it returns.  I = None is
+    the whole positivity region of an integral F, roots included (_region_n_max)."""
     _check_delta(delta)
-    F, n_max = case.F, 0
     if I is None:  # n_max first: _region_n_max refuses a double root, where I could not wrap
         n_max = _region_n_max(case, delta) if delta >= 1 else 0
         pos = case.pos
         I = ProjInterval(*pos[0]) if len(pos) == 1 else ProjInterval(pos[1][0], pos[0][1], True)
-    elif delta > 0:
-        minF = _min_on_closure(F, I)
-        if minF <= 0:
-            raise IntervalTouchesRoot(
-                f"min of {F} on closure of {I} is {minF}; n-range would be infinite"
-            )
-        n_max = math.isqrt(math.floor(delta / minF))
+    else:
+        minF = _check_interval(case, I)
+        n_max = math.isqrt(math.floor(delta / minF)) if delta > 0 else 0
     if n_max < 1:
         return _NO_INTS, _NO_INTS, _NO_FLOATS, _NO_INTS, 0
-    _guard(n_max, _SCAN_WORK, F, I, delta, n_max, 0)
-    *cols, ties = _run_scan(case, F.is_integral(), delta, I, n_max)
+    _guard(n_max, _SCAN_WORK, case.F, I, delta, n_max, 0)
+    *cols, ties = _run_scan(case, case.F.is_integral(), delta, I, n_max)
     return (*_sort_along(I, *cols), ties)
 
 
@@ -517,10 +513,9 @@ def brute_force_W(F: RealForm, delta: float, I: ProjInterval) -> list[Frac]:
     _check_delta(delta)
     if delta > BRUTE_GUARD:
         raise GuardExceeded(f"brute force refuses delta > {BRUTE_GUARD}")
+    minF = _check_interval(QuadCase.of(F), I)
     if delta <= 0:
         return []
-    _check_interval(QuadCase.of(F), I)
-    minF = _min_on_closure(F, I)
     n_max = math.isqrt(math.floor(delta / minF))
     # widest conceivable |t|: the interval itself when finite, otherwise the
     # extent of the level set F <= delta (I is then unbounded, so A >= 0)
@@ -596,12 +591,10 @@ def equid_report(
         raise ValueError("need at least 2 buckets")
     if buckets > BUCKET_GUARD:
         raise GuardExceeded(f"{buckets} buckets requested; at most {BUCKET_GUARD}")
-    _check_delta(delta)
-    if delta <= 0:
-        return EnumReport(0, 0.0, 0.0, 0.0, [(0, 0.0)] * buckets, 0.0, 0,
-                          _NO_INTS, _NO_INTS, _NO_FLOATS, _NO_INTS)
     case = QuadCase.of(F)
     ms, ns, t, values, ties = _enumerate_with_ties(F, delta, I, case)
+    if delta <= 0:  # the scan's empty columns, from a checked window
+        return EnumReport(0, 0.0, 0.0, 0.0, [(0, 0.0)] * buckets, 0.0, 0, ms, ns, t, values)
     mu_tot = _mu(case, I)
     empirical = len(t)
     predicted, residual, normalized = count_residual(empirical, delta, mu_tot)

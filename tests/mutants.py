@@ -141,13 +141,34 @@ ROWS = [
      "tests/test_linnik.py::test_report_values_are_the_scans_values"),
     ("cycles", "ts[keep], absd[keep]", "ts[keep], absd",
      "tests/test_cycles.py::test_cycle_value_enumerates_once"),
-    ("linnik", "    if _min_on_closure(case.F, I) <= 0:\n", "    if False:\n",
+    ("linnik", "    if minF <= 0:\n", "    if False:\n",
      "tests/test_linnik.py::test_an_end_where_F_rounds_to_zero_is_refused_by_every_entry"),
-    ("linnik", "    if _min_on_closure(case.F, I) <= 0:\n", "    if min(case.F.value(I.lo), case.F.value(I.hi)) <= 0:\n",
+    ("linnik", "    minF = _min_on_closure(case.F, I)\n", "    minF = min(case.F.value(I.lo), case.F.value(I.hi))\n",
      "tests/test_linnik.py::test_an_end_where_F_rounds_to_zero_is_refused_by_every_entry"),
     ("geodesic_enum", "return (n.astype(object) * num // den).astype(dt)",
      "return _floor_ints(np.floor(n * float(x)), dt)",
      "tests/test_geodesic_enum.py::test_im1_narrow_windows_match_the_exact_reference"),
+    # a window checked once, by the scan, at every delta: the scan's own
+    # minimum in place of the check, the delta <= 0 answers of equid_report,
+    # predicted_count and brute_force_W given before it, and the angle's
+    # vertical-line special case back
+    ("linnik", "        minF = _check_interval(case, I)\n", "        minF = _min_on_closure(case.F, I)\n",
+     "tests/test_linnik.py::test_a_bad_window_is_refused_at_every_delta"),
+    ("linnik", "    case = QuadCase.of(F)\n    ms, ns, t, values, ties = _enumerate_with_ties(F, delta, I, case)\n",
+     "    if delta <= 0:\n        return EnumReport(0, 0.0, 0.0, 0.0, [(0, 0.0)] * buckets, 0.0, 0,"
+     " _NO_INTS, _NO_INTS, _NO_FLOATS, _NO_INTS)\n"
+     "    case = QuadCase.of(F)\n    ms, ns, t, values, ties = _enumerate_with_ties(F, delta, I, case)\n",
+     "tests/test_linnik.py::test_a_bad_window_is_refused_at_every_delta"),
+    ("linnik", "    case = QuadCase.of(F)\n    _check_interval(case, I)\n    return count_residual(",
+     "    if delta <= 0:\n        return 0.0\n    case = QuadCase.of(F)\n    _check_interval(case, I)\n    return count_residual(",
+     "tests/test_linnik.py::test_a_bad_window_is_refused_at_every_delta"),
+    ("linnik", "    minF = _check_interval(QuadCase.of(F), I)\n    if delta <= 0:\n        return []\n",
+     "    if delta <= 0:\n        return []\n    minF = _check_interval(QuadCase.of(F), I)\n",
+     "tests/test_linnik.py::test_a_bad_window_is_refused_at_every_delta"),
+    ("hyperbolic", "    return -np.angle((z - w) / (z - w.conjugate())) % (2 * math.pi)\n",
+     "    ang = -np.angle((z - w) / (z - w.conjugate())) % (2 * math.pi)\n"
+     "    return np.where(zx == p.x, np.where(zy <= p.y, 0.0, math.pi), ang)\n",
+     "tests/test_hyperbolic.py::test_angle_is_continuous_across_the_vertical_line"),
 ]
 
 

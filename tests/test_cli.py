@@ -1,12 +1,13 @@
 import json
 import math
 import os
+import runpy
 import subprocess
 import sys
 
 import pytest
 
-from linnikgeo import linnik
+from linnikgeo import cli, linnik
 from linnikgeo.cli import main
 from linnikgeo.forms import RealForm
 from linnikgeo.linnik import ProjInterval, enumerate_W, equid_report
@@ -603,3 +604,33 @@ def test_refusals_of_bucket_counts_json_configs_and_arcs(tmp_path, capsys):
         main(["render", "-A", "1", "-B", "0", "-C", "-1", "--delta", "20", "--arc", "0.5,1,2"])
     assert exc.value.code == 2
     assert "arc needs two comma-separated numbers" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("delta", ["0", "-1", "5"])
+def test_wset_refuses_a_bad_window_at_every_delta(delta, capsys):
+    """wset exited 0 on these at delta <= 0, and 2 from delta > 0."""
+    ends = ["--lo", "1", "--hi", "2", "--delta", delta]
+    assert main(["wset", "-A", "1", "-B", "0", "-C", "-2", *ends]) == 2
+    assert main(["wset", "-A", "-1", "-B", "0", "-C", "-1", *ends]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert "leaves {F > 0}" in err[0] and err[1].endswith("is never positive")
+
+
+def test_an_unexpected_exception_is_an_internal_error(monkeypatch, capsys):
+    """Whatever a command raises past the refusals is the program's fault: exit 1."""
+    def boom(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "cmd_wset", boom)
+    assert main(["wset", "-A", "1", "-B", "0", "-C", "1", "--delta", "10", "--lo", "0", "--hi", "1"]) == 1
+    assert capsys.readouterr().err == "internal error: RuntimeError: boom\n"
+
+
+def test_the_module_runs_as_a_script(monkeypatch, capsys):
+    """python -m linnikgeo.cli exits with main's status."""
+    monkeypatch.setattr(sys, "argv", ["linnikgeo", "wset", "-A", "1", "-B", "0", "-C", "1",
+                                      "--delta", "0", "--lo", "0", "--hi", "1"])
+    monkeypatch.delitem(sys.modules, "linnikgeo.cli")  # runpy warns when it is loaded
+    with pytest.raises(SystemExit) as done:
+        runpy.run_module("linnikgeo.cli", run_name="__main__")
+    assert done.value.code == 0 and capsys.readouterr().out.startswith("m,n,t,value")

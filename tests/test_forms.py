@@ -1,8 +1,9 @@
 import math
+import re
 
 import pytest
 
-from linnikgeo.errors import WrongDiscriminantSign, ZeroForm
+from linnikgeo.errors import NotPositiveDiscriminant, WrongDiscriminantSign, ZeroForm
 from linnikgeo.forms import (
     CMPoint,
     HalfLine,
@@ -95,3 +96,18 @@ def test_real_form_value_at_infinity():
     assert L.value(-math.inf) == -math.inf
     assert RealForm(1.0, 0.0, 1.0).is_integral()
     assert not RealForm(1.0, 0.5, 1.0).is_integral()
+
+
+def test_refusals_name_what_is_wrong():
+    with pytest.raises(ZeroForm, match=re.escape("(A, B) must not be (0, 0)")):
+        RealForm(0, 0, 1)
+    with pytest.raises(ValueError, match="semicircle radius must be positive"):
+        Semicircle(0.0, 0.0)
+    with pytest.raises(NotPositiveDiscriminant, match=re.escape("form (1,0,1) has discriminant -4 <= 0")):
+        geodesic_of_form(IntForm(1, 0, 1))
+    with pytest.raises(WrongDiscriminantSign, match="G must have positive discriminant"):
+        cm_on_geodesic(IntForm(1, 0, 1), IntForm(1, 0, 1))
+    with pytest.raises(WrongDiscriminantSign, match="rm must be indefinite with a != 0"):
+        rm_perp_geodesic(IntForm(0, 1, 1), IntForm(1, 0, -2))
+    with pytest.raises(WrongDiscriminantSign, match="G must have positive discriminant"):
+        rm_perp_geodesic(IntForm(1, 0, -2), IntForm(1, 0, 1))

@@ -1,3 +1,4 @@
+import cmath
 import dataclasses
 import gc
 import math
@@ -837,13 +838,10 @@ def _libm_coord(param, t):
 
 
 def _libm_angle(p, z):
-    """ang_p (0 at p itself) as per-element operations (v**2, math.hypot,
-    math.acos): the reference the angle ufuncs are pinned to."""
-    if z.x == p.x:
-        return 0.0 if z.y <= p.y else math.pi
-    q = (z.x + p.x) / 2 + (z.y**2 - p.y**2) / (2 * (z.x - p.x))
-    base = math.acos(max(-1.0, min(1.0, (q - p.x) / math.hypot(p.x - q, p.y))))
-    return base if z.x > p.x else base + math.pi
+    """ang_p (0 at p itself) per element, with Python's complex division
+    and cmath.phase: the reference the angle ufuncs are pinned to."""
+    w, v = p.as_complex(), z.as_complex()
+    return -cmath.phase((v - w) / (v - w.conjugate())) % (2 * math.pi)
 
 
 def _libm_ball_forms(z0, s0, delta):
@@ -864,7 +862,7 @@ def _libm_ball_forms(z0, s0, delta):
 
 def test_ufunc_columns_stay_near_per_element_libm():
     """The coordinate and angle columns use numpy ufuncs (np.arccos,
-    np.hypot, y * y), which may round differently from libm: coordinates
+    np.hypot, np.angle), which may round differently from libm: coordinates
     stay within 2 ulp, angles within 1e-14, and ball membership is
     unchanged on the benchmark's balls."""
     for G, mode, delta, arc in _COLUMN_CASES:
@@ -982,3 +980,12 @@ def test_ball_enumerator_refuses_through_point_and_ball():
     for s0 in (800, -1, 0, math.nan):
         with pytest.raises(ValueError, match="ball radius must be in"):
             enum_cm_in_ball(PointH(0, 1), s0, delta=10)
+
+
+def test_build_param_and_ball_refusals_name_what_is_wrong():
+    with pytest.raises(ValueError, match=re.escape("unknown mode 'x'")):
+        build_param(IntForm(1, 0, -2), "x")
+    with pytest.raises(ValueError, match=re.escape("(2,0,-4) is not normalized")):
+        build_param(IntForm(2, 0, -4), CM_ON_G)
+    with pytest.raises(WrongDiscriminantSign, match="need D < 0"):
+        enum_cm_in_ball(PointH(0, 1), 1.0, D=5)

@@ -32,8 +32,8 @@ def test_geodesic_through():
 
 def test_ang_p():
     p = PointH(0, 1)
-    assert ang_p(p, PointH(0, 0.5)) == 0.0
-    assert ang_p(p, PointH(0, 2)) == math.pi
+    assert ang_p(p, PointH(0, 0.5)) == math.pi
+    assert ang_p(p, PointH(0, 2)) == 0.0
     # horizontal direction is the limit, not the value at distance 1
     assert math.isclose(ang_p(p, PointH(1e-9, 1)), math.pi / 2)
     assert math.isclose(ang_p(p, PointH(1, 1)), math.acos(0.5 / math.sqrt(1.25)))
@@ -114,3 +114,17 @@ def test_ball_and_sector_refuse_the_same_radii():
     with pytest.raises(ValueError, match="euclidean radius"):
         ball(PointH(0, 1), 18.8)
     assert sector_area(PointH(0, 1), 18.6, 0, 1) == math.cosh(18.6) - 1
+
+
+def test_angle_is_continuous_across_the_vertical_line():
+    """On the vertical line through p the angle is the limit from either
+    side: 0 straight up (2*pi from the left), pi straight down."""
+    for p in (PointH(0, 1), PointH(-0.5, math.sqrt(3) / 2), PointH(2.5, 0.1)):
+        for y, want in ((p.y * 3, 0.0), (p.y / 3, math.pi)):
+            on = ang_p(p, PointH(p.x, y))
+            assert on == want
+            for dx in (1e-12, -1e-12):
+                near = ang_p(p, PointH(p.x + dx, y))
+                assert abs((near - on + math.pi) % (2 * math.pi) - math.pi) < 1e-9
+    with pytest.raises(CoincidentPoints, match="angle to the point itself is undefined"):
+        ang_p(PointH(0, 1), PointH(0, 1))

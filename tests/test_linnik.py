@@ -677,3 +677,45 @@ def test_report_values_past_2_63_are_exact_python_ints(data):
     assert r.values.dtype == object and r.empirical
     assert r.values.tolist() == [A * m * m + C * n * n for m, n in zip(r.ms.tolist(), r.ns.tolist())]
     assert equid_report(F, 0, I, 2).values.tolist() == []
+
+
+# a window that leaves {F > 0}, a form that is never positive, and a window
+# on whose closure F rounds to <= 0 (one ulp above the root sqrt(6) - 2)
+_BAD_WINDOWS = [
+    (RealForm(1, 0, -2), ProjInterval(1, 2), IntervalOutsidePositivityRegion, "leaves {F > 0}"),
+    (RealForm(-1, 0, -1), ProjInterval(0, 1), IntervalOutsidePositivityRegion, "is never positive"),
+    (RealForm(1, 4, -2), ProjInterval(0.44948974278317794, 1.5), IntervalTouchesRoot,
+     "rounds to <= 0 on the closure of ProjInterval("),
+]
+
+
+@pytest.mark.parametrize("F, I, exc, message", _BAD_WINDOWS)
+@pytest.mark.parametrize("delta", [0, -1, 5])
+def test_a_bad_window_is_refused_at_every_delta(F, I, exc, message, delta):
+    """At delta <= 0 equid_report, predicted_count and brute_force_W answered
+    (an empty report, 0.0, []) without a check, where enumerate_W refused
+    the window; now every entry raises enumerate_W's exception, at every delta."""
+    with pytest.raises(exc, match=re.escape(message)) as want:
+        enumerate_W(F, delta, I)
+    for call in (lambda: equid_report(F, delta, I, 2), lambda: predicted_count(F, delta, I),
+                 lambda: brute_force_W(F, delta, I), lambda: linnik.ladder_counts(F, [delta], I)):
+        with pytest.raises(exc) as got:
+            call()
+        assert str(got.value) == str(want.value)
+
+
+def test_a_good_window_at_delta_at_most_zero_is_empty_and_unmeasured():
+    """A window that passes the check gives the empty answers at delta <= 0:
+    predicted_count does not measure it, so a linear window whose mu diverges
+    reads 0.0 there, and raises only from delta > 0."""
+    F, I = RealForm(1, 0, 1), ProjInterval(0, 1)
+    for delta in (0, -1):
+        r = equid_report(F, delta, I, 3)
+        assert (r.empirical, r.predicted, r.residual, r.normalized_residual) == (0, 0.0, 0.0, 0.0)
+        assert r.histogram == [(0, 0.0)] * 3 and (r.max_ratio_dev, r.boundary_ties) == (0.0, 0)
+        assert [c.dtype for c in (r.ms, r.ns, r.t, r.values)] == [np.int64, np.int64, float, np.int64]
+        assert r.fracs == [] and enumerate_W(F, delta, I) == [] and brute_force_W(F, delta, I) == []
+        assert predicted_count(F, delta, I) == 0.0
+        assert predicted_count(RealForm(0, 1, 0), delta, ProjInterval(1, INF)) == 0.0
+    with pytest.raises(UnboundedDivergence):
+        predicted_count(RealForm(0, 1, 0), 1, ProjInterval(1, INF))

@@ -1,6 +1,7 @@
 import functools
 import math
 import random
+import re
 import tracemalloc
 
 import mpmath
@@ -228,7 +229,7 @@ def test_weighted_sqrt_sum_small():
     assert math.isclose(exact, direct)
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200, deadline=None, derandomize=True)
 @given(st.integers(1, 300), st.integers(-1, 1), st.integers(1, 1000), st.integers(1, 40))
 def test_weighted_sqrt_sum_starts_after_the_last_square_at_most_s1_delta(k, e, delta, width):
     """The sum starts at n_lo + 1, n_lo the largest n with n^2 <= s1 delta
@@ -428,3 +429,26 @@ def test_weighted_sqrt_sum_arctan_bracket_at_s1_zero():
     # bracket(0.5) = 1 - 2 atan(1), bracket(0) = -pi
     assert math.isclose(main0, 3 * delta / math.pi**2 * (1 + math.pi / 2), rel_tol=1e-14)
     assert exact0 == exact1 and 0 < main0 - main1 < 3 * delta / math.pi**2 * 5e-9
+
+
+def test_refusals_name_what_is_wrong():
+    with pytest.raises(DomainError, match="need s1 <= s2"):
+        weighted_sqrt_sum(1, -4, 0.5, 0.25, 100.0)
+    # s2 within the 1e-12 slack above 4A/(-D) = 1e-12, which is a factor 1.9
+    # here: at n = 13, D + 4 A delta / n^2 is -1.6e12
+    with pytest.raises(DomainError, match="radicand went negative inside the summation range"):
+        weighted_sqrt_sum(1, -4e12, 0.0, 1.9e-12, 1e14)
+    with pytest.raises(ValueError, match=re.escape("gcd(0, 0) undefined")):
+        ext_gcd(0, 0)
+    for z in (0.5 + 0j, complex(0.5, -1)):
+        with pytest.raises(ValueError, match="point must be in the upper half-plane"):
+            sl2z_reduce(z)
+
+
+def test_reduction_ends_from_the_lowest_points():
+    """Each inversion but the last two nearly triples Im w < 1, so the loop
+    ends within 800 passes from any Im w >= 5e-324: these take at most 250.
+    (A rational x with a small denominator sends Im w past the float range.)"""
+    for x in ((math.sqrt(5) - 1) / 2, math.pi - 3, math.sqrt(2) - 1, math.e - 3):
+        w, ((a, b), (c, d)) = sl2z_reduce(complex(x, 5e-324))
+        assert abs(w.x) <= 0.5 and abs(w.as_complex()) >= 1 - 1e-15 and a * d - b * c == 1

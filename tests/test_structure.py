@@ -272,3 +272,15 @@ def test_each_input_is_checked_by_what_owns_it():
     assert "hyperbolic:sector_area" in callers["ball"] and not defined["_cosh_radius"]
     assert "numtheory:phi_sieve" in callers["_phi_for"]
     assert not _nodes("numtheory", "phi_sieve", ast.Raise)
+
+
+def test_a_window_is_checked_once_by_the_scan_that_uses_it():
+    """_check_interval alone takes the minimum of F on a window's closure
+    (and _arc_interval, for its refusal that names the arc); _scan_window
+    checks every window it is given and refuses nothing itself, and
+    _enumerate_with_ties leaves the check to it."""
+    callers, _ = _scan_source()
+    assert callers["_min_on_closure"] == {"linnik:_check_interval", "geodesic_enum:_arc_interval"}
+    assert "linnik:_scan_window" in callers["_check_interval"]
+    assert "linnik:_enumerate_with_ties" not in callers["_check_interval"]
+    assert not _nodes("linnik", "_scan_window", ast.Raise)
