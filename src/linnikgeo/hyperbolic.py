@@ -67,12 +67,12 @@ def ang_p(p: PointH, z: PointH) -> float:
 
 
 def _ball_angles(p: PointH, zx: np.ndarray, zy: np.ndarray) -> np.ndarray:
-    """ang_p(p, z) for columns of points z (p itself gets 0): minus the arg
-    of the Cayley image (z - p) / (z - conj p), which sends geodesics through
-    p to diameters, so one formula holds on the vertical line through p too."""
+    """ang_p(p, z) for columns of points z (p itself gets 0): minus the arg of
+    the Cayley image (z - p) / (z - conj p), which sends geodesics through p to
+    diameters (so one formula holds on p's vertical line), clamped below 2 pi."""
     z = zx + 1j * zy
     w = p.as_complex()
-    return -np.angle((z - w) / (z - w.conjugate())) % (2 * math.pi)
+    return np.minimum(-np.angle((z - w) / (z - w.conjugate())) % (2 * math.pi), math.nextafter(2 * math.pi, 0))
 
 
 def ball(z0: PointH, s0: float) -> BallE:

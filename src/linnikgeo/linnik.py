@@ -10,6 +10,7 @@ region, the antiderivative of 1/F, and whether I may wrap through infinity.
 
 from __future__ import annotations
 
+import bisect
 import math
 import sys
 from dataclasses import dataclass
@@ -38,8 +39,8 @@ BUCKET_GUARD = 10**6
 SCAN_GUARD = 10**8
 _SCAN_WORK = "the scan of {} on {} at delta = {} has n_max = {} and {:.0f} candidates"
 
-# candidate values this close to the cutoff delta are reported as boundary
-# ties when the coefficients are not exact integers
+# a boundary tie: a reduced m/n in I whose float value F(m, n) > 0 is within
+# TIE_REL * delta of the cutoff, on either side (integral forms have none)
 TIE_REL = 1e-9
 
 # values per block and per chunk of every scan (_upto, _expand): columns of
@@ -371,8 +372,8 @@ def _run_scan(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int]:
     """All reduced (m, n) with 1 <= n <= n_max, m/n in I and
     0 < F(m, n) <= delta, as int64 columns (ms, ns) ordered by n, then m,
-    t = ms / ns and vals, the F(m, n) tested; plus the count of float values
-    within TIE_REL of delta (boundary ties; integral forms have none).
+    t = ms / ns and vals, the F(m, n) tested; plus the count of boundary
+    ties (see TIE_REL), on either side of delta.
 
     The m-ranges of each block of n and the bound form_values takes come
     from one vectorised pass (_level_spans), and _expand tests their
@@ -385,11 +386,11 @@ def _run_scan(
     blocks = (_level_spans(case, n, delta, pieces) for n in _upto(n_max))
     for (ns,), ms, bound in _expand(blocks, n_max, _SCAN_WORK, F, I, delta, n_max):
         vals = form_values(F, ms, ns, bound)
-        ok = (vals > 0) & _at_most(vals, delta)
-        if not integral:
-            ties += int((np.abs(vals - delta) < TIE_REL * delta).sum())
         t = ms / ns  # rounds as the scalar m / n does for |m|, n < 2^53
-        ok &= (np.gcd(ms, ns) == 1) & I.contains(t)
+        ok = (vals > 0) & (np.gcd(ms, ns) == 1) & I.contains(t)
+        if not integral:  # the value test alone decides a tie
+            ties += int((ok & (np.abs(vals - delta) < TIE_REL * delta)).sum())
+        ok &= _at_most(vals, delta)
         out.append((ms[ok], ns[ok], t[ok], vals[ok]))
     ms, ns, t, vals = out[0] if len(out) == 1 else map(np.concatenate, zip(*out))
     return ms, ns, t, vals, ties
@@ -559,21 +560,6 @@ def count_residual(empirical: int, delta: float, mu: float) -> tuple[float, floa
     return predicted, residual, residual / scale if scale else math.nan
 
 
-def _heights(case: QuadCase, I: ProjInterval, t: np.ndarray) -> tuple[np.ndarray, float, float]:
-    """The monotone coordinate h along I (dh = d_mu, continued through the
-    infinity seam of a wrapping I) at each t, and its range (h0, h1).
-
-    H is applied per element: numpy's log and arctan may round differently
-    from math's.
-    """
-    h = np.fromiter(map(case.H, t.tolist()), float, len(t))
-    if not I.wraps:
-        return h, case.at(I.lo), case.at(I.hi)
-    jump = case.h_pinf - case.h_minf
-    h[t < I.lo] += jump
-    return h, case.H(I.lo), case.H(I.hi) + jump
-
-
 def equid_report(
     F: RealForm,
     delta: float,
@@ -586,6 +572,11 @@ def equid_report(
     antiderivative, which is the monotone coordinate along I, including
     through the infinity seam of a wrapping interval).  The report keeps
     the enumerated fractions as columns.
+
+    A row's bucket, int((h(t) - h0) / width) clipped, is monotone along the
+    sorted column: a gallop and a bisection find each bucket's run of rows in
+    about 2 log2 N calls of H, more in all than one per row where B >~ N / 50.
+    Where the float H is not monotone (by an ulp), the search decides.
     """
     if buckets < 2:
         raise ValueError("need at least 2 buckets")
@@ -598,11 +589,18 @@ def equid_report(
     mu_tot = _mu(case, I)
     empirical = len(t)
     predicted, residual, normalized = count_residual(empirical, delta, mu_tot)
-    h, h0, h1 = _heights(case, I, t)
-    # astype truncates toward zero, as int() does
-    j = ((h - h0) / ((h1 - h0) / buckets)).astype(np.int64)
-    counts = np.bincount(np.clip(j, 0, buckets - 1), minlength=buckets).tolist()
-    mass = mu_tot / buckets
+    jump = case.h_pinf - case.h_minf if I.wraps else 0.0  # h continues through the seam
+    h0, h1 = case.at(I.lo), case.at(I.hi) + jump
+    width = (h1 - h0) / buckets or INF  # no width in floats: every row in bucket 0
+    def index(x: float) -> int:  # the bucket of row t = x, by math's H (numpy's may round otherwise)
+        return int(min(buckets - 1, max(0.0, (case.H(x) + (jump if x < I.lo else 0.0) - h0) / width)))
+    counts, rows, lo = [0] * buckets, memoryview(t), 0  # rows[i] is row i's t as a Python float
+    while lo < empirical:  # gallop past the run of rows in lo's bucket, then bisect for its end
+        b, step = index(rows[lo]), 1
+        while lo + step < empirical and index(rows[lo + step]) <= b:
+            step *= 2
+        end = bisect.bisect_left(rows, b + 1, lo + step // 2 + 1, min(lo + step, empirical), key=index)
+        counts[b], lo = end - lo, end
     if min(counts) > 0:
         dev = max(counts) / min(counts) - 1.0
     else:
@@ -612,7 +610,7 @@ def equid_report(
         predicted=predicted,
         residual=residual,
         normalized_residual=normalized,
-        histogram=[(c, mass) for c in counts],
+        histogram=[(c, mu_tot / buckets) for c in counts],
         max_ratio_dev=dev,
         boundary_ties=ties,
         ms=ms,

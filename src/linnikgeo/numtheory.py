@@ -150,8 +150,8 @@ def weighted_sqrt_sum(
     """
     if not all(map(math.isfinite, (A, D, s1, s2, delta))):
         raise DomainError(f"arguments must be finite, got {(A, D, s1, s2, delta)}")
-    if A == 0:
-        raise DomainError("A must be nonzero")
+    if A == 0 or D == 0:
+        raise DomainError(f"A and D must be nonzero, got A = {A}, D = {D}")
     if s1 > s2:
         raise DomainError("need s1 <= s2")
     if D > 0 and s1 < max(0.0, -4 * A / D):
@@ -296,5 +296,7 @@ def _reduce(z: PointH | complex) -> tuple[complex, tuple[tuple[int, int], tuple[
         if abs(w) < 1 - 1e-15:
             w = -1 / w
             a, b, c, d = -c, -d, a, b
+        elif w.imag == math.inf:  # -1/w passed the float range
+            raise DomainError(f"the reduced point of {z} is past the float range")
         else:
             return w, ((a, b), (c, d))

@@ -165,10 +165,29 @@ ROWS = [
     ("linnik", "    minF = _check_interval(QuadCase.of(F), I)\n    if delta <= 0:\n        return []\n",
      "    if delta <= 0:\n        return []\n    minF = _check_interval(QuadCase.of(F), I)\n",
      "tests/test_linnik.py::test_a_bad_window_is_refused_at_every_delta"),
-    ("hyperbolic", "    return -np.angle((z - w) / (z - w.conjugate())) % (2 * math.pi)\n",
-     "    ang = -np.angle((z - w) / (z - w.conjugate())) % (2 * math.pi)\n"
+    ("hyperbolic", "    return np.minimum(-np.angle((z - w) / (z - w.conjugate())) % (2 * math.pi), math.nextafter(2 * math.pi, 0))\n",
+     "    ang = np.minimum(-np.angle((z - w) / (z - w.conjugate())) % (2 * math.pi), math.nextafter(2 * math.pi, 0))\n"
      "    return np.where(zx == p.x, np.where(zy <= p.y, 0.0, math.pi), ang)\n",
      "tests/test_hyperbolic.py::test_angle_is_continuous_across_the_vertical_line"),
+    # the histogram's run ends past the next bucket's first row, a row at a
+    # wrapping I's lo taken past the seam, a window of no float width divided
+    # by, ties counted before the gcd and window tests, the angle's clamp
+    # below 2 pi dropped, the reduction's refusal of an infinite height
+    # dropped, and D = 0 let into the main term
+    ("linnik", "end = bisect.bisect_left(", "end = bisect.bisect_right(",
+     "tests/test_linnik.py::test_equid_report_buckets_match_loop"),
+    ("linnik", "(jump if x < I.lo else 0.0)", "(jump if x <= I.lo else 0.0)",
+     "tests/test_linnik.py::test_equid_report_buckets_match_loop"),
+    ("linnik", "(h1 - h0) / buckets or INF", "(h1 - h0) / buckets",
+     "tests/test_linnik.py::test_a_window_of_no_float_width_puts_every_row_in_bucket_0"),
+    ("linnik", "ties += int((ok & (np.abs(vals - delta)", "ties += int(((vals > 0) & (np.abs(vals - delta)",
+     "tests/test_linnik.py::test_ties_are_counted_on_pairs_that_pass_every_test_but_the_value"),
+    ("hyperbolic", ", math.nextafter(2 * math.pi, 0))", ", 2 * math.pi)",
+     "tests/test_hyperbolic.py::test_angle_just_left_of_the_upward_ray_stays_below_2_pi"),
+    ("numtheory", "        elif w.imag == math.inf:", "        elif False:",
+     "tests/test_numtheory.py::test_sl2z_reduce_refuses_a_point_that_reduces_past_the_float_range"),
+    ("numtheory", "    if A == 0 or D == 0:", "    if A == 0:",
+     "tests/test_numtheory.py::test_refusals_name_what_is_wrong"),
 ]
 
 

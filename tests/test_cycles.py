@@ -211,6 +211,9 @@ def test_j_refuses_points_past_the_float_range():
         with pytest.raises(DomainError, match=rf"j\({re.escape(str(z))}\).* y = {y} "):
             j_invariant(z)
     assert math.isfinite(abs(j_invariant(112j)))
+    z = complex(0.5, 5e-324)  # its reduced point is past the float range itself
+    with pytest.raises(DomainError, match=re.escape(f"the reduced point of {z} is past the float range")):
+        j_invariant(z)
 
 
 def test_j_modular_invariance():

@@ -1,10 +1,11 @@
 import math
 
+import numpy as np
 import pytest
 
 from linnikgeo.errors import BadAngleOrder, CoincidentPoints, NotPerpendicularPair
 from linnikgeo.forms import HalfLine, IntForm, Semicircle
-from linnikgeo.hyperbolic import PointH, ang_p, ball, perp_foot, sector_area
+from linnikgeo.hyperbolic import PointH, _ball_angles, ang_p, ball, perp_foot, sector_area
 from reference import dist, geodesic_through
 
 
@@ -128,3 +129,14 @@ def test_angle_is_continuous_across_the_vertical_line():
                 assert abs((near - on + math.pi) % (2 * math.pi) - math.pi) < 1e-9
     with pytest.raises(CoincidentPoints, match="angle to the point itself is undefined"):
         ang_p(PointH(0, 1), PointH(0, 1))
+
+
+def test_angle_just_left_of_the_upward_ray_stays_below_2_pi():
+    """-arg w is a tiny negative number there, and adding 2 pi rounds it to
+    2 pi: the angle is the largest float below 2 pi, and the column keeps
+    its order as the points come round to the upward ray from the left."""
+    below = math.nextafter(2 * math.pi, 0)
+    assert ang_p(PointH(0, 1), PointH(-1e-30, 2)) == below
+    xs = np.array([-1e-3, -1e-9, -1e-16, -1e-30, -1e-300])
+    got = _ball_angles(PointH(0, 1), xs, np.full(5, 2.0))
+    assert (got < 2 * math.pi).all() and (np.diff(got) >= 0).all() and got[-1] == below

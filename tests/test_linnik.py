@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 import re
@@ -229,6 +230,28 @@ def test_equid_report_buckets_match_loop():
             assert sum(got) > 100
 
 
+def test_equid_report_calls_H_about_twice_log_n_per_bucket():
+    """Each bucket's run of rows costs a gallop and a bisection, so H is
+    called about 2 log2 N times per bucket, not once per row."""
+    F, I, B = RealForm(1, 0, 1), ProjInterval(0, 1), 8
+    case = linnik.QuadCase.of(F)
+    calls = []
+    counted = dataclasses.replace(case, H=lambda t: calls.append(t) or case.H(t))
+    with mock.patch.object(linnik.QuadCase, "of", return_value=counted):
+        r = equid_report(F, 10**6, I, B)
+    N = r.empirical
+    assert N > 238_000 and [c for c, _ in r.histogram] == _loop_histogram(F, 10**6, I, B)
+    assert len(calls) <= min(B * (2 * math.ceil(math.log2(N + 1)) + 1), 2 * N) + 2
+
+
+def test_a_window_of_no_float_width_puts_every_row_in_bucket_0():
+    """atan rounds to pi/2 at both ends of [1e17, 1e18], so h1 - h0 is 0 in
+    floats: every row goes to bucket 0, as the per-row column did (its 0/0
+    was nan, cast to int64's least value and clipped), with no warning."""
+    r = equid_report(RealForm(1, 0, 1), float(10**34 + 10**19), ProjInterval(1e17, 1e18), 2)
+    assert r.empirical == 51 and r.histogram == [(51, 0.0), (0, 0.0)]
+
+
 def test_equid_trend():
     F = RealForm(1, 0, 1)
     I = ProjInterval(-INF, INF)
@@ -269,6 +292,17 @@ def test_boundary_tie_flagging():
         F, 1.5, ProjInterval(0.1, 4)
     )
     assert ties >= 1  # (1, 1) evaluates exactly to the cutoff
+
+
+def test_ties_are_counted_on_pairs_that_pass_every_test_but_the_value():
+    """A tie is a pair that only the value test decides: (5, 5), at the
+    cutoff 25 but with t = 1 outside I and gcd 5, is none, and neither is
+    (-1, 7), outside I, while (1, 7), just above the cutoff, is one."""
+    F = RealForm(0.5, 0, 0.5)
+    r = equid_report(F, 25, ProjInterval(0.5, 0.99), 8)
+    assert r.empirical == 5 and max(r.values) < 21 and r.boundary_ties == 0
+    ms, ns, _, _, ties = linnik._enumerate_with_ties(F, 25 - 1e-9, ProjInterval(0.1, 0.2))
+    assert (1, 7) not in zip(ms.tolist(), ns.tolist()) and ties == 1
 
 
 def test_equid_report_guards_bucket_count_before_enumerating():
@@ -666,6 +700,18 @@ def _values_are_re_evaluated(F, delta, I):
 def test_report_values_are_the_scans_values(case, shape, data):
     F, I = data.draw(_form_and_interval(case, shape))
     _values_are_re_evaluated(F, data.draw(st.integers(1, 400)), I)
+
+
+@pytest.mark.parametrize("case, shape", [c for c in _CASES if c != ("linear", "unbounded")])
+@settings(max_examples=8, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_equid_report_histogram_is_the_per_row_pass(case, shape, data):
+    """The histogram read off the sorted column by searching for the end of
+    each bucket's run equals _loop_histogram's bucket of every row."""
+    F, I = data.draw(_form_and_interval(case, shape))
+    delta, buckets = data.draw(st.integers(1, 10**5)), data.draw(st.integers(2, 1000))
+    got = [c for c, _ in equid_report(F, delta, I, buckets).histogram]
+    assert got == _loop_histogram(F, delta, I, buckets)
 
 
 @settings(max_examples=20, deadline=None, derandomize=True)

@@ -409,6 +409,13 @@ def test_sl2z_reduce_refuses_non_finite_points():
             sl2z_reduce(z)
 
 
+def test_sl2z_reduce_refuses_a_point_that_reduces_past_the_float_range():
+    """0.5 + 5e-324 i reduces to Im w = inf; the refusal names the point passed."""
+    z = complex(0.5, 5e-324)
+    with pytest.raises(DomainError, match=re.escape(f"the reduced point of {z} is past the float range")):
+        sl2z_reduce(z)
+
+
 def test_pell_log_eps_past_512_bits():
     """D = 979,969 has t0 of 7,806 bits: log_eps takes log(t0), within
     1e-15 of log((t0 + u0 sqrt D) / 2) in 100-digit arithmetic."""
@@ -434,6 +441,10 @@ def test_weighted_sqrt_sum_arctan_bracket_at_s1_zero():
 def test_refusals_name_what_is_wrong():
     with pytest.raises(DomainError, match="need s1 <= s2"):
         weighted_sqrt_sum(1, -4, 0.5, 0.25, 100.0)
+    # the main term divides by sqrt(-D) = 0
+    for args in [(1, 0, 0, 1, 100), (1, 0, 0.5, 1, 100)]:
+        with pytest.raises(DomainError, match="A and D must be nonzero, got A = 1, D = 0"):
+            weighted_sqrt_sum(*args)
     # s2 within the 1e-12 slack above 4A/(-D) = 1e-12, which is a factor 1.9
     # here: at n = 13, D + 4 A delta / n^2 is -1.6e12
     with pytest.raises(DomainError, match="radicand went negative inside the summation range"):

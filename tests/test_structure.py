@@ -284,3 +284,11 @@ def test_a_window_is_checked_once_by_the_scan_that_uses_it():
     assert "linnik:_scan_window" in callers["_check_interval"]
     assert "linnik:_enumerate_with_ties" not in callers["_check_interval"]
     assert not _nodes("linnik", "_scan_window", ast.Raise)
+
+
+def test_the_histogram_is_read_off_the_sorted_column():
+    """equid_report searches the sorted column for the end of each bucket's
+    run of rows: no per-row map of H (_heights) and no np.fromiter remain."""
+    _, defined = _scan_source()
+    assert not defined["_heights"]
+    assert "np.fromiter" not in (SRC / "linnik.py").read_text(encoding="utf-8")
